@@ -1,6 +1,6 @@
 """Benchmark for udm: one command, three workloads (verify, codec, cli).
 
-    python3 perfbench/run.py --workload verify --seed 1 --seconds 36 --trace 0
+    python3 perfbench/run.py --workload verify --seed 1 --seconds 40 --trace 0
 
 With --trace 0 the last line of standard output is a JSON object with the
 end-to-end metrics; with --trace 1 it carries the per-layer metrics of a
@@ -23,49 +23,31 @@ SRC = ROOT / "src"
 RESULTS = Path(__file__).resolve().parent / "results"
 WORKLOADS = ("verify", "codec", "cli")
 
-# Gated end-to-end metrics. Times other than setup_s are in `ref` units,
-# the mean time of a fixed pure-Python loop over the same run (see
-# workloads.summarize). failed_share is carried by the result line's
-# "failed" and "attempted" fields rather than as a metric, since it is 0.
-E2E_UNITS = {
-    "setup_s": "s",
-    "peak_rss_mb": "MB",
-    "verify_tuples_per_ref": "1/ref",
-    "verify_superset_tuples_per_ref": "1/ref",
-    "encode_ref_best_mean": "ref",
-    "decode_ref_best_mean": "ref",
-    "decode_ref_p95": "ref",
-    "encode_generic_ref_best_mean": "ref",
-    "decode_generic_ref_best_mean": "ref",
-    "decode_generic_ref_p95": "ref",
-    "simulate_trials_per_ref": "1/ref",
-    "cli_small_ref_mean": "ref",
-    "cli_bigfield_ref_mean": "ref",
-}
+
+def declared_units() -> dict:
+    """Metric name -> unit for --trace 0 and --trace 1, from BENCHMARK.json.
+    failed_share is carried by the result line's "failed" and "attempted"
+    fields rather than as a metric, since it is 0 on correct code."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {
+        trace: {m["name"]: m["unit"] for m in spec[key]}
+        for trace, key in ((0, "end_to_end"), (1, "per_layer"))
+    }
 
 
 def info_unit(name: str) -> str:
+    """Unit of an ungated line, read from its name."""
     if name.startswith("samples."):
         return "count"
     if name == "failed_share":
         return "share"
     if name.endswith("_per_s"):
         return "1/s"
-    if name.startswith("cli_"):
-        return "s"
-    return "ms"
-
-
-def layer_unit(name: str) -> str:
-    if name == "linalg.stacked_entries":
-        return "computed_count"
-    if name == "trace.overhead_share":
-        return "share"
-    if "_ns." in name:
-        return "ns"
-    if name.endswith("_s") or "_s." in name:
-        return "s"
-    return "count"
+    if name.endswith("_mb"):
+        return "MB"
+    if "_ms" in name:
+        return "ms"
+    return "s"
 
 
 def import_udm():
@@ -112,6 +94,7 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    units = declared_units()[args.trace]
     udm = import_udm()
     import workloads
     from spans import NullTracer, Tracer
@@ -137,12 +120,14 @@ def main(argv=None) -> int:
         run = workloads.Run(args.seed, tracer, SRC, Path(workdir))
         if args.trace:
             values = workloads.traced(run, args.workload, tracer)
-            units = {name: layer_unit(name) for name in values}
             info = {}
         else:
             values, info = workloads.end_to_end(run, args.workload, args.seconds)
-            units = dict(E2E_UNITS)
     info["failed_share"] = run.failed / run.attempted
+    if values.keys() != units.keys():
+        print(f"perfbench: measured {sorted(values.keys() ^ units.keys())} "
+              "not as declared in BENCHMARK.json", file=sys.stderr)
+        return 1
 
     stem = f"{args.workload}-seed{args.seed}-trace{args.trace}"
     if args.trace:

@@ -66,6 +66,10 @@ SIM_BATCHES = 4
 CODEC_POOL = 100
 # At least ten samples beyond the 95th percentile, per family.
 P95_MIN_SAMPLES = 200
+# A replayed input's best time is over exactly its first BEST_OF samples, so
+# a run that fits more replays into its window is not favoured. The simulate
+# batches replay their inputs exactly this often, the codec streams at least.
+BEST_OF = P95_MIN_SAMPLES // (CODEC_POOL // 2)
 CLI_CONFIGS = {"small": (3, 4, 3), "bigfield": (65536, 5, 6)}
 CLI_TIMEOUT_S = 120
 CLI_PROBE_REPEATS = 3
@@ -77,15 +81,21 @@ CLI_SMALL_PER_BIGFIELD = 3
 # part needs P95_MIN_SAMPLES request pairs, which leaves room for one
 # bigfield pipeline only.
 LIGHT_UNITS = {
-    "verify": {"codec": 40, "simulate": 16, "cli.small": 6, "cli.bigfield": 2},
+    "verify": {"codec": 40, "simulate": 16, "cli.small": 12, "cli.bigfield": 2},
     "codec": {"verify": 18, "simulate": 16, "cli.small": 6, "cli.bigfield": 1},
     "cli": {"verify": 18, "codec": 40, "simulate": 16},
 }
-LIGHT_CODEC_REQUESTS = 2 * P95_MIN_SAMPLES
-SETUP_REPEATS = 3
-SETUP_MIN_S = 1.0
+# Twice the home minimum: light requests are short, and their 95th
+# percentile steadier over more samples.
+LIGHT_CODEC_REQUESTS = 4 * P95_MIN_SAMPLES
+# Set-ups per run, the first before the window's units and the rest spread
+# over it like light units. A verify set-up takes about 3 s, a codec one
+# 0.3 s and a cli one 12 ms.
+SETUP_SAMPLES = {"verify": 4, "codec": 6, "cli": 64}
 # About half a millisecond of pure-Python work; see reference_loop().
 REF_LOOP_ITERATIONS = 4000
+# setup_s is converted from ref units to seconds at this loop time.
+REF_NOMINAL_S = 0.5e-3
 
 # Traced runs repeat a fixed unit of the home part, alternating untraced
 # and traced, to measure the tracing overhead.
@@ -129,8 +139,10 @@ class Run:
         self.failed = 0
         self.failures: list[str] = []
         self.samples: dict[str, list[float]] = defaultdict(list)
-        # Fastest time of each replayed input: key -> input index -> seconds.
-        self.best: dict[str, dict[int, float]] = defaultdict(dict)
+        # Short operations in ref units of their moment: key -> all samples,
+        # and key -> input index -> the input's first BEST_OF samples.
+        self.ratios: dict[str, list[float]] = defaultdict(list)
+        self.first: dict[str, dict[int, list[float]]] = defaultdict(lambda: defaultdict(list))
         # Exact per seed; counted only while tracing.
         self.outcomes: Counter = Counter()
         self.verify_tuples = 0
@@ -142,10 +154,18 @@ class Run:
             self.failed += 1
             self.failures.append(what)
 
-    def record(self, key: str, index: int, seconds: float):
+    def record(self, key: str, index: int, seconds: float, ref: float):
+        """A short operation on replayed input `index`, taken `seconds`,
+        and a reference_loop() time taken right after it."""
         self.samples[key].append(seconds)
-        best = self.best[key]
-        best[index] = min(seconds, best.get(index, seconds))
+        self.ratios[key].append(seconds / ref)
+        first = self.first[key][index]
+        if len(first) < BEST_OF:
+            first.append(seconds / ref)
+
+    def best_sum(self, key: str) -> float:
+        """Sum over the replayed inputs of each one's best time, in ref units."""
+        return sum(min(times) for times in self.first[key].values())
 
     def rng(self, stream: str) -> random.Random:
         return random.Random(f"{self.seed}:{stream}")
@@ -221,17 +241,11 @@ class Setup:
                 continue
 
 
-def timed_setups(run: Run, home: str) -> tuple[Setup, list[float]]:
-    """Set up SETUP_REPEATS times, or more while they take under
-    SETUP_MIN_S in total, so a cheap set-up still gets a steady median."""
-    times = []
-    st = None
-    while len(times) < SETUP_REPEATS or (sum(times) < SETUP_MIN_S and len(times) < 100):
-        st = None  # release the previous set-up before timing the next
-        t0 = perf_counter()
-        st = Setup(run, home)
-        times.append(perf_counter() - t0)
-    return st, times
+def timed_setup(run: Run, home: str) -> Setup:
+    t0 = perf_counter()
+    st = Setup(run, home)
+    run.samples["setup"].append(perf_counter() - t0)
+    return st
 
 
 # -- verify ---------------------------------------------------------------------
@@ -352,8 +366,9 @@ class CodecStream:
         )
         if tr.enabled:
             run.outcomes[outcome] += 1
-        run.record(f"encode.{name}", j, t1 - t0)
-        run.record(f"decode.{name}", j, t3 - t2)
+        ref = reference_loop()
+        run.record(f"encode.{name}", j, t1 - t0, ref)
+        run.record(f"decode.{name}", j, t3 - t2, ref)
         self.i += 1
 
     def requests(self, count: int):
@@ -381,7 +396,7 @@ def simulate_batch(run: Run, st: Setup, unit: int):
     t0 = perf_counter()
     with run.tr.span("codec.simulate"):
         stats = codec.simulate(st.fams["sim"], SIM_TRIALS, "geometric", seed=seed)
-    run.record("simulate", seed, perf_counter() - t0)
+    run.record("simulate", seed, perf_counter() - t0, reference_loop())
     want = oracle.expected_geometric_simulation(L, n, p**s, SIM_TRIALS, seed)
     got = {k: getattr(stats, k) for k in want}
     run.check(got == want, f"simulate batch {seed}: {got} != {want}")
@@ -525,10 +540,11 @@ def home_unit(run: Run, st: Setup, home: str, stream: CodecStream | None, index:
         cli_pipeline(run, name, run.rng(f"cli:home:{index}"))
 
 
-def light_units(run: Run, st: Setup, home: str) -> list:
-    """The light units of the other parts, each kind spread evenly over the
-    window and interleaved with the others. Units are short, so every
-    metric samples the whole run rather than a few moments of it."""
+def light_units(run: Run, st: Setup, home: str, setups: int = 0) -> list:
+    """The light units of the other parts, and `setups` timed set-ups, each
+    kind spread evenly over the window and interleaved with the others.
+    Units are short, so every metric samples the whole run rather than a
+    few moments of it."""
     stream = CodecStream(run, st) if home != "codec" else None
     makers = {
         "verify": lambda i: verify_one(run, st, LIGHT_VERIFY[i % len(LIGHT_VERIFY)]),
@@ -536,9 +552,10 @@ def light_units(run: Run, st: Setup, home: str) -> list:
         "simulate": lambda i: simulate_batch(run, st, i),
         "cli.small": lambda i: cli_pipeline(run, "small", run.rng(f"cli:small:{i}")),
         "cli.bigfield": lambda i: cli_pipeline(run, "bigfield", run.rng(f"cli:big:{i}")),
+        "setup": lambda i: timed_setup(run, home),
     }
     placed = []
-    for kind, count in LIGHT_UNITS[home].items():
+    for kind, count in {**LIGHT_UNITS[home], "setup": setups}.items():
         for i in range(count):
             placed.append(((i + 0.5) / count, kind, partial(makers[kind], i)))
     placed.sort(key=lambda t: (t[0], t[1]))
@@ -565,7 +582,7 @@ def window(run: Run, st: Setup, home: str, until: float):
     share of the window has elapsed. No home unit starts once one as long
     as the longest so far would end past the deadline, unless the home
     part is not yet complete."""
-    light = light_units(run, st, home)
+    light = light_units(run, st, home, setups=SETUP_SAMPLES[home] - 1)
     stream = CodecStream(run, st) if home == "codec" else None
     start = perf_counter()
     span = max(until - start, 1e-9)
@@ -605,10 +622,8 @@ def reference_loop() -> float:
     return perf_counter() - t0
 
 
-def peak_rss_mb() -> float:
-    self_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return max(self_kb, child_kb) / 1024
+def peak_rss_mb(who) -> float:
+    return resource.getrusage(who).ru_maxrss / 1024
 
 
 def p95(xs) -> float:
@@ -621,71 +636,82 @@ def summarize(run: Run) -> tuple[dict, dict]:
     A shared host can switch between a fast and a slow processor state,
     about 1.45x apart, for seconds and sometimes for a whole run, which
     moved raw times by 0.2 to 0.35 (quartile spread over median) from run
-    to run. The gated times are therefore expressed in `ref` units: the
-    mean time of reference_loop() over the same run, which moves with the
-    host and not with udm; a 95th percentile is divided by the loop's own
-    95th percentile. This also steadied the cli pipelines, which run in
-    child processes between the loop's samples. Raw seconds are printed,
-    not gated; setup_s stays in seconds.
+    to run. The gated times are therefore in `ref` units, the time of
+    reference_loop(), which moves with the host and not with udm:
 
-    The short operations (codec requests, simulate batches) replay a fixed
-    set of inputs and are gated on the mean over inputs of each input's
-    fastest time, and on the 95th percentile of all samples. The long ones
-    (a family verify, a cli pipeline) are gated on total time over total
-    work.
+    - a short operation (a codec request, a simulate batch) is divided by
+      a loop timed right after it. These replay a fixed set of inputs and
+      are gated on the mean over inputs of each input's fastest time, and
+      on the 95th percentile of all samples;
+    - a long one (a family verify, a cli pipeline, which runs in child
+      processes, a set-up) outlasts the host's states, so its time is
+      divided by the mean of the loop timed after every unit of the run.
+
+    setup_s is the median set-up in ref units, converted back to seconds at
+    REF_NOMINAL_S per loop: it must be in seconds, and raw seconds moved
+    with the host's speed over whole runs, which no choice of set-ups
+    within a run can remove. Raw times are printed, not gated.
     """
-    samples = run.samples
+    samples, ratios = run.samples, run.ratios
     ref = statistics.fmean(samples["ref"])
-    ref_p95 = p95(samples["ref"])
 
     def best_mean(key):
-        return statistics.fmean(run.best[key].values())
+        return run.best_sum(key) / len(run.first[key])
 
     def rate(work_key, time_key):
         return sum(samples[work_key]) / sum(samples[time_key])
 
-    # (seconds, the reference statistic that divides it)
-    seconds = {
-        "encode_{}best_mean": (best_mean("encode.generator"), ref),
-        "decode_{}best_mean": (best_mean("decode.generator"), ref),
-        "decode_{}p95": (p95(samples["decode.generator"]), ref_p95),
-        "encode_generic_{}best_mean": (best_mean("encode.generic"), ref),
-        "decode_generic_{}best_mean": (best_mean("decode.generic"), ref),
-        "decode_generic_{}p95": (p95(samples["decode.generic"]), ref_p95),
-        "cli_small_{}mean": (statistics.fmean(samples["cli.small"]), ref),
-        "cli_bigfield_{}mean": (statistics.fmean(samples["cli.bigfield"]), ref),
+    sim_trials = SIM_TRIALS * SIM_BATCHES
+    gated = {
+        "encode_ref_best_mean": best_mean("encode.generator"),
+        "decode_ref_best_mean": best_mean("decode.generator"),
+        "decode_ref_p95": p95(ratios["decode.generator"]),
+        "encode_generic_ref_best_mean": best_mean("encode.generic"),
+        "decode_generic_ref_best_mean": best_mean("decode.generic"),
+        "decode_generic_ref_p95": p95(ratios["decode.generic"]),
+        "cli_small_ref_mean": statistics.fmean(samples["cli.small"]) / ref,
+        "cli_bigfield_ref_mean": statistics.fmean(samples["cli.bigfield"]) / ref,
+        "verify_tuples_per_ref": rate("verify.exact.tuples", "verify.exact.s") * ref,
+        "verify_superset_tuples_per_ref": rate("verify.superset.tuples", "verify.superset.s") * ref,
+        "simulate_trials_per_ref": sim_trials / run.best_sum("simulate"),
+        "setup_s": statistics.median(samples["setup"]) / ref * REF_NOMINAL_S,
     }
-    per_second = {
-        "verify_tuples_per_{}": rate("verify.exact.tuples", "verify.exact.s"),
-        "verify_superset_tuples_per_{}": rate("verify.superset.tuples", "verify.superset.s"),
-        "simulate_trials_per_{}": SIM_TRIALS * SIM_BATCHES / sum(run.best["simulate"].values()),
+    info = {
+        "ref_ms": ref * 1e3,
+        "setup_s_raw_p50": statistics.median(samples["setup"]),
+        "setup_s_raw_min": min(samples["setup"]),
+        "verify_tuples_per_s": rate("verify.exact.tuples", "verify.exact.s"),
+        "verify_superset_tuples_per_s": rate("verify.superset.tuples", "verify.superset.s"),
+        "simulate_trials_per_s": SIM_TRIALS * len(samples["simulate"]) / sum(samples["simulate"]),
     }
-    gated = {name.format("ref_"): v / r for name, (v, r) in seconds.items()}
-    gated.update({name.format("ref"): v * ref for name, v in per_second.items()})
-    info = {"ref_ms": ref * 1e3, "ref_ms_p95": ref_p95 * 1e3}
-    for name, (v, _) in seconds.items():
-        if name.startswith("cli"):
-            info[name.format("s_")] = v
-        else:
-            info[name.format("ms_")] = v * 1e3
-    info.update({name.format("s"): v for name, v in per_second.items()})
     for op in ("encode", "decode"):
         for name, fam in (("generator", ""), ("generic", "_generic")):
-            info[f"{op}{fam}_ms_p50"] = statistics.median(samples[f"{op}.{name}"]) * 1e3
-    info["cli_small_s_p50"] = statistics.median(samples["cli.small"])
-    info["cli_bigfield_s_p50"] = statistics.median(samples["cli.bigfield"])
+            times = samples[f"{op}.{name}"]
+            info[f"{op}{fam}_ms_p50"] = statistics.median(times) * 1e3
+            info[f"{op}{fam}_ms_p95"] = p95(times) * 1e3
+    for name in CLI_CONFIGS:
+        info[f"cli_{name}_s_mean"] = statistics.fmean(samples[f"cli.{name}"])
+        info[f"cli_{name}_s_p50"] = statistics.median(samples[f"cli.{name}"])
     info.update({f"samples.{k}": len(v) for k, v in samples.items() if not k.endswith(".tuples")})
     return gated, info
 
 
 def end_to_end(run: Run, home: str, seconds: float) -> tuple[dict, dict]:
+    """The gated metrics and the informational ones of one run.
+
+    peak_rss_mb is this process's peak on verify and codec. On cli, whose
+    work runs in udm.cli children, it is the larger of this process's and
+    the children's peaks; elsewhere the children's peak is printed only.
+    """
     start = perf_counter()
     cli_import_check(run)
-    st, setup_times = timed_setups(run, home)
+    st = timed_setup(run, home)
     window(run, st, home, until=start + seconds)
     gated, info = summarize(run)
-    gated["setup_s"] = statistics.median(setup_times)
-    gated["peak_rss_mb"] = peak_rss_mb()
+    own = peak_rss_mb(resource.RUSAGE_SELF)
+    children = peak_rss_mb(resource.RUSAGE_CHILDREN)
+    gated["peak_rss_mb"] = max(own, children) if home == "cli" else own
+    info["peak_rss_children_mb"] = children
     return gated, info
 
 
