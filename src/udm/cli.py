@@ -247,13 +247,23 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
+def _print_report(report: families.VerifyReport, n: int) -> int:
+    """PASS with the tuple count, or FAIL with the witness and its stack."""
+    if report.passed:
+        print(f"PASS ({report.tuples_checked} tuples)")
+        return 0
+    w = report.witness
+    print(f"FAIL: tuple {w.ks} stacks to rank {w.rank} < {n}")
+    print(format_matrix(w.stacked))
+    return 1
+
+
 # -- commands -------------------------------------------------------------------
 
 
 def cmd_generate(args) -> int:
     try:
-        p, s = gf.factor_prime_power(args.q)
-        field = gf.Field(p, s)
+        field = gf.field_of_order(args.q)
         fam = families.construct(field, args.L, args.n)
     except _USAGE_ERRORS as exc:
         return _fail(str(exc), 2)
@@ -272,14 +282,7 @@ def cmd_verify(args) -> int:
         fam = _load_family(args.infile)
     except ParseError as exc:
         return _fail(str(exc), 2)
-    report = families.verify(fam, superset=args.superset)
-    if report.passed:
-        print(f"PASS ({report.tuples_checked} tuples)")
-        return 0
-    w = report.witness
-    print(f"FAIL: tuple {w.ks} stacks to rank {w.rank} < {fam.n}")
-    print(format_matrix(w.stacked))
-    return 1
+    return _print_report(families.verify(fam, superset=args.superset), fam.n)
 
 
 def cmd_transform(args) -> int:
@@ -315,12 +318,7 @@ def cmd_transform(args) -> int:
     except OSError as exc:
         return _fail(str(exc), 2)
     if args.then_verify:
-        report = families.verify(out)
-        if report.passed:
-            print(f"PASS ({report.tuples_checked} tuples)")
-            return 0
-        print(f"FAIL: tuple {report.witness.ks} stacks to rank {report.witness.rank}")
-        return 1
+        return _print_report(families.verify(out), out.n)
     return 0
 
 
@@ -355,24 +353,22 @@ def cmd_codec(args) -> int:
         if args.mode == "decode":
             if args.obs is None:
                 raise ParseError("decode requires --obs")
+            u = None
             obs = parse_observation(_read_text(args.obs))
-            try:
-                u = codec.decode(fam, obs)
-            except InsufficientSymbols as exc:
-                return _fail(f"insufficient symbols: {exc}", 1)
-            except (RankDeficient, Inconsistent) as exc:
-                return _fail(str(exc), 1)
-            print(" ".join(str(v) for v in u))
-            return 0
-        # roundtrip
-        if args.u is None or args.k is None:
-            raise ParseError("roundtrip requires --u and --k")
-        u = parse_u()
-        obs = codec.erase(codec.encode(fam, u), parse_ks())
+        else:  # roundtrip
+            if args.u is None or args.k is None:
+                raise ParseError("roundtrip requires --u and --k")
+            u = parse_u()
+            obs = codec.erase(codec.encode(fam, u), parse_ks())
         try:
             got = codec.decode(fam, obs)
         except InsufficientSymbols as exc:
             return _fail(f"insufficient symbols: {exc}", 1)
+        except (RankDeficient, Inconsistent) as exc:
+            return _fail(str(exc), 1)
+        if u is None:
+            print(" ".join(str(v) for v in got))
+            return 0
         if got == u:
             print("PASS")
             return 0
@@ -384,8 +380,7 @@ def cmd_codec(args) -> int:
 
 def cmd_oracle(args) -> int:
     try:
-        p, s = gf.factor_prime_power(args.q)
-        field = gf.Field(p, s)
+        field = gf.field_of_order(args.q)
     except _USAGE_ERRORS as exc:
         return _fail(str(exc), 2)
     n = args.n

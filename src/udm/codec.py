@@ -12,7 +12,7 @@ import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, InsufficientSymbols, RankDeficient
+from .errors import DecodeMismatch, DimensionMismatch, InsufficientSymbols, RankDeficient
 from .families import UdmFamily
 from .linalg import matvec, solve, stack_prefixes
 
@@ -176,7 +176,8 @@ def simulate(
         except RankDeficient:
             fail_rank += 1
         else:
-            assert got == u, "decode returned a wrong vector"
+            if got != u:
+                raise DecodeMismatch(f"trial {t}: decoded {got}, expected {u}")
             successes += 1
     mean = total_symbols / trials if trials else 0.0
     return SimulationStats(

@@ -61,6 +61,10 @@ class InsufficientSymbols(UdmError):
     pass
 
 
+class DecodeMismatch(UdmError):
+    """A decode returned a vector other than the one encoded."""
+
+
 class BudgetExceeded(UdmError):
     pass
 

@@ -173,21 +173,115 @@ def verify(family: UdmFamily, superset: bool = False) -> VerifyReport:
     sufficient. With superset=True every tuple with sum >= n is checked
     directly. The first failing tuple, in enumeration order, becomes the
     witness.
+
+    The tuples are walked in enumeration order (enumerate_exact_tuples or
+    enumerate_superset_tuples) as a depth-first walk of the tree of
+    prefixes: one echelon basis is carried along, each step to the next
+    tuple undoes the rows of the channels it resets and inserts one row of
+    the channel it grows (exact sums: and then the last channel's rows).
+    Exact sums: the tuple being built fails as soon as one of its rows
+    reduces to zero; with sum n that is the same as rank < n. Superset: a tuple fails when its sum is at least n and its
+    rank below n; once the rows of channels 0..j reach rank n, every tuple
+    sharing that prefix passes, and they are counted without being built.
+    The witness is rebuilt from scratch with stack_prefixes and rank, so
+    reports are the same as from checking every tuple on its own.
     """
-    n = family.n
-    source = (
-        enumerate_superset_tuples(family.L, n)
-        if superset
-        else enumerate_exact_tuples(family.L, n)
-    )
-    checked = 0
-    for ks in source:
+    walk = _walk_superset if superset else _walk_exact
+    checked, ks = walk(family)
+    if ks is None:
+        return VerifyReport(True, checked, None)
+    stacked = stack_prefixes(family.matrices, ks)
+    return VerifyReport(False, checked, Witness(ks, stacked, rank(stacked)))
+
+
+class _Echelon:
+    """The echelon basis of the walk, with the (channel, column) of every
+    filled slot in insertion order, so the rows of channels above j can be
+    undone by popping."""
+
+    def __init__(self, family: UdmFamily):
+        n = family.n
+        self.insert_row = family.field.insert_row
+        self.rows = [[m.row(i) for i in range(n)] for m in family.matrices]
+        self.basis = [None] * n
+        self.trail: list[tuple[int, int]] = []
+
+    def insert(self, l: int, i: int) -> bool:
+        """Insert row i of matrix l; False when it is dependent."""
+        c = self.insert_row(self.basis, self.rows[l][i])
+        if c < 0:
+            return False
+        self.trail.append((l, c))
+        return True
+
+    def undo_above(self, j: int):
+        trail, basis = self.trail, self.basis
+        while trail and trail[-1][0] > j:
+            basis[trail.pop()[1]] = None
+
+
+def _walk_exact(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
+    """(tuples checked, first failing tuple or None) over the exact sums."""
+    L, n = family.L, family.n
+    ech = _Echelon(family)
+    last = L - 1
+    ks = [0] * L
+    ks[last] = n
+    nonzero = [last]  # the positions with ks > 0, ascending
+    checked = 1
+    ok = True
+    while True:
+        # The rows of the last channel come on top of the others' each time.
+        ok = ok and all(ech.insert(last, i) for i in range(ks[last]))
+        if not ok:
+            return checked, tuple(ks)
+        # The next tuple moves one unit from the rightmost nonzero position
+        # r to r - 1 and the rest of ks[r] to the last channel.
+        r = nonzero.pop()
+        if r == 0:
+            return checked, None
+        j, rest = r - 1, ks[r] - 1
+        ks[r] = 0
+        if not ks[j]:
+            nonzero.append(j)
+        ks[j] += 1
+        ks[last] = rest
+        if rest:
+            nonzero.append(last)
         checked += 1
-        stacked = stack_prefixes(family.matrices, ks)
-        r = rank(stacked)
-        if r < n:
-            return VerifyReport(False, checked, Witness(ks, stacked, r))
-    return VerifyReport(True, checked, None)
+        ech.undo_above(j)
+        ok = ech.insert(j, ks[j] - 1)
+
+
+def _walk_superset(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
+    """(tuples checked, first failing tuple or None) over [0, n]^L with sum
+    at least n, in itertools.product order."""
+    L, n = family.L, family.n
+    ech = _Echelon(family)
+    ks = [0] * L
+    total = 0
+    checked = 0
+    while True:
+        j = L - 1
+        while j >= 0 and ks[j] == n:
+            j -= 1
+        if j < 0:
+            return checked, None
+        ech.undo_above(j)
+        total += 1 - n * (L - 1 - j)
+        ks[j] += 1
+        ks[j + 1 :] = [0] * (L - 1 - j)
+        if len(ech.trail) < n:
+            ech.insert(j, ks[j] - 1)
+        if len(ech.trail) == n:
+            # Every tuple with this prefix has rank n: count them and jump
+            # to the last of them.
+            checked += (n + 1) ** (L - 1 - j)
+            total += n * (L - 1 - j)
+            ks[j + 1 :] = [n] * (L - 1 - j)
+        elif total >= n:
+            checked += 1
+            return checked, tuple(ks)
 
 
 def _is_lower_triangular(c: Matrix) -> bool:
@@ -226,7 +320,8 @@ def tensor_power(family: UdmFamily, m: int) -> UdmFamily:
     The output is not guaranteed universally decodable in general; callers
     verify it. For the standard construction over a prime field with n = p
     the result coincides entrywise with the directly constructed
-    (L, p**m, p) family.
+    (L, p**m, p) family. alpha is kept only when the output equals
+    construct(field, L, n**m); otherwise it is None.
     """
     if m < 1:
         raise ValueError("tensor power must be positive")
@@ -236,7 +331,12 @@ def tensor_power(family: UdmFamily, m: int) -> UdmFamily:
         for _ in range(m - 1):
             acc = kron(acc, a)
         mats.append(acc)
-    return UdmFamily(family.field, family.L, family.n**m, tuple(mats), alpha=family.alpha)
+    out = UdmFamily(family.field, family.L, family.n**m, tuple(mats))
+    if family.alpha is not None and (out.n == 1 or out.L <= out.field.q + 1):
+        direct = construct(out.field, out.L, out.n)
+        if direct.matrices == out.matrices:
+            return direct
+    return out
 
 
 def reverse_pairs(family: UdmFamily) -> UdmFamily:

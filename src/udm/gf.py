@@ -61,6 +61,19 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, s
 
 
+def _check_order(q: int):
+    if q > MAX_ORDER:
+        raise BadExponent(f"field order {q} exceeds the supported maximum 2**16")
+
+
+def field_of_order(q: int) -> "Field":
+    """GF(q) for a prime power q. The order cap is checked before q is
+    factored, so an order far above it fails at once instead of after a
+    long trial division."""
+    _check_order(q)
+    return Field(*factor_prime_power(q))
+
+
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -181,7 +194,19 @@ def _smallest_irreducible(p: int, s: int) -> list[int]:
 class Field:
     """The finite field GF(p**s), acting on canonically encoded int elements."""
 
-    __slots__ = ("p", "s", "q", "modulus", "_alpha", "_exp", "_log", "_neg_table", "_add_table")
+    __slots__ = (
+        "p",
+        "s",
+        "q",
+        "modulus",
+        "_alpha",
+        "_exp",
+        "_log",
+        "_neg_table",
+        "_add_table",
+        "_zech",
+        "insert_row",
+    )
 
     def __init__(self, p: int, s: int = 1):
         if not is_prime(p):
@@ -189,8 +214,7 @@ class Field:
         if s < 1:
             raise BadExponent(f"exponent must be positive, got {s}")
         q = p**s
-        if q > MAX_ORDER:
-            raise BadExponent(f"field order {q} exceeds the supported maximum 2**16")
+        _check_order(q)
         self.p = p
         self.s = s
         self.q = q
@@ -199,9 +223,11 @@ class Field:
         self._log = None
         self._neg_table = None
         self._add_table = None
+        self._zech = None
         self._alpha = self._find_primitive()
         if s > 1:
             self._build_tables()
+        self.insert_row = _row_inserter(self)
 
     # -- construction helpers ------------------------------------------------
 
@@ -251,6 +277,14 @@ class Field:
                 self._add_table = [
                     [self._add_digitwise(a, b) for b in range(q)] for a in range(q)
                 ]
+            # Zech logarithms: zech[k] = log(1 + alpha**k), None where
+            # 1 + alpha**k = 0. Adding 1 changes only the lowest base-p digit.
+            zech = [None] * (q - 1)
+            for k, v in enumerate(exp):
+                w = v + 1 if v % p != p - 1 else v - (p - 1)
+                if w:
+                    zech[k] = log[w]
+            self._zech = zech
 
     def _add_digitwise(self, a: int, b: int) -> int:
         p, s = self.p, self.s
@@ -364,8 +398,95 @@ class Field:
     def __hash__(self) -> int:
         return hash((self.p, self.s))
 
+    def __reduce__(self):
+        # Rebuilt from (p, s): the tables and insert_row are derived state.
+        return (Field, (self.p, self.s))
+
     def __repr__(self) -> str:
         return f"GF({self.q})"
+
+
+def _row_inserter(field: Field):
+    """The echelon insertion primitive of one field, as a plain function.
+
+    insert_row(basis, row) reduces `row` (canonical elements) against
+    `basis`, a list of n slots indexed by pivot column, each None or a row
+    stored by this function. It fills the slot of the first column where the
+    reduced row is nonzero and returns that column, or returns -1 when the
+    row reduces to zero, leaving `basis` unchanged. A stored row stays
+    valid until its slot is set back to None, so a caller undoes insertions
+    in any order by clearing the columns they returned.
+
+    A stored row is the tail after the pivot column of the row scaled to a
+    leading 1. Only the reduction step r - f*b and that scaling depend on
+    the field; each encoding gets its own pair of them:
+    - prime fields: the residues themselves, reduced with % p;
+    - characteristic 2: stored rows hold logarithms, the update is an XOR;
+    - odd characteristic, s > 1: stored rows hold logarithms, sums go
+      through the Zech table.
+    Stored logarithms are kept in [-m, 0) for m = q - 1, with 0 marking a
+    zero entry, so that adding a logarithm in [0, m) gives an index in
+    [-m, m), where Python's negative indexing wraps the exp table mod m.
+    An all-zero tail, as from a unit row of an identity or reversal
+    matrix, is stored empty, and reducing by it only drops the pivot entry.
+    """
+    p, m = field.p, field.q - 1
+    if field.s == 1:
+
+        def pivot(t, i):
+            k = pow(t[i], p - 2, p)
+            return [k * x % p for x in t[i + 1 :]]
+
+        def reduce(t, i, b):
+            f = t[i]
+            return [(x - f * y) % p for x, y in zip(t[i + 1 :], b)]
+
+    else:
+        exp, log, zech = field._exp, field._log, field._zech
+
+        def pivot(t, i):
+            l0 = log[t[i]]
+            return [(log[x] - l0) % m - m if x else 0 for x in t[i + 1 :]]
+
+        if p == 2:
+
+            def reduce(t, i, b):
+                lf = log[t[i]]
+                return [x ^ exp[lf + y] if y else x for x, y in zip(t[i + 1 :], b)]
+
+        else:
+            half = m // 2  # alpha**half == -1
+
+            def add_power(x, lw):
+                """x + alpha**lw for lw in [-m, m)."""
+                if not x:
+                    return exp[lw]
+                lx = log[x]
+                z = zech[(lw - lx) % m]
+                return 0 if z is None else exp[lx + z - m]
+
+            def reduce(t, i, b):
+                nf = (log[t[i]] + half) % m  # the logarithm of -t[i]
+                return [add_power(x, nf + y) if y else x for x, y in zip(t[i + 1 :], b)]
+
+    def insert_row(basis, row):
+        t, c = row, 0
+        while True:
+            for i, v in enumerate(t):
+                if v:
+                    break
+            else:
+                return -1
+            c += i
+            b = basis[c]
+            if b is None:
+                b = pivot(t, i)
+                basis[c] = b if any(b) else []
+                return c
+            t = reduce(t, i, b) if b else t[i + 1 :]
+            c += 1
+
+    return insert_row
 
 
 def field_string(field: Field) -> str:

@@ -1,5 +1,7 @@
 """Command-line behaviour, file formats, and exit-code contracts."""
 
+import time
+
 import pytest
 
 from udm.cli import (
@@ -130,6 +132,18 @@ def test_generate_composite_prime_power(tmp_path):
     assert fam.field.q == 4
 
 
+def test_generate_and_oracle_reject_a_huge_order_at_once(capsys):
+    # The order cap comes before factoring: trial division of this prime
+    # would take minutes.
+    huge = "1000000000000000003"
+    for argv in (["generate", "--q", huge, "--L", "3", "--n", "2"],
+                 ["oracle", "bound", "--q", huge, "--n", "2"]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "exceeds the supported maximum" in capsys.readouterr().err
+
+
 def test_generate_rejects_bound_violation(tmp_path, capsys):
     out = tmp_path / "never.udm"
     rc = main(["generate", "--q", "2", "--L", "4", "--n", "2", "--out", str(out)])
@@ -170,6 +184,28 @@ def test_verify_parse_error(tmp_path, capsys):
     path.write_text("not a family\n")
     assert main(["verify", "--in", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def generate_gf2_333(tmp_path):
+    """The GF(2) (L, n) = (3, 3) family; its tensor square is not
+    universally decodable."""
+    path = tmp_path / "gf2.udm"
+    assert main(["generate", "--q", "2", "--L", "3", "--n", "3", "--out", str(path)]) == 0
+    return path
+
+
+def test_verify_and_then_verify_print_the_same_failure(tmp_path, capsys):
+    squared = tmp_path / "gf2_squared.udm"
+    base = generate_gf2_333(tmp_path)
+    capsys.readouterr()
+    assert main(["transform", "--in", str(base), "--op", "tensor", "--m", "2",
+                 "--out", str(squared), "--then-verify"]) == 1
+    then_verify = capsys.readouterr().out
+    assert main(["verify", "--in", str(squared)]) == 1
+    assert capsys.readouterr().out == then_verify
+    lines = then_verify.splitlines()
+    assert lines[0] == "FAIL: tuple (2, 2, 5) stacks to rank 8 < 9"
+    assert len(lines) == 1 + 9  # the witness stack has n = 9 rows
 
 
 # -- transform ----------------------------------------------------------------------------
@@ -252,6 +288,20 @@ def test_codec_roundtrip_pass(known_path, capsys):
                "--u", "1 0 0", "--k", "0 0 1 2"])
     assert rc == 0
     assert capsys.readouterr().out == "PASS\n"
+
+
+def test_codec_roundtrip_on_a_non_udm_family_exits_1(tmp_path, capsys):
+    squared = tmp_path / "gf2_squared.udm"
+    assert main(["transform", "--in", str(generate_gf2_333(tmp_path)), "--op", "tensor",
+                 "--m", "2", "--out", str(squared)]) == 0
+    capsys.readouterr()
+    # (2, 2, 5) is the first rank-deficient tuple of this family.
+    rc = main(["codec", "roundtrip", "--in", str(squared), "--u", " ".join(["1"] * 9),
+               "--k", "2 2 5"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "rank" in captured.err
 
 
 def test_codec_encode_zero_vector(known_path, capsys):

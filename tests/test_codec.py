@@ -16,6 +16,7 @@ from udm.codec import (
     uniform_pattern,
 )
 from udm.errors import (
+    DecodeMismatch,
     DimensionMismatch,
     Inconsistent,
     InsufficientSymbols,
@@ -158,6 +159,18 @@ def test_simulate_exact_patterns_always_succeed():
     assert stats.failures_rank_deficient == 0
     assert stats.mean_symbols == 3.0
     assert stats.weight_histogram == {3: 300}
+
+
+def test_simulate_raises_when_decode_returns_a_wrong_vector(monkeypatch):
+    # An explicit raise, not an assert, so it also holds under python -O.
+    import udm.codec
+
+    def wrong(family, obs):
+        return (1,) * family.n
+
+    monkeypatch.setattr(udm.codec, "decode", wrong)
+    with pytest.raises(DecodeMismatch, match="trial 0"):
+        simulate(known_family(), 5, lambda rng, L, n: (n,) + (0,) * (L - 1), seed=0)
 
 
 def test_simulate_starved_patterns_always_fail():

@@ -305,6 +305,20 @@ def test_tensor_power_verifies_and_matches_direct_construction():
     assert [m.entries for m in squared.matrices] == [m.entries for m in direct.matrices]
 
 
+def test_tensor_power_keeps_alpha_only_on_construct_output():
+    # GF(3), (L, n) = (4, 3): the square is construct(GF(3), 4, 9).
+    kept = tensor_power(construct(F3, 4, 3), 2)
+    assert kept.alpha == 2 and kept == construct(F3, 4, 9)
+    # GF(2), (L, n) = (3, 3): the square is neither construct output nor
+    # universally decodable, so it must not claim generator provenance.
+    dropped = tensor_power(construct(F2, 3, 3), 2)
+    assert dropped.alpha is None
+    assert not verify(dropped).passed
+    assert dropped.matrices != construct(F2, 3, 9).matrices
+    # Hand-built input never gains alpha.
+    assert tensor_power(right_multiply(known_family(), identity(F3, 3)), 2).alpha is None
+
+
 def test_reverse_pairs_known_family():
     fam = known_family()
     out = reverse_pairs(fam)

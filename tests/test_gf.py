@@ -1,12 +1,13 @@
 """Field arithmetic, canonical encodings, and binomial coefficients."""
 
 import math
+import pickle
 import random
 
 import pytest
 
 from udm.errors import BadExponent, DivisionByZero, NotPrime, NotPrimePower, ParseError
-from udm.gf import Field, factor_prime_power, field_string, parse_field_string
+from udm.gf import Field, factor_prime_power, field_of_order, field_string, parse_field_string
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2)]
 SAMPLED_FIELDS = [(7, 1), (2, 3), (3, 2), (2, 4)]
@@ -316,3 +317,23 @@ def test_field_equality_and_repr():
     assert Field(3) != Field(5)
     assert Field(2, 2) != Field(2, 3)
     assert repr(Field(3, 2)) == "GF(9)"
+
+
+def test_field_pickles_by_order():
+    for p, s in [(2, 1), (7, 1), (2, 3), (3, 2)]:
+        field = Field(p, s)
+        again = pickle.loads(pickle.dumps(field))
+        assert again == field
+        assert [again.mul(a, 2) for a in range(field.q)] == [field.mul(a, 2) for a in range(field.q)]
+        basis = [None] * 2
+        assert again.insert_row(basis, (0, 1)) == 1
+
+
+def test_field_of_order_checks_the_cap_before_factoring():
+    assert field_of_order(9) == Field(3, 2)
+    with pytest.raises(NotPrimePower):
+        field_of_order(12)
+    with pytest.raises(BadExponent):
+        field_of_order(2**16 + 1)
+    with pytest.raises(BadExponent):
+        field_of_order(1000000000000000003)  # prime; factoring it would take minutes

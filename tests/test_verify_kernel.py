@@ -1,0 +1,172 @@
+"""The prefix-sharing verify walk against a from-scratch reference.
+
+verify_from_scratch is the per-tuple loop: stack the prefixes of every
+tuple in enumeration order and eliminate the stack on its own. The walk in
+udm.families.verify must give the same report on every family, passing or
+failing, in both modes.
+"""
+
+import random
+
+import pytest
+
+from udm.families import (
+    UdmFamily,
+    VerifyReport,
+    Witness,
+    construct,
+    enumerate_exact_tuples,
+    enumerate_superset_tuples,
+    verify,
+)
+from udm.gf import Field
+from udm.linalg import Matrix, rank, stack_prefixes
+
+FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2)]
+MAX_N = 5
+# Superset reference runs stack every tuple of [0, n]^L; keep them small.
+MAX_SUPERSET_TUPLES = 1300
+
+
+def verify_from_scratch(family: UdmFamily, superset: bool = False) -> VerifyReport:
+    n = family.n
+    source = (
+        enumerate_superset_tuples(family.L, n)
+        if superset
+        else enumerate_exact_tuples(family.L, n)
+    )
+    checked = 0
+    for ks in source:
+        checked += 1
+        stacked = stack_prefixes(family.matrices, ks)
+        r = rank(stacked)
+        if r < n:
+            return VerifyReport(False, checked, Witness(ks, stacked, r))
+    return VerifyReport(True, checked, None)
+
+
+def modes(family):
+    yield False
+    if (family.n + 1) ** family.L <= MAX_SUPERSET_TUPLES:
+        yield True
+
+
+def assert_same_report(family, superset):
+    got = verify(family, superset=superset)
+    want = verify_from_scratch(family, superset=superset)
+    assert got == want, (family.field, family.L, family.n, superset)
+    return want
+
+
+def construct_families():
+    for p, s in FIELDS:
+        field = Field(p, s)
+        for L in range(1, min(field.q + 1, 6) + 1):
+            for n in range(1, MAX_N + 1):
+                yield construct(field, L, n)
+
+
+def with_entries(family, changes):
+    """A copy of family with (matrix, row, col) -> value changes applied."""
+    n = family.n
+    entries = [list(m.entries) for m in family.matrices]
+    for (l, i, j), v in changes.items():
+        entries[l][i * n + j] = v
+    mats = tuple(Matrix(family.field, n, n, e) for e in entries)
+    return UdmFamily(family.field, family.L, n, mats)
+
+
+def test_every_construct_family_matches_the_reference():
+    checked = 0
+    for fam in construct_families():
+        for superset in modes(fam):
+            assert assert_same_report(fam, superset).passed
+            checked += 1
+    assert checked > 200
+
+
+def test_perturbed_families_match_the_reference():
+    rng = random.Random(20260508)
+    failing = 0
+    for fam in construct_families():
+        n, L, q = fam.n, fam.L, fam.field.q
+        for _ in range(2):
+            changes = {}
+            for _ in range(rng.randint(1, 3)):
+                key = (rng.randrange(L), rng.randrange(n), rng.randrange(n))
+                changes[key] = rng.randrange(q)
+            for superset in modes(fam):
+                failing += not assert_same_report(with_entries(fam, changes), superset).passed
+    assert failing > 100
+
+
+def test_zero_row_in_a_middle_matrix_fails_at_an_inner_node():
+    # A zero row in a matrix other than the last makes a node of the tuple
+    # tree rank-deficient; the witness is the first leaf under it.
+    rng = random.Random(7)
+    seen = 0
+    for fam in construct_families():
+        n, L = fam.n, fam.L
+        if L < 3:
+            continue
+        l, i = rng.randrange(1, L - 1), rng.randrange(n)
+        broken = with_entries(fam, {(l, i, j): 0 for j in range(n)})
+        for superset in modes(fam):
+            rep = assert_same_report(broken, superset)
+            assert not rep.passed
+            if not superset:
+                ks = rep.witness.ks
+                assert ks[l] == i + 1 and not any(ks[l + 1 : L - 1])
+            seen += 1
+    assert seen > 100
+
+
+def test_pinned_7_5_12_witness():
+    fam = construct(Field(7), 5, 12)
+    broken = with_entries(fam, {(0, 11, 11): 0})
+    rep = assert_same_report(broken, False)
+    assert not rep.passed
+    assert rep.tuples_checked == 1820
+    assert rep.witness.ks == (12, 0, 0, 0, 0)
+    assert rep.witness.rank == 11
+    assert rep.witness.stacked == broken.matrices[0]
+
+
+def test_many_channels_walk_without_recursion():
+    fam = construct(Field(2), 3000, 1)
+    assert verify(fam) == VerifyReport(True, 3000, None)
+    # Superset: every nonzero tuple of [0, 1]^L, counted through prefixes
+    # that already reach full rank.
+    assert verify(construct(Field(2), 200, 1), superset=True) == VerifyReport(
+        True, 2**200 - 1, None
+    )
+
+
+@pytest.mark.parametrize("p, s", [(2, 1), (7, 1), (2, 3), (2, 4), (3, 2), (5, 2), (3, 3)])
+def test_insert_row_counts_the_rank(p, s):
+    # Every encoding: the rows that insert_row accepts are as many as the
+    # rank, each in its own slot, and clearing those slots empties the basis.
+    field = Field(p, s)
+    rng = random.Random(p * 100 + s)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        rows = [
+            tuple(rng.randrange(field.q) if rng.random() < 0.7 else 0 for _ in range(n))
+            for _ in range(rng.randint(1, 9))
+        ]
+        rows += [rows[0]] * rng.randint(0, 1)
+        basis = [None] * n
+        filled = [c for c in (field.insert_row(basis, r) for r in rows) if c >= 0]
+        assert len(filled) == len(set(filled)) == rank(Matrix.from_rows(field, rows))
+        for c in filled:
+            basis[c] = None
+        assert basis == [None] * n
+
+
+@pytest.mark.parametrize("p, s", [(3, 2), (5, 2), (3, 3)])
+def test_zech_table_matches_field_addition(p, s):
+    field = Field(p, s)
+    exp, zech = field._exp, field._zech
+    for k, v in enumerate(exp):
+        w = field.add(1, v)
+        assert zech[k] == (None if w == 0 else field._log[w])
