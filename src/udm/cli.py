@@ -132,7 +132,7 @@ def parse_family(text: str) -> UdmFamily:
         if lines[pos].strip():
             raise ParseError(f"trailing content: {lines[pos]!r}")
         pos += 1
-    return UdmFamily(field, L, n, tuple(mats), alpha=alpha)
+    return families.with_checked_alpha(UdmFamily(field, L, n, tuple(mats), alpha=alpha))
 
 
 # -- observation and vector formats -------------------------------------------

@@ -331,12 +331,23 @@ def tensor_power(family: UdmFamily, m: int) -> UdmFamily:
         for _ in range(m - 1):
             acc = kron(acc, a)
         mats.append(acc)
-    out = UdmFamily(family.field, family.L, family.n**m, tuple(mats))
-    if family.alpha is not None and (out.n == 1 or out.L <= out.field.q + 1):
-        direct = construct(out.field, out.L, out.n)
-        if direct.matrices == out.matrices:
-            return direct
-    return out
+    return with_checked_alpha(
+        UdmFamily(family.field, family.L, family.n**m, tuple(mats), alpha=family.alpha)
+    )
+
+
+def with_checked_alpha(family: UdmFamily) -> UdmFamily:
+    """family with its alpha kept only when it is the field's primitive
+    element and the matrices equal construct(field, L, n); otherwise with
+    alpha None, so that alpha never claims a provenance the matrices lack."""
+    field, L, n = family.field, family.L, family.n
+    if family.alpha is None or (
+        family.alpha == field.primitive_element()
+        and (n == 1 or L <= field.q + 1)
+        and construct(field, L, n).matrices == family.matrices
+    ):
+        return family
+    return replace(family, alpha=None)
 
 
 def reverse_pairs(family: UdmFamily) -> UdmFamily:

@@ -19,9 +19,6 @@ from .errors import BadExponent, DivisionByZero, NotPrime, NotPrimePower, ParseE
 
 MAX_ORDER = 1 << 16
 
-# Pascal triangle rows mod p, shared by all fields of the same characteristic.
-_PASCAL_ROWS: dict[int, list[list[int]]] = {}
-
 _FIELD_STRING_RE = re.compile(r"^q=(\d+)\^(\d+)(?:;mod=([0-9,]+))?$")
 
 
@@ -105,7 +102,8 @@ def _undigits(digits: list[int], p: int) -> int:
 
 # Polynomials over GF(p) as little-endian coefficient lists, trailing zeros
 # stripped ([] is the zero polynomial). Used for modulus selection and for
-# bootstrapping extension-field multiplication before the log tables exist.
+# the powers tested while searching for a primitive element, which come
+# before the log tables exist.
 
 
 def _ptrim(a: list[int]) -> list[int]:
@@ -202,13 +200,17 @@ class Field:
         "_alpha",
         "_exp",
         "_log",
-        "_neg_table",
-        "_add_table",
         "_zech",
+        "_fact",
+        "_inv_fact",
         "insert_row",
     )
 
     def __init__(self, p: int, s: int = 1):
+        # p and s are bounded before the trial division in is_prime and
+        # before p**s is formed, so a hostile header fails at once.
+        if p > MAX_ORDER or (p >= 2 and s > MAX_ORDER.bit_length() - 1):
+            raise BadExponent(f"field order {p}^{s} exceeds the supported maximum 2**16")
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if s < 1:
@@ -221,9 +223,9 @@ class Field:
         self.modulus = None if s == 1 else _smallest_irreducible(p, s)
         self._exp = None
         self._log = None
-        self._neg_table = None
-        self._add_table = None
         self._zech = None
+        self._fact = None
+        self._inv_fact = None
         self._alpha = self._find_primitive()
         if s > 1:
             self._build_tables()
@@ -257,26 +259,51 @@ class Field:
         raise AssertionError("no primitive element found")  # unreachable
 
     def _build_tables(self):
-        q = self.q
+        """exp[k] = alpha**k, its inverse log, and for odd p the Zech table.
+
+        Each power is the previous one times alpha, by Horner's rule over
+        the base-p digits of alpha, most significant first; one Horner step
+        multiplies by x and reduces by the modulus.
+        """
+        p, s, q = self.p, self.s, self.q
+        digits = _ptrim(_digits(self._alpha, p, s))[::-1]
         exp = [1] * (q - 1)
-        cur = 1
-        for k in range(1, q - 1):
-            cur = self._raw_mul(cur, self._alpha)
-            exp[k] = cur
+        if p == 2:
+            # Integer encodings are the coefficient bit vectors: a step is
+            # a shift and, past degree s - 1, an XOR with the modulus.
+            top, modulus = 1 << s, _undigits(self.modulus, 2)
+            cur = 1
+            for k in range(1, q - 1):
+                acc = 0
+                for d in digits:
+                    acc <<= 1
+                    if acc & top:
+                        acc ^= modulus
+                    if d:
+                        acc ^= cur
+                exp[k] = cur = acc
+        else:
+            # x**s = -sum(f_i x**i); only the nonzero f_i are touched.
+            terms = [(i, p - c) for i, c in enumerate(self.modulus[:-1]) if c]
+            cur = [1] + [0] * (s - 1)
+            for k in range(1, q - 1):
+                acc = [0] * s
+                for d in digits:
+                    c = acc.pop()
+                    acc.insert(0, 0)
+                    if c:
+                        for i, f in terms:
+                            acc[i] = (acc[i] + c * f) % p
+                    if d:
+                        acc = [(a + d * b) % p for a, b in zip(acc, cur)]
+                cur = acc
+                exp[k] = _undigits(acc, p)
         log = [0] * q
         for k, v in enumerate(exp):
             log[v] = k
         self._exp = exp
         self._log = log
-        if self.p != 2:
-            p, s = self.p, self.s
-            self._neg_table = [
-                _undigits([(p - d) % p for d in _digits(a, p, s)], p) for a in range(q)
-            ]
-            if q <= 256:
-                self._add_table = [
-                    [self._add_digitwise(a, b) for b in range(q)] for a in range(q)
-                ]
+        if p != 2:
             # Zech logarithms: zech[k] = log(1 + alpha**k), None where
             # 1 + alpha**k = 0. Adding 1 changes only the lowest base-p digit.
             zech = [None] * (q - 1)
@@ -286,39 +313,40 @@ class Field:
                     zech[k] = log[w]
             self._zech = zech
 
-    def _add_digitwise(self, a: int, b: int) -> int:
-        p, s = self.p, self.s
-        da = _digits(a, p, s)
-        db = _digits(b, p, s)
-        return _undigits([(x + y) % p for x, y in zip(da, db)], p)
-
     # -- arithmetic ----------------------------------------------------------
+    # Odd extension fields add through Zech logarithms:
+    #   alpha**a + alpha**b = alpha**(a + zech[b - a]),
+    # and -1 = alpha**((q - 1) / 2), so neg adds (q - 1) / 2 to the log.
+
+    def _add_logs(self, a: int, lb: int) -> int:
+        """a + alpha**lb in an odd extension field, for any integer lb."""
+        m = self.q - 1
+        if a == 0:
+            return self._exp[lb % m]
+        la = self._log[a]
+        z = self._zech[(lb - la) % m]
+        return 0 if z is None else self._exp[(la + z) % m]
 
     def add(self, a: int, b: int) -> int:
         if self.s == 1:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._add_digitwise(a, b)
+        return self._add_logs(a, self._log[b]) if b else a
 
     def neg(self, a: int) -> int:
         if self.s == 1:
             return (-a) % self.p
-        if self.p == 2:
+        if self.p == 2 or a == 0:
             return a
-        if self._neg_table is not None:
-            return self._neg_table[a]
-        p = self.p
-        return _undigits([(p - d) % p for d in _digits(a, p, self.s)], p)
+        return self._exp[(self._log[a] + (self.q - 1) // 2) % (self.q - 1)]
 
     def sub(self, a: int, b: int) -> int:
         if self.s == 1:
             return (a - b) % self.p
         if self.p == 2:
             return a ^ b
-        return self.add(a, self.neg(b))
+        return self._add_logs(a, self._log[b] + (self.q - 1) // 2) if b else a
 
     def mul(self, a: int, b: int) -> int:
         if self.s == 1:
@@ -360,27 +388,42 @@ class Field:
     def binom(self, a: int, b: int) -> int:
         """Binomial coefficient of two arbitrary integers, reduced into GF(p).
 
-        Computed with the Pascal recurrence carried out mod p; no big-integer
-        values are ever formed. Negative upper index is folded to the
-        non-negative case through C(a, b) = (-1)**b * C(b - a - 1, b).
+        Computed by Lucas' theorem as the product over base-p digits of
+        C(a_h, b_h) mod p, each from factorial and inverse-factorial tables
+        mod p (p entries each, built on first use); no big-integer values
+        are ever formed. Negative upper index is folded to the non-negative
+        case through C(a, b) = (-1)**b * C(b - a - 1, b).
         """
         if b < 0:
             return 0
         if b == 0:
             return 1
+        p = self.p
         if a < 0:
             v = self.binom(b - a - 1, b)
-            return v if b % 2 == 0 else (self.p - v) % self.p
+            return v if b % 2 == 0 else (p - v) % p
         if b > a:
             return 0
-        rows = _PASCAL_ROWS.setdefault(self.p, [[1]])
-        while len(rows) <= a:
-            prev = rows[-1]
-            row = [1]
-            row.extend((prev[j - 1] + prev[j]) % self.p for j in range(1, len(prev)))
-            row.append(1)
-            rows.append(row)
-        return rows[a][b]
+        if p == 2:
+            return int(a & b == b)  # Lucas in base 2: b's bits lie within a's
+        if self._fact is None:
+            fact = [1] * p
+            for i in range(1, p):
+                fact[i] = fact[i - 1] * i % p
+            inv_fact = [1] * p
+            inv_fact[p - 1] = p - 1  # (p - 1)! = -1 mod p (Wilson)
+            for i in range(p - 1, 1, -1):
+                inv_fact[i - 1] = inv_fact[i] * i % p
+            self._fact, self._inv_fact = fact, inv_fact
+        fact, inv_fact = self._fact, self._inv_fact
+        acc = 1
+        while b:
+            a, a_h = divmod(a, p)
+            b, b_h = divmod(b, p)
+            if b_h > a_h:
+                return 0
+            acc = acc * fact[a_h] * inv_fact[b_h] * inv_fact[a_h - b_h] % p
+        return acc
 
     def elements(self) -> range:
         return range(self.q)

@@ -1,5 +1,6 @@
 """Command-line behaviour, file formats, and exit-code contracts."""
 
+import hashlib
 import time
 
 import pytest
@@ -69,6 +70,15 @@ def test_parse_family_without_alpha():
     fam = parse_family(text)
     assert fam.alpha is None
     assert render_family(fam) == text
+
+
+def test_parse_family_keeps_alpha_only_on_generator_output():
+    fam = parse_family(KNOWN_FILE)
+    assert fam.alpha == 2
+    assert render_family(fam) == KNOWN_FILE
+    # A wrong alpha on the right matrices, and the right alpha on wrong ones.
+    assert parse_family(KNOWN_FILE.replace("alpha 2\n", "alpha 1\n")).alpha is None
+    assert parse_family(KNOWN_FILE.replace("1 1 1", "0 0 0")).alpha is None
 
 
 def test_parse_family_rejects_malformed_input():
@@ -142,6 +152,23 @@ def test_generate_and_oracle_reject_a_huge_order_at_once(capsys):
         assert main(argv) == 2
         assert time.perf_counter() - start < 1.0
         assert "exceeds the supported maximum" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_huge_field_header_at_once(tmp_path, capsys):
+    # Trial division of the prime, or forming 2**(10**12), would hang.
+    for field in ("q=1000000000000000003^1", "q=2^1000000000000"):
+        path = tmp_path / "huge.udm"
+        path.write_text(KNOWN_FILE.replace("field q=3^1", f"field {field}"))
+        start = time.perf_counter()
+        assert main(["verify", "--in", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "error:" in capsys.readouterr().err
+
+
+def test_generate_largest_field_output_is_pinned(capsys):
+    assert main(["generate", "--q", "65536", "--L", "5", "--n", "6", "--out", "-"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "8ffa02a0977ceb0ad6734f1d9c1e5674b468a9273c47ef657892bff5f488d646"
 
 
 def test_generate_rejects_bound_violation(tmp_path, capsys):

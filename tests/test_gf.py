@@ -24,8 +24,8 @@ def poly_mul_mod_p(a, b, p):
     return out
 
 
-def poly_divides(d, f, p):
-    """Whether monic d divides f over GF(p), by long division."""
+def poly_rem(f, d, p):
+    """Remainder of f modulo monic d over GF(p), by long division."""
     f = list(f)
     while len(f) >= len(d):
         c = f[-1]
@@ -34,7 +34,24 @@ def poly_divides(d, f, p):
             for i, dc in enumerate(d):
                 f[k + i] = (f[k + i] - c * dc) % p
         f.pop()
-    return all(c == 0 for c in f)
+    return f
+
+
+def poly_divides(d, f, p):
+    """Whether monic d divides f over GF(p)."""
+    return all(c == 0 for c in poly_rem(f, d, p))
+
+
+def digits(v, p, s):
+    out = []
+    for _ in range(s):
+        v, r = divmod(v, p)
+        out.append(r)
+    return out
+
+
+def undigits(ds, p):
+    return sum(d * p**i for i, d in enumerate(ds))
 
 
 def is_irreducible_bruteforce(f, p):
@@ -278,6 +295,28 @@ def test_binom_negative_upper_index(p):
         assert f.binom(a, b) == expected
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_binom_large_upper_index_is_a_lucas_product(p):
+    # C(a, b) mod p is the product of C(a_h, b_h) over the base-p digits.
+    f = Field(p)
+    a, b = 2**40 + 5, 2**20 + 1
+    if p == 2:
+        # a has bits 40, 2, 0; bit 20 of b is not among them.
+        assert f.binom(a, b) == 0
+        assert f.binom(a, 2**40 + 1) == 1  # C(1,1) C(1,0) C(1,1)
+        assert f.binom(a, 2) == 0  # C(0,1) at bit 1
+    else:
+        # Base-3 digits, least significant first.
+        a3 = [0, 1, 2, 2, 2, 2, 2, 1, 2, 2, 0, 0, 2, 1, 2, 0, 0, 0, 0, 1, 0, 0, 2, 2, 0, 1]
+        b3 = [2, 1, 0, 1, 0, 1, 1, 2, 0, 2, 2, 2, 1]
+        assert undigits(a3, 3) == a and undigits(b3, 3) == b
+        assert f.binom(a, b) == 0  # C(0,2) at digit 0
+        # C(1,1) C(2,1) C(1,1) at digits 1, 2, 25; C(a_h, 0) = 1 elsewhere.
+        assert f.binom(a, 3**25 + 3**2 + 3) == 2
+        # One more factor C(2,1) at digit 3: 2 * 2 = 1 mod 3.
+        assert f.binom(a, 3**25 + 3**3 + 3**2 + 3) == 1
+
+
 def test_binom_lands_in_the_prime_subfield():
     f = Field(3, 2)
     for a in range(10):
@@ -337,3 +376,66 @@ def test_field_of_order_checks_the_cap_before_factoring():
         field_of_order(2**16 + 1)
     with pytest.raises(BadExponent):
         field_of_order(1000000000000000003)  # prime; factoring it would take minutes
+
+
+# -- exp/log and Zech tables ----------------------------------------------------------------
+
+EXTENSION_FIELDS_UP_TO_1024 = [
+    (p, s) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) for s in range(2, 11) if p**s <= 1024
+]
+
+
+@pytest.fixture(scope="module")
+def big_fields():
+    return {(2, 16): Field(2, 16), (3, 10): Field(3, 10)}
+
+
+@pytest.mark.parametrize("p,s", EXTENSION_FIELDS_UP_TO_1024)
+def test_exp_table_is_the_repeated_raw_product(p, s):
+    f = Field(p, s)
+    alpha = f.primitive_element()
+    cur = 1
+    for k in range(f.q - 1):
+        assert f._exp[k] == cur
+        cur = f._raw_mul(cur, alpha)
+    assert cur == 1
+
+
+@pytest.mark.parametrize("p,s", [(2, 16), (3, 10)])
+def test_big_field_tables_against_polynomial_products(big_fields, p, s):
+    f = big_fields[(p, s)]
+    m = f.q - 1
+    exp, log = f._exp, f._log
+    assert sorted(exp) == list(range(1, f.q))
+    assert all(log[v] == k for k, v in enumerate(exp))
+    alpha = digits(f.primitive_element(), p, s)
+    rng = random.Random(p * 100 + s)
+    for _ in range(2000):
+        k = rng.randrange(m)
+        product = poly_mul_mod_p(digits(exp[k], p, s), alpha, p)
+        assert exp[(k + 1) % m] == undigits(poly_rem(product, f.modulus, p), p)
+
+
+def check_digitwise(f, a, b):
+    p, s = f.p, f.s
+    da, db = digits(a, p, s), digits(b, p, s)
+    assert f.add(a, b) == undigits([(x + y) % p for x, y in zip(da, db)], p)
+    assert f.sub(a, b) == undigits([(x - y) % p for x, y in zip(da, db)], p)
+    assert f.neg(a) == undigits([-x % p for x in da], p)
+
+
+@pytest.mark.parametrize("p,s", [(3, 2), (5, 2), (3, 3)])
+def test_add_neg_sub_are_digitwise_exhaustive(p, s):
+    f = Field(p, s)
+    for a in f.elements():
+        for b in f.elements():
+            check_digitwise(f, a, b)
+
+
+def test_add_neg_sub_are_digitwise_sampled(big_fields):
+    f = big_fields[(3, 10)]
+    rng = random.Random(310)
+    pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(3000)]
+    pairs += [(0, 0), (0, 5), (5, 0), (1, f.q - 1)] + [(a, f.neg(a)) for a, _ in pairs[:200]]
+    for a, b in pairs:
+        check_digitwise(f, a, b)
