@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import DecodeMismatch, DimensionMismatch, InsufficientSymbols, RankDeficient
 from .families import UdmFamily
@@ -68,9 +69,12 @@ def erase(x: Sequence[Sequence[int]], ks: Sequence[int]) -> ChannelOutput:
 def decode(family: UdmFamily, obs: ChannelOutput) -> tuple[int, ...]:
     """Recover the information vector from the surviving prefixes.
 
-    Requires at least n symbols in total. With more than n, the redundant
-    rows are checked exactly and a contradiction raises Inconsistent. For a
-    verified family the solve cannot be rank deficient.
+    Requires at least n symbols in total. The matching matrix prefixes are
+    stacked and solved with linalg.solve, one echelon row insertion per
+    surviving symbol followed by back-substitution. With more than n
+    symbols, the redundant rows are checked exactly and a contradiction
+    raises Inconsistent. For a verified family the solve cannot be rank
+    deficient.
     """
     n = family.n
     if len(obs.ks) != family.L:
@@ -141,8 +145,10 @@ def simulate(
 
     Every trial draws its pattern and a uniform information vector from its
     own generator, so the statistics are reproducible for a fixed seed and
-    independent of trial ordering. Recovered vectors are compared against
-    the ground truth; a mismatch would be a library defect and raises.
+    independent of trial ordering. Only the surviving symbols are encoded,
+    with one product of the stacked prefixes and u per trial. Recovered
+    vectors are compared against the ground truth; a mismatch would be a
+    library defect and raises.
     """
     if trials < 0:
         raise ValueError("trials must be non-negative")
@@ -165,7 +171,8 @@ def simulate(
         rng = trial_rng(seed, t)
         ks = tuple(source(rng, L, n))
         u = tuple(rng.randrange(q) for _ in range(n))
-        obs = erase(encode(family, u), ks)
+        y = matvec(stack_prefixes(family.matrices, ks), u)
+        obs = ChannelOutput(ks, tuple(y[e - k : e] for k, e in zip(ks, accumulate(ks))))
         weight = sum(ks)
         total_symbols += weight
         histogram[weight] = histogram.get(weight, 0) + 1

@@ -14,6 +14,7 @@ element encodings and on serialized matrices.
 from __future__ import annotations
 
 import re
+from operator import mul
 
 from .errors import BadExponent, DivisionByZero, NotPrime, NotPrimePower, ParseError
 
@@ -204,6 +205,8 @@ class Field:
         "_fact",
         "_inv_fact",
         "insert_row",
+        "back_substitute",
+        "dot_rows",
     )
 
     def __init__(self, p: int, s: int = 1):
@@ -229,7 +232,7 @@ class Field:
         self._alpha = self._find_primitive()
         if s > 1:
             self._build_tables()
-        self.insert_row = _row_inserter(self)
+        self.insert_row, self.back_substitute, self.dot_rows = _row_kernels(self)
 
     # -- construction helpers ------------------------------------------------
 
@@ -442,27 +445,39 @@ class Field:
         return hash((self.p, self.s))
 
     def __reduce__(self):
-        # Rebuilt from (p, s): the tables and insert_row are derived state.
+        # Rebuilt from (p, s): the tables and row kernels are derived state.
         return (Field, (self.p, self.s))
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
 
 
-def _row_inserter(field: Field):
-    """The echelon insertion primitive of one field, as a plain function.
+def _row_kernels(field: Field):
+    """The row kernels of one field, as plain functions:
+    (insert_row, back_substitute, dot_rows).
 
     insert_row(basis, row) reduces `row` (canonical elements) against
-    `basis`, a list of n slots indexed by pivot column, each None or a row
-    stored by this function. It fills the slot of the first column where the
-    reduced row is nonzero and returns that column, or returns -1 when the
-    row reduces to zero, leaving `basis` unchanged. A stored row stays
-    valid until its slot is set back to None, so a caller undoes insertions
-    in any order by clearing the columns they returned.
+    `basis`, a list of slots indexed by pivot column, one per column of the
+    rows, each None or a row stored by this function. It fills the slot of
+    the first column where the reduced row is nonzero and returns that
+    column, or returns -1 when the row reduces to zero, leaving `basis`
+    unchanged. A stored row stays valid until its slot is set back to None,
+    so a caller undoes insertions in any order by clearing the columns they
+    returned.
+
+    back_substitute(basis, n) solves the unit upper triangular system held
+    in slots 0..n-1 of a basis of rows n + 1 wide, whose last column is the
+    right-hand side; every one of those slots must be filled. It returns x
+    as a list of canonical elements: x[c] = rhs[c] - sum(b[c][j] * x[j]
+    for c < j < n).
+
+    dot_rows(rows, v) returns the list of the dot products of v with each
+    of `rows`, all of canonical elements and as long as v.
 
     A stored row is the tail after the pivot column of the row scaled to a
-    leading 1. Only the reduction step r - f*b and that scaling depend on
-    the field; each encoding gets its own pair of them:
+    leading 1. The reduction step r - f*b, that scaling and dot(xs, b), the
+    sum of xs[j] * b[j] for canonical xs and stored b over the shorter of
+    the two, depend on the field; each encoding gets its own:
     - prime fields: the residues themselves, reduced with % p;
     - characteristic 2: stored rows hold logarithms, the update is an XOR;
     - odd characteristic, s > 1: stored rows hold logarithms, sums go
@@ -472,6 +487,8 @@ def _row_inserter(field: Field):
     [-m, m), where Python's negative indexing wraps the exp table mod m.
     An all-zero tail, as from a unit row of an identity or reversal
     matrix, is stored empty, and reducing by it only drops the pivot entry.
+    dot_rows takes v into the stored format once per call, so each of its
+    products, like each in back_substitute, is one such index.
     """
     p, m = field.p, field.q - 1
     if field.s == 1:
@@ -484,6 +501,15 @@ def _row_inserter(field: Field):
             f = t[i]
             return [(x - f * y) % p for x, y in zip(t[i + 1 :], b)]
 
+        def stored(v):
+            return v
+
+        def value(y):
+            return y
+
+        def dot(xs, b):
+            return sum(map(mul, xs, b)) % p
+
     else:
         exp, log, zech = field._exp, field._log, field._zech
 
@@ -491,11 +517,24 @@ def _row_inserter(field: Field):
             l0 = log[t[i]]
             return [(log[x] - l0) % m - m if x else 0 for x in t[i + 1 :]]
 
+        def stored(v):
+            return [log[x] - m if x else 0 for x in v]
+
+        def value(y):
+            return exp[y] if y else 0
+
         if p == 2:
 
             def reduce(t, i, b):
                 lf = log[t[i]]
                 return [x ^ exp[lf + y] if y else x for x, y in zip(t[i + 1 :], b)]
+
+            def dot(xs, b):
+                acc = 0
+                for x, y in zip(xs, b):
+                    if x and y:
+                        acc ^= exp[log[x] + y]
+                return acc
 
         else:
             half = m // 2  # alpha**half == -1
@@ -511,6 +550,13 @@ def _row_inserter(field: Field):
             def reduce(t, i, b):
                 nf = (log[t[i]] + half) % m  # the logarithm of -t[i]
                 return [add_power(x, nf + y) if y else x for x, y in zip(t[i + 1 :], b)]
+
+            def dot(xs, b):
+                acc = 0
+                for x, y in zip(xs, b):
+                    if x and y:
+                        acc = add_power(acc, log[x] + y)
+                return acc
 
     def insert_row(basis, row):
         t, c = row, 0
@@ -529,7 +575,22 @@ def _row_inserter(field: Field):
             t = reduce(t, i, b) if b else t[i + 1 :]
             c += 1
 
-    return insert_row
+    sub = field.sub
+
+    def back_substitute(basis, n):
+        x = [0] * n
+        for c in range(n - 1, -1, -1):
+            b = basis[c]
+            if b:
+                # zip stops at x's end, before b's right-hand-side entry.
+                x[c] = sub(value(b[-1]), dot(x[c + 1 :], b))
+        return x
+
+    def dot_rows(rows, v):
+        sv = stored(v)
+        return [dot(r, sv) for r in rows]
+
+    return insert_row, back_substitute, dot_rows
 
 
 def field_string(field: Field) -> str:

@@ -4,6 +4,11 @@ Matrices are immutable: a row-major tuple of int-encoded elements plus the
 owning field. Vectors are plain sequences of ints. Elimination uses
 first-nonzero pivoting scanning top-down; there is no magnitude to prefer
 over an exact field, and the fixed rule keeps every witness reproducible.
+
+solve and matvec, the decode and encode paths, run on the field's row
+kernels (Field.insert_row, back_substitute and dot_rows), whose stored-row
+format stays inside gf. rank and left_null_vector eliminate with per-element
+Field calls, an independent path that the verify tests use as their oracle.
 """
 
 from __future__ import annotations
@@ -33,6 +38,14 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
+
+    @classmethod
+    def _unchecked(cls, field: Field, rows: int, cols: int, entries: tuple) -> "Matrix":
+        """A matrix from a tuple of rows * cols elements of field, as built
+        by this module's own operations; nothing is checked."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.cols, m.entries = field, rows, cols, entries
+        return m
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence[int]]) -> "Matrix":
@@ -71,14 +84,18 @@ class Matrix:
 
 
 def identity(field: Field, n: int) -> Matrix:
-    return Matrix(field, n, n, (1 if i == j else 0 for i in range(n) for j in range(n)))
+    entries = [0] * (n * n)
+    for i in range(n):
+        entries[i * n + i] = 1
+    return Matrix._unchecked(field, n, n, tuple(entries))
 
 
 def anti_identity(field: Field, n: int) -> Matrix:
     """The reversal matrix: ones on the anti-diagonal, zero elsewhere."""
-    return Matrix(
-        field, n, n, (1 if j == n - 1 - i else 0 for i in range(n) for j in range(n))
-    )
+    entries = [0] * (n * n)
+    for i in range(n):
+        entries[i * n + n - 1 - i] = 1
+    return Matrix._unchecked(field, n, n, tuple(entries))
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -101,28 +118,23 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
                     if brow[j]:
                         acc_row[j] = add(acc_row[j], mul(v, brow[j]))
         out.extend(acc_row)
-    return Matrix(field, a.rows, b.cols, out)
+    return Matrix._unchecked(field, a.rows, b.cols, tuple(out))
 
 
 def matvec(a: Matrix, v: Sequence[int]) -> tuple[int, ...]:
+    """a @ v, one dot product of v with each row through the field's
+    dot_rows kernel, which converts v to its row format once per call."""
     if len(v) != a.cols:
         raise DimensionMismatch(f"vector of length {len(v)} against {a.rows}x{a.cols}")
-    field = a.field
-    add, mul = field.add, field.mul
-    out = []
-    for i in range(a.rows):
-        acc = 0
-        row = a.row(i)
-        for j in range(a.cols):
-            if row[j] and v[j]:
-                acc = add(acc, mul(row[j], v[j]))
-        out.append(acc)
-    return tuple(out)
+    return tuple(a.field.dot_rows(map(a.row, range(a.rows)), v))
 
 
 def transpose(a: Matrix) -> Matrix:
-    return Matrix(
-        a.field, a.cols, a.rows, (a.at(i, j) for j in range(a.cols) for i in range(a.rows))
+    return Matrix._unchecked(
+        a.field,
+        a.cols,
+        a.rows,
+        tuple(a.at(i, j) for j in range(a.cols) for i in range(a.rows)),
     )
 
 
@@ -170,30 +182,27 @@ def rank(a: Matrix) -> int:
 def solve(a: Matrix, y: Sequence[int]) -> tuple[int, ...]:
     """The unique x with a @ x == y, for a of full column rank.
 
-    Redundant rows of an overdetermined system are checked exactly;
-    a contradiction raises Inconsistent rather than being discarded.
+    Every augmented row (a_i, y_i) is inserted into one echelon basis of
+    n + 1 slots with the field's insert_row; x comes from back-substitution
+    on the stored rows. The rank of a is the number of filled slots among
+    the first n, and rank deficiency is reported first. With full rank, a
+    filled slot n means the redundant rows contradict the others: that
+    raises Inconsistent rather than being discarded.
     """
     if len(y) != a.rows:
         raise DimensionMismatch(f"right-hand side of length {len(y)} against {a.rows} rows")
     n = a.cols
     field = a.field
-    rows = [list(a.row(i)) + [y[i]] for i in range(a.rows)]
-    pivots = _forward_eliminate(rows, n, field)
-    if len(pivots) < n:
-        raise RankDeficient(f"coefficient matrix has rank {len(pivots)} < {n}")
-    for i in range(n, a.rows):
-        if rows[i][n]:
-            raise Inconsistent("redundant rows contradict the solution")
-    sub, mul = field.sub, field.mul
-    x = [0] * n
-    for i in reversed(range(n)):
-        acc = rows[i][n]
-        row = rows[i]
-        for j in range(i + 1, n):
-            if row[j] and x[j]:
-                acc = sub(acc, mul(row[j], x[j]))
-        x[i] = acc
-    return tuple(x)
+    insert_row = field.insert_row
+    basis = [None] * (n + 1)
+    for i in range(a.rows):
+        insert_row(basis, (*a.row(i), y[i]))
+    r = n - basis[:n].count(None)
+    if r < n:
+        raise RankDeficient(f"coefficient matrix has rank {r} < {n}")
+    if basis[n] is not None:
+        raise Inconsistent("redundant rows contradict the solution")
+    return tuple(field.back_substitute(basis, n))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -216,7 +225,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                     w = b.at(i2, j2)
                     if w:
                         out[base + j2] = mul(v, w)
-    return Matrix(field, rows, cols, out)
+    return Matrix._unchecked(field, rows, cols, tuple(out))
 
 
 def stack_prefixes(matrices: Sequence[Matrix], ks: Sequence[int]) -> Matrix:
@@ -236,7 +245,7 @@ def stack_prefixes(matrices: Sequence[Matrix], ks: Sequence[int]) -> Matrix:
             raise DimensionMismatch(f"prefix length {k} out of range [0, {n}]")
         flat.extend(m.entries[: k * n])
         total += k
-    return Matrix(field, total, n, flat)
+    return Matrix._unchecked(field, total, n, tuple(flat))
 
 
 def left_null_vector(b: Matrix) -> tuple[int, ...]:

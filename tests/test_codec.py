@@ -1,11 +1,14 @@
 """Encoding, prefix erasure, decoding, and the simulation harness."""
 
 import itertools
+import random
 
 import pytest
+from test_linalg import ORACLE_FIELDS, outcome, solve_gaussian
 
 from udm.codec import (
     ChannelOutput,
+    SimulationStats,
     decode,
     encode,
     erase,
@@ -22,9 +25,9 @@ from udm.errors import (
     InsufficientSymbols,
     RankDeficient,
 )
-from udm.families import UdmFamily, construct, enumerate_exact_tuples
+from udm.families import UdmFamily, construct, enumerate_exact_tuples, right_multiply
 from udm.gf import Field
-from udm.linalg import identity
+from udm.linalg import Matrix, identity, rank, stack_prefixes
 
 F2 = Field(2)
 F3 = Field(3)
@@ -138,6 +141,58 @@ def test_decode_rank_deficient_for_degenerate_family():
         decode(fam, obs)
 
 
+def decode_reference(family, obs):
+    a = stack_prefixes(family.matrices, obs.ks)
+    return solve_gaussian(a, [v for pfx in obs.prefixes for v in pfx])
+
+
+def oracle_families(rng):
+    """construct and right_multiply families at desk scale, and a copy of
+    each with one row zeroed, which some observations cannot decode."""
+    for field in ORACLE_FIELDS:
+        for L in range(2, min(field.q + 1, 5) + 1):
+            for n in range(1, 5):
+                fam = construct(field, L, n)
+                while True:
+                    b = Matrix(field, n, n, [rng.randrange(field.q) for _ in range(n * n)])
+                    if rank(b) == n:
+                        break
+                for f in (fam, right_multiply(fam, b)):
+                    yield f
+                    l, i = rng.randrange(L), rng.randrange(n)
+                    entries = list(f.matrices[l].entries)
+                    entries[i * n : (i + 1) * n] = [0] * n
+                    mats = list(f.matrices)
+                    mats[l] = Matrix(field, n, n, entries)
+                    yield UdmFamily(field, L, n, tuple(mats))
+
+
+def test_decode_matches_gaussian_reference():
+    # Every exact-sum observation, and seeded surplus ones with and without
+    # one corrupted symbol: the same vector, or the same exception and rank.
+    rng = random.Random(4242)
+    counts = {"ok": 0, RankDeficient: 0, Inconsistent: 0}
+    for fam in oracle_families(rng):
+        L, n, q = fam.L, fam.n, fam.field.q
+        patterns = [tuple(ks) for ks in enumerate_exact_tuples(L, n)]
+        for _ in range(8):
+            ks = [rng.randint(0, n) for _ in range(L)]
+            if sum(ks) > n:
+                patterns.append(tuple(ks))
+        for ks in patterns:
+            u = tuple(rng.randrange(q) for _ in range(n))
+            obs = erase(encode(fam, u), ks)
+            if sum(ks) > n and rng.random() < 0.5:
+                prefixes = [list(pfx) for pfx in obs.prefixes]
+                l = rng.choice([c for c, k in enumerate(ks) if k])
+                prefixes[l][-1] = (prefixes[l][-1] + rng.randrange(1, q)) % q
+                obs = ChannelOutput(ks, prefixes)
+            want = outcome(decode_reference, fam, obs)
+            assert outcome(decode, fam, obs) == want, (fam.field, L, n, ks)
+            counts[want[0] if isinstance(want[0], type) else "ok"] += 1
+    assert min(counts.values()) > 500, counts
+
+
 def test_decode_validates_observation():
     fam = known_family()
     with pytest.raises(DimensionMismatch):
@@ -208,6 +263,49 @@ def test_simulate_counts_rank_failures_for_degenerate_families():
     stats = simulate(fam, 200, "uniform", seed=4)
     assert stats.successes + stats.failures_insufficient + stats.failures_rank_deficient == 200
     assert stats.failures_rank_deficient > 0
+
+
+def simulate_full_encode(family, trials, source, seed):
+    """simulate's trial loop on the full blocks: encode all L of them, then
+    erase. The reference for simulate, which encodes only the survivors."""
+    n, L, q = family.n, family.L, family.field.q
+    counts = {"ok": 0, InsufficientSymbols: 0, RankDeficient: 0}
+    total = 0
+    histogram = {}
+    for t in range(trials):
+        rng = trial_rng(seed, t)
+        ks = tuple(source(rng, L, n))
+        u = tuple(rng.randrange(q) for _ in range(n))
+        obs = erase(encode(family, u), ks)
+        total += sum(ks)
+        histogram[sum(ks)] = histogram.get(sum(ks), 0) + 1
+        try:
+            assert decode(family, obs) == u
+            counts["ok"] += 1
+        except (InsufficientSymbols, RankDeficient) as exc:
+            counts[type(exc)] += 1
+    return SimulationStats(
+        trials,
+        counts["ok"],
+        counts[InsufficientSymbols],
+        counts[RankDeficient],
+        total / trials,
+        histogram,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, source",
+    [("uniform", uniform_pattern), ("exact", exact_pattern), ("geometric", geometric_pattern)],
+)
+def test_simulate_matches_full_encode_then_erase(name, source):
+    fields = (Field(2, 2), Field(5), Field(3, 2))
+    fams = [construct(f, 5, 4) for f in fields]
+    fams.append(UdmFamily(F2, 2, 2, (identity(F2, 2), identity(F2, 2))))
+    for fam in fams:
+        for seed in (0, 1, 7, 123):
+            want = simulate_full_encode(fam, 60, source, seed)
+            assert simulate(fam, 60, name, seed=seed) == want
 
 
 def test_pattern_sources_stay_in_range():

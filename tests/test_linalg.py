@@ -1,14 +1,21 @@
-"""Exact matrix operations: rank, solve, products, prefix stacks, null vectors."""
+"""Exact matrix operations: rank, solve, products, prefix stacks, null vectors.
+
+solve and matvec run on the field's row kernels; solve_gaussian and
+naive_matvec below are their independent references, built on per-element
+Field calls.
+"""
 
 import itertools
 import random
 
 import pytest
 
-from udm.errors import DimensionMismatch, Inconsistent, RankDeficient
+from udm.cli import parse_matrix_arg
+from udm.errors import DimensionMismatch, Inconsistent, ParseError, RankDeficient
 from udm.gf import Field
 from udm.linalg import (
     Matrix,
+    _forward_eliminate,
     anti_identity,
     identity,
     kron,
@@ -18,6 +25,7 @@ from udm.linalg import (
     rank,
     solve,
     stack_prefixes,
+    transpose,
 )
 
 F2 = Field(2)
@@ -67,6 +75,57 @@ def random_matrix(rng, field, rows, cols):
     return Matrix(field, rows, cols, [rng.randrange(field.q) for _ in range(rows * cols)])
 
 
+def solve_gaussian(a, y):
+    """Gaussian elimination of the augmented rows [a | y], the reference
+    for solve and decode: pivots over the first n columns, rank deficiency
+    first, then any redundant row left with a nonzero right-hand side."""
+    if len(y) != a.rows:
+        raise DimensionMismatch(f"right-hand side of length {len(y)} against {a.rows} rows")
+    n = a.cols
+    field = a.field
+    rows = [list(a.row(i)) + [y[i]] for i in range(a.rows)]
+    pivots = _forward_eliminate(rows, n, field)
+    if len(pivots) < n:
+        raise RankDeficient(f"coefficient matrix has rank {len(pivots)} < {n}")
+    for i in range(n, a.rows):
+        if rows[i][n]:
+            raise Inconsistent("redundant rows contradict the solution")
+    sub, mul = field.sub, field.mul
+    x = [0] * n
+    for i in reversed(range(n)):
+        acc = rows[i][n]
+        row = rows[i]
+        for j in range(i + 1, n):
+            if row[j] and x[j]:
+                acc = sub(acc, mul(row[j], x[j]))
+        x[i] = acc
+    return tuple(x)
+
+
+def outcome(fn, *args):
+    """fn's result, or its exception's type and message."""
+    try:
+        return fn(*args)
+    except (RankDeficient, Inconsistent) as exc:
+        return type(exc), str(exc)
+
+
+def naive_matvec(field, a, v):
+    out = []
+    for i in range(a.rows):
+        acc = 0
+        for j in range(a.cols):
+            acc = field.add(acc, field.mul(a.at(i, j), v[j]))
+        out.append(acc)
+    return tuple(out)
+
+
+# Every arithmetic path: prime fields, characteristic 2, odd extensions.
+ORACLE_FIELDS = [
+    Field(p, s) for p, s in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3)]
+]
+
+
 # -- identity and reversal ---------------------------------------------------------
 
 
@@ -113,6 +172,22 @@ def test_dimension_mismatch():
         Matrix(F3, 2, 2, [0, 1, 2])
     with pytest.raises(DimensionMismatch):
         Matrix(F3, 1, 2, [0, 5])
+
+
+def test_public_constructors_still_check_entries():
+    # Only linalg's own results skip the entry check; what comes from
+    # outside is still checked on every public path.
+    for bad in (-1, 3, 4):
+        with pytest.raises(DimensionMismatch):
+            Matrix(F3, 2, 2, [0, 1, bad, 2])
+        with pytest.raises(DimensionMismatch):
+            Matrix.from_rows(F3, [[0, 1], [bad, 2]])
+        with pytest.raises(ParseError):
+            parse_matrix_arg(F3, f"0 1; {bad} 2", 2)
+    rng = random.Random(12)
+    a, b = random_matrix(rng, F5, 3, 4), random_matrix(rng, F5, 4, 2)
+    for m in (identity(F5, 4), anti_identity(F5, 4), matmul(a, b), kron(a, b), transpose(a)):
+        assert Matrix(m.field, m.rows, m.cols, m.entries) == m
 
 
 # -- rank ------------------------------------------------------------------------------
@@ -214,6 +289,90 @@ def test_solve_rank_deficient():
 def test_solve_rhs_length_checked():
     with pytest.raises(DimensionMismatch):
         solve(identity(F3, 2), (1, 2, 0))
+
+
+def random_system(rng, field, rows, cols):
+    """A seeded matrix, often sparse, with zero and repeated rows, and a
+    right-hand side that is consistent about half of the time."""
+    density = rng.choice((0.3, 0.7, 1.0))
+    entries = [
+        rng.randrange(1, field.q) if rng.random() < density else 0 for _ in range(rows * cols)
+    ]
+    for i in range(rows):
+        r = rng.random()
+        if r < 0.1:
+            entries[i * cols : (i + 1) * cols] = [0] * cols
+        elif r < 0.2 and i:
+            j = rng.randrange(i)
+            entries[i * cols : (i + 1) * cols] = entries[j * cols : (j + 1) * cols]
+    a = Matrix(field, rows, cols, entries)
+    if rng.random() < 0.5:
+        y = naive_matvec(field, a, [rng.randrange(field.q) for _ in range(cols)])
+    else:
+        y = tuple(rng.randrange(field.q) for _ in range(rows))
+    return a, y
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_solve_matches_gaussian_reference(field):
+    # Square, tall and wide systems, rows = 0 and n = 0 included: the same
+    # solution, or the same exception with the same rank in its message.
+    rng = random.Random(field.q * 31 + field.p)
+    seen = {"ok": 0, RankDeficient: 0, Inconsistent: 0}
+    for _ in range(400):
+        a, y = random_system(rng, field, rng.randrange(0, 8), rng.randrange(0, 6))
+        got, want = outcome(solve, a, y), outcome(solve_gaussian, a, y)
+        assert got == want, (a.to_lists(), y)
+        seen[want[0] if want and isinstance(want[0], type) else "ok"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_solve_reports_rank_deficiency_before_contradiction():
+    # Both rows of a repeat the same coefficients with different right-hand
+    # sides, and the second column is zero: rank 1 < 2 must win.
+    for field in ORACLE_FIELDS:
+        a = Matrix.from_rows(field, [[1, 0], [1, 0], [0, 0]])
+        for y in ((0, 1, 0), (1, 0, 1), (0, 0, 1)):
+            with pytest.raises(RankDeficient, match="rank 1 < 2"):
+                solve(a, y)
+            assert outcome(solve, a, y) == outcome(solve_gaussian, a, y)
+
+
+def test_solve_edge_shapes():
+    assert solve(Matrix(F5, 0, 0, []), ()) == ()
+    assert solve(Matrix(F5, 2, 0, []), (0, 0)) == ()
+    with pytest.raises(Inconsistent):
+        solve(Matrix(F5, 2, 0, []), (0, 3))
+    with pytest.raises(RankDeficient, match="rank 0 < 3"):
+        solve(Matrix(F5, 0, 3, []), ())
+
+
+# -- matvec --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p, s", [(7, 1), (2, 4), (5, 2), (3, 10), (2, 16)])
+def test_matvec_matches_naive_loop(p, s):
+    field = Field(p, s)
+    rng = random.Random(p * 1000 + s)
+    for trial in range(120):
+        rows, cols = rng.randrange(0, 7), rng.randrange(0, 9)
+        density = rng.choice((0.0, 0.3, 1.0))
+        a = Matrix(
+            field,
+            rows,
+            cols,
+            [rng.randrange(1, field.q) if rng.random() < density else 0 for _ in range(rows * cols)],
+        )
+        if trial % 5 == 0:
+            v = [0] * cols
+        else:
+            # Extremes of the log range too: 1 = alpha**0 and alpha**(q-2).
+            pool = (0, 1, field.q - 1, field.pow(field.primitive_element(), field.q - 2))
+            v = [
+                rng.choice(pool) if rng.random() < 0.3 else rng.randrange(field.q)
+                for _ in range(cols)
+            ]
+        assert matvec(a, v) == naive_matvec(field, a, v)
 
 
 # -- kron --------------------------------------------------------------------------------
