@@ -16,6 +16,7 @@ import sys
 
 from . import codec, families, gf
 from .errors import (
+    BadArgument,
     BadExponent,
     BadNormalization,
     BudgetExceeded,
@@ -50,7 +51,7 @@ _USAGE_ERRORS = (
     DegenerateNullVector,
     DimensionMismatch,
     BudgetExceeded,
-    ValueError,
+    BadArgument,
 )
 
 

@@ -13,7 +13,13 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import DecodeMismatch, DimensionMismatch, InsufficientSymbols, RankDeficient
+from .errors import (
+    BadArgument,
+    DecodeMismatch,
+    DimensionMismatch,
+    InsufficientSymbols,
+    RankDeficient,
+)
 from .families import UdmFamily
 from .linalg import matvec, solve, stack_prefixes
 
@@ -151,10 +157,10 @@ def simulate(
     library defect and raises.
     """
     if trials < 0:
-        raise ValueError("trials must be non-negative")
+        raise BadArgument("trials must be non-negative")
     if isinstance(pattern_source, str):
         if pattern_source not in _PATTERN_SOURCES:
-            raise ValueError(
+            raise BadArgument(
                 f"unknown pattern source {pattern_source!r}; "
                 f"expected one of {sorted(_PATTERN_SOURCES)} or a callable"
             )

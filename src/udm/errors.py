@@ -5,6 +5,11 @@ class UdmError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class BadArgument(UdmError, ValueError):
+    """An argument outside the domain of a library function: a nonpositive
+    size, an index out of range, a value that is not a field element."""
+
+
 class NotPrime(UdmError):
     pass
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 from . import hasse
 from .errors import (
+    BadArgument,
     BadNormalization,
     BudgetExceeded,
     DegenerateNullVector,
@@ -54,14 +55,14 @@ class UdmFamily:
     def __post_init__(self):
         object.__setattr__(self, "matrices", tuple(self.matrices))
         if self.L < 1 or self.n < 1:
-            raise ValueError("L and n must be positive")
+            raise BadArgument("L and n must be positive")
         if len(self.matrices) != self.L:
-            raise ValueError(f"expected {self.L} matrices, got {len(self.matrices)}")
+            raise BadArgument(f"expected {self.L} matrices, got {len(self.matrices)}")
         for m in self.matrices:
             if m.rows != self.n or m.cols != self.n:
-                raise ValueError(f"matrix of shape {m.rows}x{m.cols} in an n={self.n} family")
+                raise BadArgument(f"matrix of shape {m.rows}x{m.cols} in an n={self.n} family")
             if m.field != self.field:
-                raise ValueError("matrix over a different field than the family")
+                raise BadArgument("matrix over a different field than the family")
 
 
 @dataclass(frozen=True)
@@ -96,9 +97,9 @@ def construct(field: Field, L: int, n: int) -> UdmFamily:
     1x1 ones is universally decodable) and accepts any L.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise BadArgument("n must be positive")
     if L < 1:
-        raise ValueError("L must be positive")
+        raise BadArgument("L must be positive")
     if n >= 2 and L > field.q + 1:
         raise TooManyChannels(
             f"no (L={L}, n={n}, q={field.q}) family exists: L exceeds q + 1"
@@ -107,14 +108,35 @@ def construct(field: Field, L: int, n: int) -> UdmFamily:
     mats = [identity(field, n)]
     if L >= 2:
         mats.append(anti_identity(field, n))
-    for l in range(L - 2):
-        entries = []
-        for i in range(n):
-            for t in range(n):
-                c = field.binom(t, i)
-                entries.append(field.mul(c, field.pow(alpha, l * (t - i))) if c else 0)
-        mats.append(Matrix(field, n, n, entries))
+    mats += _binomial_matrices(field, alpha, L - 2, n)
     return UdmFamily(field, L, n, tuple(mats), alpha=alpha)
+
+
+def _binomial_matrices(field: Field, alpha: int, count: int, n: int) -> list[Matrix]:
+    """The matrices of construct for l = 0..count-1: entry (i, t) is
+    C(t, i) * alpha**(l * (t - i)), zero below the diagonal."""
+    if count < 1:
+        return []
+    p, mul = field.p, field.mul
+    # powers[l][d] = alpha**(l * d), the factor of every entry with t - i = d.
+    powers = []
+    for l in range(count):
+        step, pw = field.pow(alpha, l), [1]
+        for _ in range(n - 1):
+            pw.append(mul(pw[-1], step))
+        powers.append(pw)
+    entries = [[] for _ in powers]
+    # Row i is zero before column i; binoms[d] = C(i + d, i) mod p, and
+    # C(i + d, i) is the sum of C(i - 1 + e, i - 1) over e <= d (Pascal).
+    binoms = [1] * n
+    for i in range(n):
+        if i:
+            binoms = [c % p for c in itertools.accumulate(binoms[: n - i])]
+        for out, pw in zip(entries, powers):
+            out += [0] * i
+            # c * w is the entry for c = 0 or 1, without a field multiply.
+            out += [mul(c, w) if c > 1 else c * w for c, w in zip(binoms, pw)]
+    return [Matrix._unchecked(field, n, n, tuple(e)) for e in entries]
 
 
 def construct_entry_oracle(field: Field, L: int, n: int, l: int, i: int, t: int) -> int:
@@ -126,9 +148,9 @@ def construct_entry_oracle(field: Field, L: int, n: int, l: int, i: int, t: int)
     evaluates the homogeneous monomial at the point at infinity.
     """
     if not 0 <= l < L:
-        raise ValueError(f"matrix index {l} out of range [0, {L})")
+        raise BadArgument(f"matrix index {l} out of range [0, {L})")
     if not (0 <= i < n and 0 <= t < n):
-        raise ValueError("entry indices out of range")
+        raise BadArgument("entry indices out of range")
     if l == 1:
         return hasse.hasse_monomial_bivariate(field, t, n, i, (1, 0))
     beta = 0 if l == 0 else field.pow(field.primitive_element(), l - 2)
@@ -144,9 +166,9 @@ def enumerate_exact_tuples(L: int, n: int):
     """All (k_0, ..., k_{L-1}) with sum n and 0 <= k_l <= n, ascending
     lexicographic with k_0 varying slowest."""
     if L < 1:
-        raise ValueError("L must be positive")
+        raise BadArgument("L must be positive")
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise BadArgument("n must be non-negative")
 
     def gen(slots, total):
         if slots == 1:
@@ -292,9 +314,9 @@ def left_transform(family: UdmFamily, l: int, c: Matrix) -> UdmFamily:
     """Replace the l-th matrix by c @ A_l for a lower triangular c with
     nonzero diagonal; this never breaks universal decodability."""
     if not 0 <= l < family.L:
-        raise ValueError(f"matrix index {l} out of range [0, {family.L})")
+        raise BadArgument(f"matrix index {l} out of range [0, {family.L})")
     if c.rows != family.n or c.cols != family.n:
-        raise ValueError(f"transform must be {family.n}x{family.n}")
+        raise BadArgument(f"transform must be {family.n}x{family.n}")
     if not _is_lower_triangular(c):
         raise NotLowerTriangular("transform matrix has an entry above the diagonal")
     if any(c.at(i, i) == 0 for i in range(c.rows)):
@@ -307,7 +329,7 @@ def left_transform(family: UdmFamily, l: int, c: Matrix) -> UdmFamily:
 def right_multiply(family: UdmFamily, b: Matrix) -> UdmFamily:
     """Replace every matrix A_l by A_l @ b for an invertible b."""
     if b.rows != family.n or b.cols != family.n:
-        raise ValueError(f"multiplier must be {family.n}x{family.n}")
+        raise BadArgument(f"multiplier must be {family.n}x{family.n}")
     if rank(b) < family.n:
         raise Singular("right multiplier is not invertible")
     mats = tuple(matmul(m, b) for m in family.matrices)
@@ -324,7 +346,7 @@ def tensor_power(family: UdmFamily, m: int) -> UdmFamily:
     construct(field, L, n**m); otherwise it is None.
     """
     if m < 1:
-        raise ValueError("tensor power must be positive")
+        raise BadArgument("tensor power must be positive")
     mats = []
     for a in family.matrices:
         acc = a
@@ -405,7 +427,7 @@ def reduce(family: UdmFamily) -> UdmFamily:
     field = family.field
     n = family.n
     if n < 2:
-        raise ValueError("cannot reduce below n = 1")
+        raise BadArgument("cannot reduce below n = 1")
     if family.L < 2 or family.matrices[0] != identity(field, n):
         raise BadNormalization("first matrix must be the identity")
     if family.matrices[1] != anti_identity(field, n):
@@ -424,7 +446,7 @@ def permute(family: UdmFamily, perm) -> UdmFamily:
     """Reorder the matrices; position l receives matrix perm[l]."""
     perm = tuple(perm)
     if sorted(perm) != list(range(family.L)):
-        raise ValueError(f"not a permutation of 0..{family.L - 1}: {perm}")
+        raise BadArgument(f"not a permutation of 0..{family.L - 1}: {perm}")
     return replace(
         family, matrices=tuple(family.matrices[p] for p in perm), alpha=None
     )
@@ -433,7 +455,7 @@ def permute(family: UdmFamily, perm) -> UdmFamily:
 def prefix(family: UdmFamily, L: int) -> UdmFamily:
     """The family of the first L matrices."""
     if not 1 <= L <= family.L:
-        raise ValueError(f"prefix length {L} out of range [1, {family.L}]")
+        raise BadArgument(f"prefix length {L} out of range [1, {family.L}]")
     return replace(family, L=L, matrices=family.matrices[:L])
 
 
@@ -442,7 +464,7 @@ def delta_matrix(field: Field, n: int, t: int) -> Matrix:
     for t < t' <= n-1. The product A_2 * delta_0 * ... * delta_{n-1} is the
     identity, which inverts the binomial matrix column by column."""
     if not 0 <= t < n:
-        raise ValueError(f"index {t} out of range [0, {n})")
+        raise BadArgument(f"index {t} out of range [0, {n})")
     neg1 = field.nat_map(-1)
     entries = [0] * (n * n)
     for d in range(n):
@@ -455,7 +477,7 @@ def delta_matrix(field: Field, n: int, t: int) -> Matrix:
 def pascal_inverse_check(family: UdmFamily) -> bool:
     """Whether A_2 times the full chain of delta factors is the identity."""
     if family.L < 3:
-        raise ValueError("family has no third matrix")
+        raise BadArgument("family has no third matrix")
     field, n = family.field, family.n
     acc = family.matrices[2]
     for t in range(n):
@@ -468,9 +490,9 @@ def lucas_entry(field: Field, L: int, n: int, l: int, i: int, t: int) -> int:
     digit in radix p: the product over digits h of
     C(t_h, i_h) * alpha**(l * (t_h - i_h) * p**h)."""
     if not 0 <= l < L - 2:
-        raise ValueError(f"twist index {l} out of range [0, {L - 2})")
+        raise BadArgument(f"twist index {l} out of range [0, {L - 2})")
     if not (0 <= i < n and 0 <= t < n):
-        raise ValueError("entry indices out of range")
+        raise BadArgument("entry indices out of range")
     p = field.p
     m = 0
     while p**m < n:
@@ -497,6 +519,8 @@ def refute_bound(field: Field, n: int, L: int, budget: int = 10_000_000) -> Sear
     ratios of the last two first-row entries pairwise distinct across slots.
     Raises BudgetExceeded when the raw space q**(n*n*(L-2)) is above budget.
     """
+    if n < 1 or L < 1:
+        raise BadArgument(f"n and L must be positive, got n={n}, L={L}")
     q = field.q
     slots = max(L - 2, 0)
     total = q ** (n * n * slots)
@@ -517,14 +541,16 @@ def refute_bound(field: Field, n: int, L: int, budget: int = 10_000_000) -> Sear
         if verify(fam).passed:
             return SearchReport(True, fam, total, 1)
         return SearchReport(False, None, total, 1)
-    candidates = []
-    for combo in itertools.product(range(q), repeat=n * n):
-        if all(combo[j] != 0 for j in range(n)):
-            m = Matrix(field, n, n, combo)
-            ratio = field.mul(m.at(0, n - 2), field.inv(m.at(0, n - 1)))
-            candidates.append((m, ratio))
+    candidates = (
+        (Matrix._unchecked(field, n, n, combo), field.mul(combo[n - 2], field.inv(combo[n - 1])))
+        for combo in itertools.product(range(q), repeat=n * n)
+        if all(combo[:n])
+    )
+    # One slot takes the candidates as they come, so the search stops making
+    # them at the first passing family; product() would list them all first.
+    choices = zip(candidates) if slots == 1 else itertools.product(candidates, repeat=slots)
     verified = 0
-    for picks in itertools.product(candidates, repeat=slots):
+    for picks in choices:
         ratios = [r for _, r in picks]
         if len(set(ratios)) != slots:
             continue

@@ -14,7 +14,7 @@ element encodings and on serialized matrices.
 from __future__ import annotations
 
 import re
-from operator import mul
+from operator import mul, xor
 
 from .errors import BadExponent, DivisionByZero, NotPrime, NotPrimePower, ParseError
 
@@ -113,17 +113,6 @@ def _ptrim(a: list[int]) -> list[int]:
     return a
 
 
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
 def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
     """Remainder of a modulo monic f."""
     a = [c % p for c in a]
@@ -148,14 +137,24 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _ppow_x(e: int, f: list[int], p: int) -> list[int]:
-    """x**e modulo monic f."""
+def _pmulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    """a * b modulo monic f; the product is reduced mod p only by _pmod."""
+    out = [0] * (len(a) + len(b))
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _pmod(out, f, p)
+
+
+def _ppow(a: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """a**e modulo monic f."""
     result = [1]
-    base = _pmod([0, 1], f, p)
+    base = _pmod(a, f, p)
     while e:
         if e & 1:
-            result = _pmod(_pmul(result, base, p), f, p)
-        base = _pmod(_pmul(base, base, p), f, p)
+            result = _pmulmod(result, base, f, p)
+        base = _pmulmod(base, base, f, p)
         e >>= 1
     return result
 
@@ -167,10 +166,10 @@ def _is_irreducible(f: list[int], p: int) -> bool:
         return True
     if f[0] == 0:
         return False
-    if _ppow_x(p**s, f, p) != [0, 1]:
+    if _ppow([0, 1], p**s, f, p) != [0, 1]:
         return False
     for r in _prime_factors(s):
-        g = list(_ppow_x(p ** (s // r), f, p))
+        g = _ppow([0, 1], p ** (s // r), f, p)
         while len(g) < 2:
             g.append(0)
         g[1] = (g[1] - 1) % p
@@ -236,71 +235,25 @@ class Field:
 
     # -- construction helpers ------------------------------------------------
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        da = _digits(a, self.p, self.s)
-        db = _digits(b, self.p, self.s)
-        rem = _pmod(_pmul(da, db, self.p), self.modulus, self.p)
-        return _undigits(rem, self.p)
-
     def _raw_pow(self, a: int, e: int) -> int:
-        if self.s == 1:
-            return pow(a, e, self.p)
-        acc = 1
-        base = a
-        while e:
-            if e & 1:
-                acc = self._raw_mul(acc, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return acc
+        p, s = self.p, self.s
+        if s == 1:
+            return pow(a, e, p)
+        return _undigits(_ppow(_digits(a, p, s), e, self.modulus, p), p)
 
     def _find_primitive(self) -> int:
         cofactors = [(self.q - 1) // r for r in _prime_factors(self.q - 1)]
-        for a in range(1, self.q):
+        # For s > 1 the elements below p form the prime subfield, of order
+        # p - 1 < q - 1, which holds no primitive element.
+        for a in range(1 if self.s == 1 else self.p, self.q):
             if all(self._raw_pow(a, m) != 1 for m in cofactors):
                 return a
         raise AssertionError("no primitive element found")  # unreachable
 
     def _build_tables(self):
-        """exp[k] = alpha**k, its inverse log, and for odd p the Zech table.
-
-        Each power is the previous one times alpha, by Horner's rule over
-        the base-p digits of alpha, most significant first; one Horner step
-        multiplies by x and reduces by the modulus.
-        """
-        p, s, q = self.p, self.s, self.q
-        digits = _ptrim(_digits(self._alpha, p, s))[::-1]
-        exp = [1] * (q - 1)
-        if p == 2:
-            # Integer encodings are the coefficient bit vectors: a step is
-            # a shift and, past degree s - 1, an XOR with the modulus.
-            top, modulus = 1 << s, _undigits(self.modulus, 2)
-            cur = 1
-            for k in range(1, q - 1):
-                acc = 0
-                for d in digits:
-                    acc <<= 1
-                    if acc & top:
-                        acc ^= modulus
-                    if d:
-                        acc ^= cur
-                exp[k] = cur = acc
-        else:
-            # x**s = -sum(f_i x**i); only the nonzero f_i are touched.
-            terms = [(i, p - c) for i, c in enumerate(self.modulus[:-1]) if c]
-            cur = [1] + [0] * (s - 1)
-            for k in range(1, q - 1):
-                acc = [0] * s
-                for d in digits:
-                    c = acc.pop()
-                    acc.insert(0, 0)
-                    if c:
-                        for i, f in terms:
-                            acc[i] = (acc[i] + c * f) % p
-                    if d:
-                        acc = [(a + d * b) % p for a, b in zip(acc, cur)]
-                cur = acc
-                exp[k] = _undigits(acc, p)
+        """exp[k] = alpha**k, its inverse log, and for odd p the Zech table."""
+        p, q = self.p, self.q
+        exp = self._exp_table()
         log = [0] * q
         for k, v in enumerate(exp):
             log[v] = k
@@ -308,13 +261,91 @@ class Field:
         self._log = log
         if p != 2:
             # Zech logarithms: zech[k] = log(1 + alpha**k), None where
-            # 1 + alpha**k = 0. Adding 1 changes only the lowest base-p digit.
-            zech = [None] * (q - 1)
-            for k, v in enumerate(exp):
-                w = v + 1 if v % p != p - 1 else v - (p - 1)
-                if w:
-                    zech[k] = log[w]
+            # 1 + alpha**k = 0, i.e. at k = (q - 1) / 2. Adding 1 changes
+            # only the lowest base-p digit, which wraps from p - 1 to 0, so
+            # log_plus_one[v] = log(v + 1) is log shifted, with every p-th
+            # entry taken from the start of its digit block.
+            log_plus_one = log[1:]
+            log_plus_one.append(0)
+            log_plus_one[p - 1 :: p] = log[::p]
+            zech = [log_plus_one[v] for v in exp]
+            zech[(q - 1) // 2] = None
             self._zech = zech
+
+    def _exp_table(self) -> list[int]:
+        """exp[k] = alpha**k for k < q - 1.
+
+        Multiplying by alpha is GF(p)-linear on digit vectors, so the image
+        of an element is the digit-wise sum of the images of its low s // 2
+        digits and of its high ones. Two half tables hold those images for
+        every low and every high digit vector (p**(s // 2) and
+        p**(s - s // 2) of them: 243 each for GF(3^10), at most 1369 for
+        q <= 2**16), spanned from the images alpha * x**j of the unit
+        vectors, and each power is the previous one's image, two lookups
+        and one digit-wise add:
+        - p = 2: encodings are the bit vectors and the add is an XOR;
+        - odd p: vectors are packed w = p.bit_length() + 1 bits per digit,
+          so a digit sum up to 2p - 2 stays in its slot; adding
+          2**(w-1) - p to every digit sets the top bit of exactly the
+          digits >= p, and subtracting p there reduces them all at once.
+          The power is carried packed. A table entry holds the packed image
+          above bit cb and the canonical encoding of its half below, so the
+          sum of two entries gives both the power's encoding and its
+          unreduced image; the table is indexed by the packed half.
+        """
+        p, s, q = self.p, self.s, self.q
+        h = s // 2
+        if p == 2:
+            w, add = 1, xor
+        else:
+            w = p.bit_length() + 1
+            ones = sum(1 << (w * j) for j in range(s))
+            carry, top = ((1 << (w - 1)) - p) * ones, (1 << (w - 1)) * ones
+
+            def add(a, b):
+                v = a + b
+                return v - (((v + carry) & top) >> (w - 1)) * p
+
+        def span(basis):
+            """Sums of multiples of basis, ordered by the canonical encoding
+            of the coefficient vector."""
+            out = [0]
+            for b in basis:
+                mults = [0]
+                for _ in range(p - 1):
+                    mults.append(add(mults[-1], b))
+                out = [add(x, m) for m in mults for x in out]
+            return out
+
+        alpha = _digits(self._alpha, p, s)
+        images = [
+            sum(d << (w * i) for i, d in enumerate(_pmod([0] * j + alpha, self.modulus, p)))
+            for j in range(s)
+        ]
+        exp = [0] * (q - 1)
+        if p == 2:
+            low, high, mask = span(images[:h]), span(images[h:]), (1 << h) - 1
+            v = 1
+            for k in range(q - 1):
+                exp[k] = v
+                v = low[v & mask] ^ high[v >> h]
+        else:
+            units = [1 << (w * j) for j in range(s)]
+            cb, shift = q.bit_length(), w * h
+            low = [0] * (1 << shift)
+            for i, v, c in zip(span(units[:h]), span(images[:h]), range(p**h)):
+                low[i] = (v << cb) + c
+            high = [0] * (1 << (w * (s - h)))
+            for i, v, c in zip(span(units[h:]), span(images[h:]), range(0, q, p**h)):
+                high[i >> shift] = (v << cb) + c
+            mask, cmask = (1 << shift) - 1, (1 << cb) - 1
+            v = 1
+            for k in range(q - 1):
+                u = low[v & mask] + high[v >> shift]
+                exp[k] = u & cmask
+                v = u >> cb
+                v -= (((v + carry) & top) >> (w - 1)) * p
+        return exp
 
     # -- arithmetic ----------------------------------------------------------
     # Odd extension fields add through Zech logarithms:
@@ -475,9 +506,10 @@ def _row_kernels(field: Field):
     of `rows`, all of canonical elements and as long as v.
 
     A stored row is the tail after the pivot column of the row scaled to a
-    leading 1. The reduction step r - f*b, that scaling and dot(xs, b), the
+    leading 1. The reduction step r - f*b, that scaling, dot(xs, b), the
     sum of xs[j] * b[j] for canonical xs and stored b over the shorter of
-    the two, depend on the field; each encoding gets its own:
+    the two, and the subtraction in back_substitute depend on the field;
+    each encoding gets its own:
     - prime fields: the residues themselves, reduced with % p;
     - characteristic 2: stored rows hold logarithms, the update is an XOR;
     - odd characteristic, s > 1: stored rows hold logarithms, sums go
@@ -489,6 +521,9 @@ def _row_kernels(field: Field):
     matrix, is stored empty, and reducing by it only drops the pivot entry.
     dot_rows takes v into the stored format once per call, so each of its
     products, like each in back_substitute, is one such index.
+
+    The kernels hold the field's tables, never the field itself, so a Field
+    is in no reference cycle and is freed as soon as it is dropped.
     """
     p, m = field.p, field.q - 1
     if field.s == 1:
@@ -509,6 +544,9 @@ def _row_kernels(field: Field):
 
         def dot(xs, b):
             return sum(map(mul, xs, b)) % p
+
+        def sub(a, b):
+            return (a - b) % p
 
     else:
         exp, log, zech = field._exp, field._log, field._zech
@@ -536,6 +574,8 @@ def _row_kernels(field: Field):
                         acc ^= exp[log[x] + y]
                 return acc
 
+            sub = xor
+
         else:
             half = m // 2  # alpha**half == -1
 
@@ -558,6 +598,9 @@ def _row_kernels(field: Field):
                         acc = add_power(acc, log[x] + y)
                 return acc
 
+            def sub(a, b):
+                return add_power(a, log[b] + half - m) if b else a  # + (-b)
+
     def insert_row(basis, row):
         t, c = row, 0
         while True:
@@ -574,8 +617,6 @@ def _row_kernels(field: Field):
                 return c
             t = reduce(t, i, b) if b else t[i + 1 :]
             c += 1
-
-    sub = field.sub
 
     def back_substitute(basis, n):
         x = [0] * n

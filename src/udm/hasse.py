@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .errors import BadPoint
+from .errors import BadArgument, BadPoint
 from .gf import Field
 
 #: Multiplicity reported for any point of the zero polynomial.
@@ -31,7 +31,7 @@ class Polynomial:
         q = field.q
         for c in cs:
             if not 0 <= c < q:
-                raise ValueError(f"coefficient {c} is not an element of GF({q})")
+                raise BadArgument(f"coefficient {c} is not an element of GF({q})")
         self.field = field
         self.coeffs = tuple(cs)
 
@@ -46,7 +46,7 @@ class Polynomial:
     @classmethod
     def monomial(cls, field: Field, k: int, coeff: int = 1) -> "Polynomial":
         if k < 0:
-            raise ValueError("monomial degree must be non-negative")
+            raise BadArgument("monomial degree must be non-negative")
         return cls(field, (0,) * k + (coeff,))
 
     def is_zero(self) -> bool:
@@ -105,7 +105,7 @@ def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
 def hasse_derivative(f: Polynomial, i: int) -> Polynomial:
     """The i-th Hasse derivative; i = 0 returns f unchanged."""
     if i < 0:
-        raise ValueError("derivative order must be non-negative")
+        raise BadArgument("derivative order must be non-negative")
     if i == 0:
         return f
     field = f.field
@@ -119,7 +119,7 @@ def evaluate(f: Polynomial, beta: int) -> int:
     """Horner evaluation; the zero polynomial evaluates to 0 everywhere."""
     field = f.field
     if not 0 <= beta < field.q:
-        raise ValueError(f"{beta} is not an element of GF({field.q})")
+        raise BadArgument(f"{beta} is not an element of GF({field.q})")
     acc = 0
     for c in reversed(f.coeffs):
         acc = field.add(field.mul(acc, beta), c)
@@ -142,7 +142,7 @@ def from_linear_factors(field: Field, pairs: Sequence[tuple[int, int]]) -> Polyn
     acc = Polynomial.one(field)
     for gamma, m in pairs:
         if m < 0:
-            raise ValueError("multiplicities must be non-negative")
+            raise BadArgument("multiplicities must be non-negative")
         factor = Polynomial(field, (field.neg(gamma), 1))
         for _ in range(m):
             acc = poly_mul(acc, factor)
@@ -160,9 +160,9 @@ def hasse_monomial_bivariate(
     taken in the second variable and equals 1 when i == n - 1 - t, else 0.
     """
     if not 0 <= t <= n - 1:
-        raise ValueError(f"monomial index {t} out of range [0, {n - 1}]")
+        raise BadArgument(f"monomial index {t} out of range [0, {n - 1}]")
     if i < 0:
-        raise ValueError("derivative order must be non-negative")
+        raise BadArgument("derivative order must be non-negative")
     a, b = point
     if b == 1:
         if not 0 <= a < field.q:

@@ -42,7 +42,7 @@ class Matrix:
     @classmethod
     def _unchecked(cls, field: Field, rows: int, cols: int, entries: tuple) -> "Matrix":
         """A matrix from a tuple of rows * cols elements of field, as built
-        by this module's own operations; nothing is checked."""
+        by the package's own field operations; nothing is checked."""
         m = cls.__new__(cls)
         m.field, m.rows, m.cols, m.entries = field, rows, cols, entries
         return m

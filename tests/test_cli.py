@@ -12,6 +12,7 @@ from udm.cli import (
     render_family,
     render_observation,
 )
+from udm import families
 from udm.codec import ChannelOutput
 from udm.errors import ParseError
 from udm.families import construct
@@ -405,6 +406,26 @@ def test_oracle_bound_budget_exceeded(capsys):
 def test_oracle_requires_l_where_needed(capsys):
     assert main(["oracle", "hasse", "--q", "3", "--n", "3"]) == 2
     capsys.readouterr()
+
+
+def test_library_argument_errors_exit_2(known_path, tmp_path, capsys):
+    out = str(tmp_path / "x.udm")
+    assert main(["generate", "--q", "3", "--L", "3", "--n", "0", "--out", out]) == 2
+    assert main(["oracle", "delta", "--q", "3", "--n", "0"]) == 2
+    assert main(["oracle", "bound", "--q", "2", "--L", "3", "--n", "0"]) == 2
+    assert main(["oracle", "bound", "--q", "2", "--L", "5", "--n", "-2"]) == 2
+    assert main(["transform", "--in", str(known_path), "--op", "tensor", "--m", "0",
+                 "--out", out]) == 2
+    assert capsys.readouterr().err.count("error:") == 5
+
+
+def test_a_stray_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(field, L, n):
+        raise ValueError("a library defect")
+
+    monkeypatch.setattr(families, "construct", broken)
+    with pytest.raises(ValueError, match="a library defect"):
+        main(["generate", "--q", "3", "--L", "4", "--n", "3"])
 
 
 # -- argparse usage errors -------------------------------------------------------------------------

@@ -2,16 +2,21 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
+from udm import hasse
+from udm.codec import simulate
 from udm.errors import (
+    BadArgument,
     BadNormalization,
     BudgetExceeded,
     DegenerateNullVector,
     NotLowerTriangular,
     Singular,
     TooManyChannels,
+    UdmError,
     ZeroDiagonal,
 )
 from udm.families import (
@@ -34,7 +39,7 @@ from udm.families import (
     tensor_power,
     verify,
 )
-from udm.gf import Field
+from udm.gf import Field, field_of_order
 from udm.linalg import Matrix, anti_identity, identity, matmul, rank, solve, stack_prefixes
 
 F2 = Field(2)
@@ -107,6 +112,22 @@ def test_constructed_tails_are_upper_triangular_with_unit_diagonal():
 
 
 # -- entry oracle -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p,s,L,n", [(3, 1, 4, 30), (2, 1, 3, 20), (2, 2, 5, 9), (5, 1, 6, 12)])
+def test_construct_matches_entry_oracles_beyond_p(p, s, L, n):
+    """Blocks longer than p, where binomials mod p vanish and Lucas digit
+    products take over; both oracle routes, entry by entry, and the
+    unchecked matrices equal checked ones."""
+    field = Field(p, s)
+    fam = construct(field, L, n)
+    for l, m in enumerate(fam.matrices):
+        assert m == Matrix(field, n, n, list(m.entries))
+        for i in range(n):
+            for t in range(n):
+                assert m.at(i, t) == construct_entry_oracle(field, L, n, l, i, t)
+                if l >= 2:
+                    assert m.at(i, t) == lucas_entry(field, L, n, l - 2, i, t)
 
 
 def test_entry_oracle_matches_construct_small():
@@ -447,6 +468,42 @@ def test_refute_bound_budget():
         refute_bound(F3, 3, 5, budget=100)
 
 
+@pytest.mark.parametrize(
+    "q,n,L,verified,found",
+    [
+        (3, 3, 3, 83, [(1, 1, 1, 0, 1, 0, 0, 0, 1)]),
+        (2, 4, 3, 1330, [(1, 1, 1, 1, 0, 1, 0, 1, 0, 0, 1, 1, 0, 0, 0, 1)]),
+        (4, 2, 4, 98, [(1, 1, 0, 1), (1, 2, 0, 1)]),
+    ],
+)
+def test_refute_bound_reports_are_pinned(q, n, L, verified, found):
+    field = field_of_order(q)
+    report = refute_bound(field, n, L)
+    assert report.exists
+    assert report.total_candidates == q ** (n * n * (L - 2))
+    assert report.candidates_verified == verified
+    assert report.family.matrices[:2] == (identity(field, n), anti_identity(field, n))
+    assert [m.entries for m in report.family.matrices[2:]] == found
+    assert verify(report.family).passed
+
+
+def test_refute_bound_with_one_slot_never_lists_the_candidates():
+    tracemalloc.start()
+    try:
+        refute_bound(F3, 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A list of all 5832 candidates with a nonzero first row peaks at ~1.4 MB.
+    assert peak < 500_000
+
+
+@pytest.mark.parametrize("n,L", [(0, 3), (-2, 5), (2, 0)])
+def test_refute_bound_rejects_nonpositive_sizes(n, L):
+    with pytest.raises(BadArgument):
+        refute_bound(F2, n, L)
+
+
 # -- family validation -------------------------------------------------------------------------------
 
 
@@ -457,3 +514,19 @@ def test_family_validation():
         UdmFamily(F3, 1, 3, (identity(F3, 2),))
     with pytest.raises(ValueError):
         UdmFamily(F3, 1, 2, (identity(F2, 2),))
+
+
+def test_argument_errors_are_one_udm_error():
+    fam = construct(F3, 4, 3)
+    calls = [
+        lambda: construct(F3, 0, 3),
+        lambda: prefix(fam, 5),
+        lambda: hasse.Polynomial(F3, (5,)),
+        lambda: hasse.evaluate(hasse.Polynomial.one(F3), 7),
+        lambda: simulate(fam, -1),
+        lambda: simulate(fam, 1, "bogus"),
+    ]
+    for call in calls:
+        with pytest.raises(BadArgument):
+            call()
+    assert issubclass(BadArgument, UdmError) and issubclass(BadArgument, ValueError)

@@ -1,5 +1,7 @@
 """Field arithmetic, canonical encodings, and binomial coefficients."""
 
+import gc
+import hashlib
 import math
 import pickle
 import random
@@ -368,6 +370,19 @@ def test_field_pickles_by_order():
         assert again.insert_row(basis, (0, 1)) == 1
 
 
+def test_a_dropped_field_is_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        before = sum(isinstance(o, Field) for o in gc.get_objects())
+        for p, s in [(7, 1), (2, 4), (3, 2)]:
+            Field(p, s)
+        after = sum(isinstance(o, Field) for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert after == before
+
+
 def test_field_of_order_checks_the_cap_before_factoring():
     assert field_of_order(9) == Field(3, 2)
     with pytest.raises(NotPrimePower):
@@ -385,35 +400,79 @@ EXTENSION_FIELDS_UP_TO_1024 = [
 ]
 
 
+# Odd-characteristic extension fields above the exhaustive range, up to the
+# 2**16 cap; for p = 127, 131 and 251 a digit sum 2p - 2 nearly fills the
+# packed digit the table build uses.
+ODD_EXTENSION_FIELDS_ABOVE_1024 = [
+    (p, s)
+    for p in range(3, 256)
+    if all(p % d for d in range(2, p))
+    for s in range(2, 11)
+    if 1024 < p**s <= 1 << 16
+]
+
+# sha256 of repr((_exp, _log, _zech)), pinned from the tables built one
+# Horner step per power over alpha's digits, before the half-table build.
+PINNED_TABLE_DIGESTS = {
+    (3, 10): "827103e8375298bb269ad93cf0dfb80013ab43e03062d2b32785f0ad8c7606f7",
+    (251, 2): "f9209d0d63602f284ec754ccd349d505f1dda94d2e7dbced16c6d1149b13570c",
+    (2, 16): "34750930f31fd4825d55d4c5ec800a752e3d3b939cb0922968910f76ac6b1305",
+}
+
+
 @pytest.fixture(scope="module")
 def big_fields():
     return {(2, 16): Field(2, 16), (3, 10): Field(3, 10)}
 
 
-@pytest.mark.parametrize("p,s", EXTENSION_FIELDS_UP_TO_1024)
-def test_exp_table_is_the_repeated_raw_product(p, s):
-    f = Field(p, s)
-    alpha = f.primitive_element()
-    cur = 1
-    for k in range(f.q - 1):
-        assert f._exp[k] == cur
-        cur = f._raw_mul(cur, alpha)
-    assert cur == 1
-
-
-@pytest.mark.parametrize("p,s", [(2, 16), (3, 10)])
-def test_big_field_tables_against_polynomial_products(big_fields, p, s):
-    f = big_fields[(p, s)]
+def check_tables_by_polynomial_products(f, samples):
+    """exp is a bijection onto the nonzero elements, log its inverse, and
+    exp[k+1] = exp[k]*alpha mod modulus by the tests' own polynomial
+    product at `samples` seeded k; for odd p, zech[k] is log(1 + exp[k])
+    computed digit-wise, or None where that sum is 0."""
+    p, s = f.p, f.s
     m = f.q - 1
     exp, log = f._exp, f._log
     assert sorted(exp) == list(range(1, f.q))
     assert all(log[v] == k for k, v in enumerate(exp))
     alpha = digits(f.primitive_element(), p, s)
     rng = random.Random(p * 100 + s)
-    for _ in range(2000):
+    for _ in range(samples):
         k = rng.randrange(m)
         product = poly_mul_mod_p(digits(exp[k], p, s), alpha, p)
         assert exp[(k + 1) % m] == undigits(poly_rem(product, f.modulus, p), p)
+        if p != 2:
+            d = digits(exp[k], p, s)
+            one_plus = undigits([(d[0] + 1) % p] + d[1:], p)
+            assert f._zech[k] == (log[one_plus] if one_plus else None)
+
+
+@pytest.mark.parametrize("p,s", EXTENSION_FIELDS_UP_TO_1024)
+def test_exp_table_is_the_repeated_raw_product(p, s):
+    f = Field(p, s)
+    alpha = digits(f.primitive_element(), p, s)
+    cur = 1
+    for k in range(f.q - 1):
+        assert f._exp[k] == cur
+        cur = undigits(poly_rem(poly_mul_mod_p(digits(cur, p, s), alpha, p), f.modulus, p), p)
+    assert cur == 1
+
+
+@pytest.mark.parametrize("p,s", [(2, 16), (3, 10)])
+def test_big_field_tables_against_polynomial_products(big_fields, p, s):
+    check_tables_by_polynomial_products(big_fields[(p, s)], 2000)
+
+
+@pytest.mark.parametrize("p,s", ODD_EXTENSION_FIELDS_ABOVE_1024)
+def test_mid_size_field_tables_against_polynomial_products(p, s):
+    check_tables_by_polynomial_products(Field(p, s), 200)
+
+
+@pytest.mark.parametrize("p,s", sorted(PINNED_TABLE_DIGESTS))
+def test_tables_match_pinned_digests(big_fields, p, s):
+    f = big_fields.get((p, s)) or Field(p, s)
+    digest = hashlib.sha256(repr((f._exp, f._log, f._zech)).encode()).hexdigest()
+    assert digest == PINNED_TABLE_DIGESTS[(p, s)]
 
 
 def check_digitwise(f, a, b):
