@@ -429,9 +429,14 @@ def cmd_oracle(args) -> int:
         report = families.refute_bound(field, n, L)
         expected = n == 1 or L <= field.q + 1
         if report.exists:
+            # With n = 1 the count is q**(L - 2), too long to print in decimal
+            # for a large L.
+            total = report.total_candidates
+            if total.bit_length() > 4096:
+                total = f"{field.q}^{n * n * (L - 2)}"
             print(
                 f"found ({L},{n},{field.q}) family after verifying "
-                f"{report.candidates_verified} of {report.total_candidates} raw candidates"
+                f"{report.candidates_verified} of {total} raw candidates"
             )
             if report.note:
                 print(report.note)

@@ -2,8 +2,9 @@
 
 Each channel delivers an intact prefix of its block and erases the rest.
 An observation therefore carries the per-channel prefix lengths explicitly
-together with the surviving symbols; recovery solves the stacked linear
-system built from the matching matrix prefixes.
+together with the surviving symbols. Recovery interpolates a polynomial for
+the families of construct and solves the stacked linear system built from
+the matching matrix prefixes for every other family.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from .errors import (
     BadArgument,
     DecodeMismatch,
     DimensionMismatch,
+    Inconsistent,
     InsufficientSymbols,
     RankDeficient,
 )
-from .families import UdmFamily
+from .families import UdmFamily, is_generator
+from .gf import Field
 from .linalg import matvec, solve, stack_prefixes
 
 
@@ -75,12 +78,21 @@ def erase(x: Sequence[Sequence[int]], ks: Sequence[int]) -> ChannelOutput:
 def decode(family: UdmFamily, obs: ChannelOutput) -> tuple[int, ...]:
     """Recover the information vector from the surviving prefixes.
 
-    Requires at least n symbols in total. The matching matrix prefixes are
-    stacked and solved with linalg.solve, one echelon row insertion per
-    surviving symbol followed by back-substitution. With more than n
-    symbols, the redundant rows are checked exactly and a contradiction
-    raises Inconsistent. For a verified family the solve cannot be rank
-    deficient.
+    Requires at least n symbols in total. With more than n symbols, the
+    redundant ones are checked exactly and a contradiction raises
+    Inconsistent. Two paths give the same vectors and the same errors:
+
+    - A family for which families.is_generator holds, construct's output,
+      is decoded by Hermite interpolation (_interpolate), O(n^2) field
+      operations: row i of its matrix l applied to u is the i-th Hasse
+      derivative of u(X) = sum(u_t X^t) at one point of the projective
+      line. No matrix is stacked. Such a family is universally decodable,
+      so it is never rank deficient.
+    - Every other family, whatever alpha it claims, and every transform
+      output among them: the matching matrix prefixes are stacked and
+      solved with linalg.solve, one echelon row insertion per surviving
+      symbol followed by back-substitution, O(n^3). For a verified family
+      the solve cannot be rank deficient.
     """
     n = family.n
     if len(obs.ks) != family.L:
@@ -96,9 +108,82 @@ def decode(family: UdmFamily, obs: ChannelOutput) -> tuple[int, ...]:
         raise InsufficientSymbols(
             f"{sum(obs.ks)} surviving symbols cannot determine {n} unknowns"
         )
+    if is_generator(family):
+        return _interpolate(family, obs)
     a = stack_prefixes(family.matrices, obs.ks)
     y = [v for prefix in obs.prefixes for v in prefix]
     return solve(a, y)
+
+
+def _interpolate(family: UdmFamily, obs: ChannelOutput) -> tuple[int, ...]:
+    """decode for construct's output, from at least n symbols.
+
+    Channel 0 observes the Hasse derivatives of u(X) at 0, channel 1 its
+    top coefficients (the point at infinity) and channel l >= 2 the
+    derivatives at alpha**(l - 2). The first n symbols, taken channel by
+    channel, determine u by hermite(); every later one is re-encoded from u
+    with the field's dot_rows and must match. n = 1 is the only size at
+    which construct repeats points (when L > q + 1), and then only the
+    first of them is interpolated.
+    """
+    field, n = family.field, family.n
+    need = n
+    top, points, rows, redundant = (), [], [], []
+    for l, (m, prefix) in enumerate(zip(family.matrices, obs.prefixes)):
+        k = min(len(prefix), need)
+        need -= k
+        if l == 1:
+            top = prefix[:k]
+        elif k:
+            points.append((field.pow(family.alpha, l - 2) if l else 0, prefix[:k]))
+        rows += map(m.row, range(k, len(prefix)))
+        redundant += prefix[k:]
+    u = hermite(field, n, top, points)
+    if field.dot_rows(rows, u) != redundant:
+        raise Inconsistent("redundant rows contradict the solution")
+    return tuple(u)
+
+
+def hermite(
+    field: Field, n: int, top: Sequence[int], points: Sequence[tuple[int, Sequence[int]]]
+) -> list[int]:
+    """The coefficients, constant term first, of the u(X) of degree below n
+    whose top len(top) coefficients are top, highest first, and whose Hasse
+    derivatives 0..k-1 at each (beta, w) of points, k = len(w), are w. The
+    betas must be distinct and len(top) plus the k's must make n.
+
+    An incremental Chinese remainder step per point: P, which starts as the
+    top coefficients, meets every point so far, and M is the product of
+    (X - beta)**k over them. At the next point, with P~ and M~ the first k
+    Taylor coefficients of P and M there (M~[0] = M(beta) is nonzero), the
+    power series Q~ = (w - P~) / M~ mod Y**k is the Taylor expansion at beta
+    of the Q(X) of degree below k with P + M*Q meeting the point too; the
+    top coefficients stay, since M*Q has degree below n - len(top).
+    """
+    taylor, mul_add = field.taylor, field.mul_add
+    mul, sub, neg = field.mul, field.sub, field.neg
+    P = [0] * (n - len(top))
+    P += reversed(top)
+    M = [1]
+    for j, (beta, w) in enumerate(points):
+        k = len(w)
+        mt = taylor(M, beta, k)
+        scale = field.inv(mt[0])
+        qt = []
+        for i, (wi, pi) in enumerate(zip(w, taylor(P, beta, k))):
+            acc = sub(wi, pi)
+            for t in range(1, i + 1):
+                acc = sub(acc, mul(mt[t], qt[i - t]))
+            qt.append(mul(acc, scale))
+        # Q(X) = Q~(X - beta), the Taylor expansion of Q~ at -beta.
+        nb = neg(beta)
+        for i, c in enumerate(taylor(qt, nb, k)):
+            mul_add(P, c, M, i)
+        if j + 1 < len(points):
+            for _ in range(k):
+                M.insert(0, 0)
+                mul_add(M, nb, M[1:], 0)  # M * X - beta * M
+    return P
 
 
 def trial_rng(seed: int, index: int) -> random.Random:
@@ -152,9 +237,11 @@ def simulate(
     Every trial draws its pattern and a uniform information vector from its
     own generator, so the statistics are reproducible for a fixed seed and
     independent of trial ordering. Only the surviving symbols are encoded,
-    with one product of the stacked prefixes and u per trial. Recovered
-    vectors are compared against the ground truth; a mismatch would be a
-    library defect and raises.
+    each the dot product of u with its matrix row, through the field's
+    dot_rows; no prefixes are stacked for the encode, so a trial stacks
+    them at most once, inside decode, and only for a family that decode
+    solves. Recovered vectors are compared against the ground truth; a
+    mismatch would be a library defect and raises.
     """
     if trials < 0:
         raise BadArgument("trials must be non-negative")
@@ -168,6 +255,7 @@ def simulate(
     else:
         source = pattern_source
     n, L, q = family.n, family.L, family.field.q
+    dot_rows = family.field.dot_rows
     successes = 0
     fail_insufficient = 0
     fail_rank = 0
@@ -177,7 +265,7 @@ def simulate(
         rng = trial_rng(seed, t)
         ks = tuple(source(rng, L, n))
         u = tuple(rng.randrange(q) for _ in range(n))
-        y = matvec(stack_prefixes(family.matrices, ks), u)
+        y = dot_rows([m.row(i) for m, k in zip(family.matrices, ks) for i in range(k)], u)
         obs = ChannelOutput(ks, tuple(y[e - k : e] for k, e in zip(ks, accumulate(ks))))
         weight = sum(ks)
         total_symbols += weight

@@ -9,6 +9,7 @@ tuples with sum exactly n suffices; there are C(n+L-1, L-1) of them.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -43,7 +44,8 @@ class UdmFamily:
 
     alpha records the primitive element used by the standard construction;
     it is None for hand-built families and for transforms that leave the
-    constructed entry pattern behind.
+    constructed entry pattern behind. A hand-built family can claim any
+    alpha, so code that relies on it asks is_generator instead.
     """
 
     field: Field
@@ -51,6 +53,11 @@ class UdmFamily:
     n: int
     matrices: tuple[Matrix, ...]
     alpha: int | None = None
+    # is_generator's answer once known: set by construct and on first use,
+    # and reset by dataclasses.replace, which does not copy init=False fields.
+    _generator: bool | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "matrices", tuple(self.matrices))
@@ -88,13 +95,29 @@ class SearchReport:
     note: str | None = None
 
 
+# The most entries, L * n**2, of a family that construct, tensor_power or
+# refute_bound will build: about 4.2 million, some 34 MB of tuple slots.
+MAX_FAMILY_ENTRIES = 1 << 22
+
+
+def check_family_size(L: int, n: int):
+    """Raise BadArgument when an (L, n) family would hold more than
+    MAX_FAMILY_ENTRIES entries; nothing is allocated."""
+    if L * n * n > MAX_FAMILY_ENTRIES:
+        raise BadArgument(
+            f"an (L={L}, n={n}) family has L*n^2 = {L * n * n} entries, "
+            f"above the supported maximum {MAX_FAMILY_ENTRIES}"
+        )
+
+
 def construct(field: Field, L: int, n: int) -> UdmFamily:
     """The explicit (L, n, q) family: identity, row reversal, then for each
     remaining index l a binomial matrix with entry (i, t) equal to
     C(t, i) * alpha**(l * (t - i)), alpha the canonical primitive element.
 
     Requires L <= q + 1 when n >= 2; n = 1 is unconstrained (every family of
-    1x1 ones is universally decodable) and accepts any L.
+    1x1 ones is universally decodable) and accepts any L. L * n**2 is
+    bounded by MAX_FAMILY_ENTRIES.
     """
     if n < 1:
         raise BadArgument("n must be positive")
@@ -104,12 +127,13 @@ def construct(field: Field, L: int, n: int) -> UdmFamily:
         raise TooManyChannels(
             f"no (L={L}, n={n}, q={field.q}) family exists: L exceeds q + 1"
         )
+    check_family_size(L, n)
     alpha = field.primitive_element()
     mats = [identity(field, n)]
     if L >= 2:
         mats.append(anti_identity(field, n))
     mats += _binomial_matrices(field, alpha, L - 2, n)
-    return UdmFamily(field, L, n, tuple(mats), alpha=alpha)
+    return _known_generator(UdmFamily(field, L, n, tuple(mats), alpha=alpha), True)
 
 
 def _binomial_matrices(field: Field, alpha: int, count: int, n: int) -> list[Matrix]:
@@ -347,27 +371,58 @@ def tensor_power(family: UdmFamily, m: int) -> UdmFamily:
     """
     if m < 1:
         raise BadArgument("tensor power must be positive")
-    mats = []
-    for a in family.matrices:
-        acc = a
-        for _ in range(m - 1):
-            acc = kron(acc, a)
-        mats.append(acc)
-    return with_checked_alpha(
-        UdmFamily(family.field, family.L, family.n**m, tuple(mats), alpha=family.alpha)
-    )
+    field, n = family.field, family.n
+    # n**m >= 2**m, so the size bound settles a large m before n**m is formed.
+    if n > 1 and m >= MAX_FAMILY_ENTRIES.bit_length():
+        raise BadArgument(
+            f"tensor power {m} of n={n} has more than {MAX_FAMILY_ENTRIES} entries"
+        )
+    check_family_size(family.L, n**m)
+    if n == 1:
+        # The m-th Kronecker power of (a) is (a**m): no loop over m.
+        mats = [
+            Matrix._unchecked(field, 1, 1, (field.pow(a.entries[0], m),))
+            for a in family.matrices
+        ]
+    else:
+        mats = []
+        for a in family.matrices:
+            acc = a
+            for _ in range(m - 1):
+                acc = kron(acc, a)
+            mats.append(acc)
+    return with_checked_alpha(UdmFamily(field, family.L, n**m, tuple(mats), alpha=family.alpha))
+
+
+def is_generator(family: UdmFamily) -> bool:
+    """Whether family is construct(field, L, n), alpha included: its alpha
+    is the field's primitive element and its matrices equal construct's.
+
+    construct's own output is known to be; any other family is compared
+    with construct's output once, and the answer kept on the instance. A
+    family that construct would refuse, for its L or its size, is not."""
+    if family._generator is None:
+        field, L, n = family.field, family.L, family.n
+        _known_generator(
+            family,
+            family.alpha == field.primitive_element()
+            and (n == 1 or L <= field.q + 1)
+            and L * n * n <= MAX_FAMILY_ENTRIES
+            and construct(field, L, n).matrices == family.matrices,
+        )
+    return family._generator
+
+
+def _known_generator(family: UdmFamily, known: bool) -> UdmFamily:
+    object.__setattr__(family, "_generator", known)
+    return family
 
 
 def with_checked_alpha(family: UdmFamily) -> UdmFamily:
-    """family with its alpha kept only when it is the field's primitive
-    element and the matrices equal construct(field, L, n); otherwise with
-    alpha None, so that alpha never claims a provenance the matrices lack."""
-    field, L, n = family.field, family.L, family.n
-    if family.alpha is None or (
-        family.alpha == field.primitive_element()
-        and (n == 1 or L <= field.q + 1)
-        and construct(field, L, n).matrices == family.matrices
-    ):
+    """family with its alpha kept only when is_generator holds; otherwise
+    with alpha None, so that alpha never claims a provenance the matrices
+    lack."""
+    if family.alpha is None or is_generator(family):
         return family
     return replace(family, alpha=None)
 
@@ -521,20 +576,27 @@ def refute_bound(field: Field, n: int, L: int, budget: int = 10_000_000) -> Sear
     """
     if n < 1 or L < 1:
         raise BadArgument(f"n and L must be positive, got n={n}, L={L}")
+    check_family_size(L, n)
     q = field.q
     slots = max(L - 2, 0)
-    total = q ** (n * n * slots)
     if n == 1:
         fam = UdmFamily(field, L, 1, tuple(identity(field, 1) for _ in range(L)))
         return SearchReport(
             True,
             fam,
-            total,
+            q**slots,
             0,
             note="n = 1 is unconstrained: the all-ones family works for any L",
         )
-    if total > budget:
-        raise BudgetExceeded(f"{total} raw candidates exceed the budget of {budget}")
+    # The count is built up factor by factor, so a huge one is refused
+    # before it is formed.
+    total = 1
+    for _ in range(n * n * slots):
+        total *= q
+        if total > budget:
+            raise BudgetExceeded(
+                f"{q}^{n * n * slots} raw candidates exceed the budget of {budget}"
+            )
     base = (identity(field, n), anti_identity(field, n))[:L]
     if slots == 0:
         fam = UdmFamily(field, L, n, base)

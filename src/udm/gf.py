@@ -181,10 +181,25 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     return True
 
 
+def _has_nonzero_root(f: list[int], p: int) -> bool:
+    """Whether f has a nonzero root in GF(p), by Horner's rule at each."""
+    for a in range(1, p):
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * a + c) % p
+        if not acc:
+            return True
+    return False
+
+
 def _smallest_irreducible(p: int, s: int) -> list[int]:
+    # A root in GF(p), 0 when the constant term is 0, is a linear factor,
+    # so those candidates are dropped before Rabin's test; for s > 1 that
+    # never drops an irreducible one, and the first irreducible one is the
+    # same.
     for code in range(p**s):
         f = _digits(code, p, s) + [1]
-        if _is_irreducible(f, p):
+        if f[0] and not _has_nonzero_root(f, p) and _is_irreducible(f, p):
             return f
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -206,6 +221,8 @@ class Field:
         "insert_row",
         "back_substitute",
         "dot_rows",
+        "taylor",
+        "mul_add",
     )
 
     def __init__(self, p: int, s: int = 1):
@@ -232,6 +249,7 @@ class Field:
         if s > 1:
             self._build_tables()
         self.insert_row, self.back_substitute, self.dot_rows = _row_kernels(self)
+        self.taylor, self.mul_add = _poly_kernels(self)
 
     # -- construction helpers ------------------------------------------------
 
@@ -578,14 +596,7 @@ def _row_kernels(field: Field):
 
         else:
             half = m // 2  # alpha**half == -1
-
-            def add_power(x, lw):
-                """x + alpha**lw for lw in [-m, m)."""
-                if not x:
-                    return exp[lw]
-                lx = log[x]
-                z = zech[(lw - lx) % m]
-                return 0 if z is None else exp[lx + z - m]
+            add_power = _power_adder(exp, log, zech)
 
             def reduce(t, i, b):
                 nf = (log[t[i]] + half) % m  # the logarithm of -t[i]
@@ -632,6 +643,99 @@ def _row_kernels(field: Field):
         return [dot(r, sv) for r in rows]
 
     return insert_row, back_substitute, dot_rows
+
+
+def _power_adder(exp, log, zech):
+    """add_power(x, lw) = x + alpha**lw for canonical x and lw in [-m, m),
+    through the Zech table of an odd extension field."""
+    m = len(exp)
+
+    def add_power(x, lw):
+        if not x:
+            return exp[lw]
+        lx = log[x]
+        z = zech[(lw - lx) % m]
+        return 0 if z is None else exp[lx + z - m]
+
+    return add_power
+
+
+def _poly_kernels(field: Field):
+    """The polynomial kernels of one field, as plain functions:
+    (taylor, mul_add). A polynomial is a list of canonical elements,
+    constant term first.
+
+    taylor(a, beta, k) returns the first k Taylor coefficients of a at
+    beta, the coefficients of a(beta + Y) in Y: entry i is the i-th Hasse
+    derivative of a at beta, and entries past a's degree are 0. Each is the
+    remainder of one synthetic division by X - beta, done in place on a
+    copy of a, the quotient of each pass divided by the next. a is not
+    changed.
+
+    mul_add(acc, c, v, j) adds c * v[i] to acc[j + i] for every i, in
+    place; acc must reach j + len(v).
+
+    One pass, divide(a, lo, beta), divides a[lo:] by X - beta in place,
+    leaving the remainder in a[lo] and the quotient above it. Its Horner
+    step, acc * beta + a[i], and the scaled add of mul_add depend on the
+    field; each encoding gets its own, with beta and
+    c taken to a logarithm once per call in the extension fields, as in
+    _row_kernels. Like the row kernels, these hold the field's tables and
+    never the field itself.
+    """
+    p, m = field.p, field.q - 1
+    if field.s == 1:
+
+        def divide(a, lo, b):
+            acc = 0
+            for i in range(len(a) - 1, lo - 1, -1):
+                acc = a[i] = (a[i] + b * acc) % p
+
+        def mul_add(acc, c, v, j):
+            if c:
+                e = j + len(v)
+                acc[j:e] = [(x + c * y) % p for x, y in zip(acc[j:e], v)]
+
+    else:
+        exp, log = field._exp, field._log
+        if p == 2:
+
+            def divide(a, lo, b):
+                lb, acc = log[b] - m, 0
+                for i in range(len(a) - 1, lo - 1, -1):
+                    acc = a[i] = a[i] ^ exp[log[acc] + lb] if acc else a[i]
+
+            def mul_add(acc, c, v, j):
+                if c:
+                    lc, e = log[c] - m, j + len(v)
+                    acc[j:e] = [x ^ exp[log[y] + lc] if y else x for x, y in zip(acc[j:e], v)]
+
+        else:
+            add_power = _power_adder(exp, log, field._zech)
+
+            def divide(a, lo, b):
+                lb, acc = log[b] - m, 0
+                for i in range(len(a) - 1, lo - 1, -1):
+                    acc = a[i] = add_power(a[i], log[acc] + lb) if acc else a[i]
+
+            def mul_add(acc, c, v, j):
+                if c:
+                    lc, e = log[c] - m, j + len(v)
+                    acc[j:e] = [
+                        add_power(x, log[y] + lc) if y else x for x, y in zip(acc[j:e], v)
+                    ]
+
+    def taylor(a, beta, k):
+        a = list(a)
+        while len(a) > k and not a[-1]:
+            a.pop()
+        a += [0] * (k - len(a))
+        if beta:
+            for lo in range(k):
+                divide(a, lo, beta)
+        return a[:k]
+
+    return taylor, mul_add
 
 
 def field_string(field: Field) -> str:

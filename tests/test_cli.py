@@ -155,6 +155,31 @@ def test_generate_and_oracle_reject_a_huge_order_at_once(capsys):
         assert "exceeds the supported maximum" in capsys.readouterr().err
 
 
+def test_hostile_family_sizes_exit_2_at_once(known_path, tmp_path, capsys):
+    out = str(tmp_path / "x.udm")
+    start = time.perf_counter()
+    for argv in (
+        ["generate", "--q", "2", "--L", "1000000000", "--n", "1", "--out", out],
+        ["generate", "--q", "65536", "--L", "5", "--n", "100000", "--out", out],
+        ["oracle", "hasse", "--q", "2", "--L", "3", "--n", "100000"],
+        ["oracle", "lucas", "--q", "2", "--L", "3", "--n", "100000"],
+        ["oracle", "delta", "--q", "2", "--n", "100000"],
+        ["oracle", "bound", "--q", "2", "--L", "1000000000", "--n", "1"],
+        ["transform", "--in", str(known_path), "--op", "tensor", "--m", "1000000000", "--out", out],
+    ):
+        assert main(argv) == 2, argv
+        assert "entries" in capsys.readouterr().err
+    assert time.perf_counter() - start < 2.0
+
+
+def test_oracle_bound_prints_huge_counts_as_powers(capsys):
+    # 3**9998 and 2**15200 have more digits than int to str converts.
+    assert main(["oracle", "bound", "--q", "3", "--L", "10000", "--n", "1"]) == 0
+    assert "0 of 3^9998 raw candidates" in capsys.readouterr().out
+    assert main(["oracle", "bound", "--q", "2", "--L", "40", "--n", "20"]) == 2
+    assert "2^15200 raw candidates exceed the budget" in capsys.readouterr().err
+
+
 def test_verify_rejects_a_huge_field_header_at_once(tmp_path, capsys):
     # Trial division of the prime, or forming 2**(10**12), would hang.
     for field in ("q=1000000000000000003^1", "q=2^1000000000000"):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -20,7 +21,9 @@ from udm.errors import (
     ZeroDiagonal,
 )
 from udm.families import (
+    MAX_FAMILY_ENTRIES,
     UdmFamily,
+    check_family_size,
     construct,
     construct_entry_oracle,
     count_exact_tuples,
@@ -502,6 +505,48 @@ def test_refute_bound_with_one_slot_never_lists_the_candidates():
 def test_refute_bound_rejects_nonpositive_sizes(n, L):
     with pytest.raises(BadArgument):
         refute_bound(F2, n, L)
+
+
+# -- hostile sizes ---------------------------------------------------------------------------------------
+
+
+def test_family_size_bound_is_checked_without_allocating():
+    side = math.isqrt(MAX_FAMILY_ENTRIES)
+    check_family_size(1, side)
+    with pytest.raises(BadArgument, match="entries"):
+        check_family_size(1, side + 1)
+    with pytest.raises(BadArgument):
+        check_family_size(MAX_FAMILY_ENTRIES + 1, 1)
+
+
+def test_hostile_sizes_are_refused_at_once():
+    fam = construct(F3, 4, 3)
+    calls = [
+        lambda: construct(F2, 10**9, 1),
+        lambda: construct(F2, 3, 10**5),
+        lambda: construct(field_of_order(2**16), 2**16 + 1, 10**4),
+        lambda: tensor_power(fam, 10**9),
+        lambda: tensor_power(fam, 13),
+        lambda: refute_bound(F2, 1, 10**9),
+        lambda: refute_bound(F2, 10**5, 3),
+    ]
+    start = time.perf_counter()
+    for call in calls:
+        with pytest.raises(BadArgument):
+            call()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_huge_counts_are_not_formed():
+    start = time.perf_counter()
+    # n = 1: the m-th Kronecker power of (a) is (a**m), without m steps.
+    ones = construct(F3, 5, 1)
+    assert tensor_power(ones, 10**9) == ones
+    # 2**15200 raw candidates: refused before the count is formed, and
+    # named by its exponent.
+    with pytest.raises(BudgetExceeded, match=r"2\^15200 "):
+        refute_bound(F2, 20, 40)
+    assert time.perf_counter() - start < 1.0
 
 
 # -- family validation -------------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from udm import gf
 from udm.errors import BadExponent, DivisionByZero, NotPrime, NotPrimePower, ParseError
 from udm.gf import Field, factor_prime_power, field_of_order, field_string, parse_field_string
 
@@ -114,6 +115,26 @@ def test_gf4_modulus_is_the_unique_irreducible_quadratic():
     ]
     assert irreducible == [[1, 1, 1]]
     assert Field(2, 2).modulus == [1, 1, 1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_root_filter_is_exact_below_degree_four(p):
+    # A polynomial of degree 2 or 3 is irreducible exactly when it has no
+    # root, so there the filter must agree with the brute-force test.
+    for s in (2, 3):
+        for code in range(p**s):
+            f = [(code // p**i) % p for i in range(s)] + [1]
+            expected = is_irreducible_bruteforce(f, p)
+            assert (f[0] != 0 and not gf._has_nonzero_root(f, p)) == expected, f
+
+
+@pytest.mark.parametrize("p,s", [(2, 8), (2, 16), (3, 5), (3, 10), (5, 4), (7, 3), (251, 2)])
+def test_root_filter_keeps_the_modulus(p, s):
+    # Rabin's test alone, on every candidate in order, picks the same one.
+    code = 0
+    while not gf._is_irreducible(gf._digits(code, p, s) + [1], p):
+        code += 1
+    assert gf._smallest_irreducible(p, s) == gf._digits(code, p, s) + [1]
 
 
 @pytest.mark.parametrize("p,s", [(2, 3), (3, 2), (2, 4), (5, 2)])

@@ -1,0 +1,345 @@
+"""The Hermite-interpolation decode path of construct's families: the
+polynomial kernels against the Hasse-derivative route, decode against
+solve and the Gaussian reference, and the provenance that selects it."""
+
+import dataclasses
+import pickle
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_linalg import outcome, solve_gaussian
+
+import udm.codec
+import udm.families
+from udm import hasse
+from udm.codec import ChannelOutput, decode, encode, erase, hermite, simulate
+from udm.errors import Inconsistent, InsufficientSymbols, RankDeficient
+from udm.families import (
+    UdmFamily,
+    construct,
+    enumerate_exact_tuples,
+    is_generator,
+    prefix,
+    right_multiply,
+    tensor_power,
+    with_checked_alpha,
+)
+from udm.gf import Field, field_of_order
+from udm.linalg import Matrix, identity, rank, solve, stack_prefixes
+
+# Every arithmetic path: prime fields, characteristic 2, odd extensions.
+KERNEL_FIELDS = [
+    Field(p, s) for p, s in [(2, 1), (3, 1), (7, 1), (2, 3), (2, 8), (3, 2), (5, 2), (3, 3)]
+]
+
+
+def hasse_taylor(field, a, beta, k):
+    """The first k Hasse derivatives of a at beta, through the hasse module."""
+    f = hasse.Polynomial(field, a)
+    return [hasse.evaluate(hasse.hasse_derivative(f, i), beta) for i in range(k)]
+
+
+def naive_mul_add(field, acc, c, v, j):
+    out = list(acc)
+    for i, y in enumerate(v):
+        out[j + i] = field.add(out[j + i], field.mul(c, y))
+    return out
+
+
+def stacked_solve(family, obs):
+    """decode's result through the stacked system and linalg.solve."""
+    a = stack_prefixes(family.matrices, obs.ks)
+    return solve(a, [v for pfx in obs.prefixes for v in pfx])
+
+
+def gaussian_solve(family, obs):
+    a = stack_prefixes(family.matrices, obs.ks)
+    return solve_gaussian(a, [v for pfx in obs.prefixes for v in pfx])
+
+
+def corrupt(rng, obs, q):
+    """obs with the last symbol of one nonempty channel changed."""
+    prefixes = [list(pfx) for pfx in obs.prefixes]
+    l = rng.choice([c for c, k in enumerate(obs.ks) if k])
+    prefixes[l][-1] = (prefixes[l][-1] + rng.randrange(1, q)) % q
+    return ChannelOutput(obs.ks, prefixes)
+
+
+def surplus_pattern(rng, L, n):
+    """A tuple in [0, n]^L with sum above n."""
+    while True:
+        ks = [rng.randint(0, n) for _ in range(L)]
+        if sum(ks) > n:
+            return ks
+
+
+# -- kernels ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_taylor_matches_hasse_derivatives(field):
+    rng = random.Random(field.q)
+    q = field.q
+    for _ in range(60):
+        a = [rng.randrange(q) for _ in range(rng.randint(0, 9))]
+        if a and rng.random() < 0.3:
+            a[-1] = 0  # a zero leading coefficient is trimmed
+        beta = rng.choice([0, 1, q - 1, rng.randrange(q)])
+        k = rng.randint(1, 12)
+        before = list(a)
+        assert field.taylor(a, beta, k) == hasse_taylor(field, a, beta, k), (a, beta, k)
+        assert a == before
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_mul_add_matches_field_calls(field):
+    rng = random.Random(field.q + 1)
+    q = field.q
+    for _ in range(60):
+        v = [rng.choice([0, 1, q - 1, rng.randrange(q)]) for _ in range(rng.randint(0, 8))]
+        j = rng.randint(0, 3)
+        acc = [rng.randrange(q) for _ in range(j + len(v) + rng.randint(0, 3))]
+        c = rng.choice([0, 1, q - 1, rng.randrange(q)])
+        want = naive_mul_add(field, acc, c, v, j)
+        field.mul_add(acc, c, v, j)
+        assert acc == want
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_hermite_recovers_random_polynomials(field):
+    # Distinct points, each with up to three derivatives, and the top
+    # coefficients, against the Hasse derivatives of a known polynomial.
+    rng = random.Random(field.q + 2)
+    q = field.q
+    for _ in range(40):
+        betas = rng.sample(range(q), rng.randint(0, min(q, 5)))
+        ks = [rng.randint(1, 3) for _ in betas]
+        n = sum(ks) + rng.randint(0 if ks else 1, 3)
+        u = [rng.randrange(q) for _ in range(n)]
+        top = u[::-1][: n - sum(ks)]
+        points = [(b, hasse_taylor(field, u, b, k)) for b, k in zip(betas, ks)]
+        assert hermite(field, n, top, points) == u
+
+
+# -- decode against solve and the Gaussian reference --------------------------------------
+
+
+# (q, L, n): n > p, L = q + 1, and n = 1 with L > q + 1, where construct's
+# points repeat.
+DESK = [
+    (2, 3, 4),
+    (3, 4, 3),
+    (3, 4, 5),
+    (4, 5, 4),
+    (5, 6, 3),
+    (5, 4, 7),
+    (7, 5, 4),
+    (8, 9, 3),
+    (9, 10, 3),
+    (25, 4, 4),
+    (27, 4, 3),
+    (2, 7, 1),
+    (3, 9, 1),
+]
+
+
+@pytest.mark.parametrize("q, L, n", DESK)
+def test_hermite_decode_matches_solve_and_gaussian(q, L, n):
+    # Every exact-sum tuple, then seeded surplus observations, half of them
+    # with one symbol corrupted: the same vector or the same error.
+    field = field_of_order(q)
+    fam = construct(field, L, n)
+    rng = random.Random(q * 1000 + L * 10 + n)
+    patterns = [tuple(ks) for ks in enumerate_exact_tuples(L, n)]
+    patterns += [tuple(surplus_pattern(rng, L, n)) for _ in range(60)]
+    corrupted = 0
+    for ks in patterns:
+        u = tuple(rng.randrange(q) for _ in range(n))
+        obs = erase(encode(fam, u), ks)
+        got = outcome(decode, fam, obs)
+        assert got == u
+        assert got == outcome(stacked_solve, fam, obs) == outcome(gaussian_solve, fam, obs)
+        if sum(ks) > n and rng.random() < 0.5:
+            # Without the corrupted symbol at least n remain, which
+            # determine u, so the corrupted one contradicts them.
+            obs = corrupt(rng, obs, q)
+            got = outcome(decode, fam, obs)
+            assert got[0] is Inconsistent
+            assert got == outcome(stacked_solve, fam, obs) == outcome(gaussian_solve, fam, obs)
+            corrupted += 1
+    assert corrupted > 10
+
+
+def test_generator_decode_never_calls_solve(monkeypatch):
+    fam = construct(Field(2, 4), 6, 5)
+    calls = []
+    monkeypatch.setattr(udm.codec, "solve", lambda *a: calls.append(a))
+    u = (1, 2, 3, 4, 5)
+    assert decode(fam, erase(encode(fam, u), (0, 1, 2, 0, 2, 1))) == u
+    assert calls == []
+
+
+def hand_built(field, L, n, rng):
+    """Families claiming the primitive element as alpha whose matrices are
+    not construct's: a right-multiplied one, one with a row zeroed (rank
+    deficient for some tuples), and one with two matrices swapped."""
+    fam = construct(field, L, n)
+    alpha = field.primitive_element()
+    while True:
+        b = Matrix(field, n, n, [rng.randrange(field.q) for _ in range(n * n)])
+        if rank(b) == n:
+            break
+    yield dataclasses.replace(right_multiply(fam, b), alpha=alpha)
+    l, i = rng.randrange(L), rng.randrange(n)
+    entries = list(fam.matrices[l].entries)
+    entries[i * n : (i + 1) * n] = [0] * n
+    mats = list(fam.matrices)
+    mats[l] = Matrix(field, n, n, entries)
+    yield UdmFamily(field, L, n, tuple(mats), alpha=alpha)
+    mats = list(fam.matrices)
+    mats[0], mats[-1] = mats[-1], mats[0]
+    yield UdmFamily(field, L, n, tuple(mats), alpha=alpha)
+
+
+@pytest.mark.parametrize("q, L, n", [(3, 4, 3), (4, 5, 3), (5, 4, 4)])
+def test_false_alpha_takes_the_solve_path(q, L, n):
+    field = field_of_order(q)
+    rng = random.Random(q)
+    kinds = set()
+    for fam in hand_built(field, L, n, rng):
+        assert not is_generator(fam)
+        assert with_checked_alpha(fam).alpha is None
+        patterns = [tuple(ks) for ks in enumerate_exact_tuples(L, n)]
+        patterns += [tuple(surplus_pattern(rng, L, n)) for _ in range(20)]
+        for ks in patterns:
+            u = tuple(rng.randrange(q) for _ in range(n))
+            obs = erase(encode(fam, u), ks)
+            if sum(ks) > n and rng.random() < 0.5:
+                obs = corrupt(rng, obs, q)
+            got = outcome(decode, fam, obs)
+            assert got == outcome(gaussian_solve, fam, obs)
+            kinds.add(got[0] if isinstance(got[0], type) else "ok")
+    assert kinds == {"ok", RankDeficient, Inconsistent}
+
+
+# -- provenance ----------------------------------------------------------------------------
+
+
+def test_construct_vouches_for_its_output_without_a_second_construct(monkeypatch):
+    fam = construct(Field(2, 4), 5, 4)
+    monkeypatch.setattr(udm.families, "construct", None)
+    assert is_generator(fam)
+    assert with_checked_alpha(fam) is fam
+    u = (1, 2, 3, 4)
+    assert decode(fam, erase(encode(fam, u), (1, 1, 1, 1, 0))) == u
+
+
+def test_is_generator_compares_once_per_instance(monkeypatch):
+    field = Field(3)
+    fam = UdmFamily(field, 4, 3, construct(field, 4, 3).matrices, alpha=field.primitive_element())
+    calls = []
+    real = udm.families.construct
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(udm.families, "construct", counting)
+    assert is_generator(fam) and is_generator(fam)
+    assert len(calls) == 1
+    assert fam == construct(field, 4, 3)  # the memo takes no part in equality
+    assert "_generator" not in repr(fam)
+
+
+def test_is_generator_needs_alpha_and_construct_matrices():
+    field = Field(2, 2)
+    fam = construct(field, 4, 3)
+    assert is_generator(fam)
+    assert not is_generator(dataclasses.replace(fam, alpha=None))
+    assert not is_generator(dataclasses.replace(fam, alpha=3 if fam.alpha == 2 else 2))
+    # Transforms that keep alpha are checked again: these land on construct's
+    # output, the permuted one does not.
+    assert is_generator(prefix(fam, 3))
+    assert is_generator(udm.families.reduce(fam))
+    assert not is_generator(udm.families.permute(fam, (1, 0, 2, 3)))
+    assert is_generator(tensor_power(construct(Field(3), 4, 3), 2))
+
+
+def test_family_above_the_size_bound_is_not_a_generator(monkeypatch):
+    # construct refuses such a family, so a parsed or hand-built one with
+    # alpha set keeps to the solve path instead of raising.
+    field = Field(3)
+    fam = construct(field, 4, 3)
+    claimed = UdmFamily(field, 4, 3, fam.matrices, alpha=fam.alpha)
+    monkeypatch.setattr(udm.families, "MAX_FAMILY_ENTRIES", 35)
+    assert not is_generator(claimed)
+    assert with_checked_alpha(claimed).alpha is None
+    u = (1, 2, 0)
+    assert decode(claimed, erase(encode(claimed, u), (1, 1, 1, 0))) == u
+
+
+def test_provenance_survives_pickling():
+    fam = construct(Field(5), 4, 3)
+    again = pickle.loads(pickle.dumps(fam))
+    assert again == fam and is_generator(again)
+    hand = UdmFamily(fam.field, 4, 3, tuple(reversed(fam.matrices)), alpha=fam.alpha)
+    assert not is_generator(pickle.loads(pickle.dumps(hand)))
+
+
+# -- simulate ------------------------------------------------------------------------------
+
+
+def test_simulate_stacks_at_most_once_per_trial(monkeypatch):
+    field = Field(2, 2)
+    gen = construct(field, 5, 4)
+    generic = right_multiply(gen, identity(field, 4))
+    calls = []
+    real = udm.codec.stack_prefixes
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(udm.codec, "stack_prefixes", counting)
+    stats = simulate(gen, 50, "uniform", seed=3)
+    assert calls == []
+    again = simulate(generic, 50, "uniform", seed=3)
+    assert again == stats
+    assert len(calls) == stats.successes + stats.failures_rank_deficient <= 50
+
+
+# -- property ----------------------------------------------------------------------------
+
+
+PROPERTY_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (7, 1)]
+
+
+@settings(
+    max_examples=60, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(data=st.data())
+def test_property_decode_of_encode_equals_solve(data):
+    p, s = data.draw(st.sampled_from(PROPERTY_FIELDS))
+    field = Field(p, s)
+    n = data.draw(st.integers(1, 7))
+    L = data.draw(st.integers(1, field.q + 1 if n > 1 else field.q + 3))
+    fam = construct(field, L, n)
+    u = tuple(data.draw(st.lists(st.integers(0, field.q - 1), min_size=n, max_size=n)))
+    ks = data.draw(st.lists(st.integers(0, n), min_size=L, max_size=L))
+    obs = erase(encode(fam, u), ks)
+    if data.draw(st.booleans()) and sum(ks) > n:
+        channel = data.draw(st.sampled_from([c for c, k in enumerate(ks) if k]))
+        delta = data.draw(st.integers(1, field.q - 1))
+        prefixes = [list(pfx) for pfx in obs.prefixes]
+        prefixes[channel][-1] = (prefixes[channel][-1] + delta) % field.q
+        obs = ChannelOutput(obs.ks, prefixes)
+    if sum(ks) < n:
+        with pytest.raises(InsufficientSymbols):
+            decode(fam, obs)
+        return
+    got = outcome(decode, fam, obs)
+    assert got == outcome(stacked_solve, fam, obs)
+    if obs.prefixes == erase(encode(fam, u), ks).prefixes:
+        assert got == u
