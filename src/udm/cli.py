@@ -5,8 +5,16 @@ fields in fixed order, then one block per matrix with one row per line and
 elements rendered as their canonical integers. Rendering a parsed file
 reproduces it byte for byte.
 
-Exit codes: 0 success, 1 semantic failure (a verification or decoding that
-fails), 2 usage or parse errors.
+Exit codes: 0 success, 1 semantic failure, 2 usage or parse errors. Commands
+raise, and main alone maps what they raise to a code and one 'error: '
+line on stderr:
+- InsufficientSymbols, RankDeficient, Inconsistent (a decode that cannot
+  or must not succeed): 1, the first with an 'insufficient symbols: '
+  prefix; a verification that fails prints its witness and exits 1 too;
+- any other UdmError (ParseError for malformed arguments or files,
+  including non-UTF-8 ones, and the library's argument errors) and OSError:
+  2.
+Anything else, such as a stray ValueError, is a defect and propagates.
 """
 
 from __future__ import annotations
@@ -15,44 +23,11 @@ import argparse
 import sys
 
 from . import codec, families, gf
-from .errors import (
-    BadArgument,
-    BadExponent,
-    BadNormalization,
-    BudgetExceeded,
-    DegenerateNullVector,
-    DimensionMismatch,
-    Inconsistent,
-    InsufficientSymbols,
-    NotLowerTriangular,
-    NotPrime,
-    NotPrimePower,
-    ParseError,
-    RankDeficient,
-    Singular,
-    TooManyChannels,
-    ZeroDiagonal,
-)
+from .errors import Inconsistent, InsufficientSymbols, ParseError, RankDeficient, UdmError
 from .families import UdmFamily
 from .linalg import Matrix
 
 FILE_TAG = "UDMv1"
-
-_USAGE_ERRORS = (
-    ParseError,
-    NotPrime,
-    NotPrimePower,
-    BadExponent,
-    TooManyChannels,
-    BadNormalization,
-    NotLowerTriangular,
-    ZeroDiagonal,
-    Singular,
-    DegenerateNullVector,
-    DimensionMismatch,
-    BudgetExceeded,
-    BadArgument,
-)
 
 
 # -- family file format -------------------------------------------------------
@@ -222,10 +197,13 @@ def format_matrix(m: Matrix) -> str:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _write_text(path: str, text: str):
@@ -234,13 +212,6 @@ def _write_text(path: str, text: str):
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _load_family(path: str) -> UdmFamily:
-    try:
-        return parse_family(_read_text(path))
-    except OSError as exc:
-        raise ParseError(str(exc)) from exc
 
 
 def _fail(msg: str, code: int) -> int:
@@ -263,71 +234,49 @@ def _print_report(report: families.VerifyReport, n: int) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        field = gf.field_of_order(args.q)
-        fam = families.construct(field, args.L, args.n)
-    except _USAGE_ERRORS as exc:
-        return _fail(str(exc), 2)
-    text = render_family(fam)
+    field = gf.field_of_order(args.q)
+    fam = families.construct(field, args.L, args.n)
+    _write_text(args.out, render_family(fam))
     summary = f"(L={fam.L}, n={fam.n}, q={field.q}) family, alpha={fam.alpha}"
-    try:
-        _write_text(args.out, text)
-    except OSError as exc:
-        return _fail(str(exc), 2)
     print(summary, file=sys.stderr if args.out == "-" else sys.stdout)
     return 0
 
 
 def cmd_verify(args) -> int:
-    try:
-        fam = _load_family(args.infile)
-    except ParseError as exc:
-        return _fail(str(exc), 2)
+    fam = parse_family(_read_text(args.infile))
     return _print_report(families.verify(fam, superset=args.superset), fam.n)
 
 
 def cmd_transform(args) -> int:
-    try:
-        fam = _load_family(args.infile)
-    except ParseError as exc:
-        return _fail(str(exc), 2)
-    try:
-        if args.op == "tensor":
-            if args.m is None:
-                raise ParseError("--op tensor requires --m")
-            out = families.tensor_power(fam, args.m)
-        elif args.op == "reduce":
-            out = families.reduce(fam)
-        elif args.op == "reverse-pairs":
-            out = families.reverse_pairs(fam)
-        elif args.op == "right-mul":
-            if args.matrix is None:
-                raise ParseError("--op right-mul requires --matrix")
-            out = families.right_multiply(fam, parse_matrix_arg(fam.field, args.matrix, fam.n))
-        elif args.op == "left-tri":
-            if args.matrix is None or args.ell is None:
-                raise ParseError("--op left-tri requires --ell and --matrix")
-            out = families.left_transform(
-                fam, args.ell, parse_matrix_arg(fam.field, args.matrix, fam.n)
-            )
-        else:  # pragma: no cover - argparse restricts choices
-            raise ParseError(f"unknown op {args.op!r}")
-    except _USAGE_ERRORS as exc:
-        return _fail(str(exc), 2)
-    try:
-        _write_text(args.out, render_family(out))
-    except OSError as exc:
-        return _fail(str(exc), 2)
+    fam = parse_family(_read_text(args.infile))
+    if args.op == "tensor":
+        if args.m is None:
+            raise ParseError("--op tensor requires --m")
+        out = families.tensor_power(fam, args.m)
+    elif args.op == "reduce":
+        out = families.reduce(fam)
+    elif args.op == "reverse-pairs":
+        out = families.reverse_pairs(fam)
+    elif args.op == "right-mul":
+        if args.matrix is None:
+            raise ParseError("--op right-mul requires --matrix")
+        out = families.right_multiply(fam, parse_matrix_arg(fam.field, args.matrix, fam.n))
+    elif args.op == "left-tri":
+        if args.matrix is None or args.ell is None:
+            raise ParseError("--op left-tri requires --ell and --matrix")
+        out = families.left_transform(
+            fam, args.ell, parse_matrix_arg(fam.field, args.matrix, fam.n)
+        )
+    else:  # pragma: no cover - argparse restricts choices
+        raise ParseError(f"unknown op {args.op!r}")
+    _write_text(args.out, render_family(out))
     if args.then_verify:
         return _print_report(families.verify(out), out.n)
     return 0
 
 
 def cmd_codec(args) -> int:
-    try:
-        fam = _load_family(args.infile)
-    except ParseError as exc:
-        return _fail(str(exc), 2)
+    fam = parse_family(_read_text(args.infile))
     n = fam.n
 
     def parse_u():
@@ -344,116 +293,100 @@ def cmd_codec(args) -> int:
             raise ParseError(f"erasure tuple must be {fam.L} integers in [0, {n}]")
         return ks
 
-    try:
-        if args.mode == "encode":
-            if args.u is None:
-                raise ParseError("encode requires --u")
-            obs = codec.erase(codec.encode(fam, parse_u()), parse_ks())
-            sys.stdout.write(render_observation(obs))
-            return 0
-        if args.mode == "decode":
-            if args.obs is None:
-                raise ParseError("decode requires --obs")
-            u = None
-            obs = parse_observation(_read_text(args.obs))
-        else:  # roundtrip
-            if args.u is None or args.k is None:
-                raise ParseError("roundtrip requires --u and --k")
-            u = parse_u()
-            obs = codec.erase(codec.encode(fam, u), parse_ks())
-        try:
-            got = codec.decode(fam, obs)
-        except InsufficientSymbols as exc:
-            return _fail(f"insufficient symbols: {exc}", 1)
-        except (RankDeficient, Inconsistent) as exc:
-            return _fail(str(exc), 1)
-        if u is None:
-            print(" ".join(str(v) for v in got))
-            return 0
-        if got == u:
-            print("PASS")
-            return 0
-        print(f"FAIL: decoded {got}, expected {u}")
-        return 1
-    except (ParseError, DimensionMismatch, OSError) as exc:
-        return _fail(str(exc), 2)
+    if args.mode == "encode":
+        if args.u is None:
+            raise ParseError("encode requires --u")
+        obs = codec.erase(codec.encode(fam, parse_u()), parse_ks())
+        sys.stdout.write(render_observation(obs))
+        return 0
+    if args.mode == "decode":
+        if args.obs is None:
+            raise ParseError("decode requires --obs")
+        u = None
+        obs = parse_observation(_read_text(args.obs))
+    else:  # roundtrip
+        if args.u is None or args.k is None:
+            raise ParseError("roundtrip requires --u and --k")
+        u = parse_u()
+        obs = codec.erase(codec.encode(fam, u), parse_ks())
+    got = codec.decode(fam, obs)
+    if u is None:
+        print(" ".join(str(v) for v in got))
+        return 0
+    if got == u:
+        print("PASS")
+        return 0
+    print(f"FAIL: decoded {got}, expected {u}")
+    return 1
 
 
 def cmd_oracle(args) -> int:
-    try:
-        field = gf.field_of_order(args.q)
-    except _USAGE_ERRORS as exc:
-        return _fail(str(exc), 2)
+    field = gf.field_of_order(args.q)
     n = args.n
-    try:
-        if args.check == "hasse":
-            if args.L is None:
-                raise ParseError("oracle hasse requires --L")
-            fam = families.construct(field, args.L, n)
-            bad = 0
-            for l, m in enumerate(fam.matrices):
-                for i in range(n):
-                    for t in range(n):
-                        if families.construct_entry_oracle(field, fam.L, n, l, i, t) != m.at(i, t):
-                            bad += 1
-            if bad == 0:
-                print(f"PASS ({fam.L} matrices, {n * n} entries each agree with the derivative route)")
-                return 0
-            print(f"FAIL ({bad} entries disagree)")
-            return 1
-        if args.check == "lucas":
-            if args.L is None:
-                raise ParseError("oracle lucas requires --L")
-            fam = families.construct(field, args.L, n)
-            bad = 0
-            for l in range(fam.L - 2):
-                m = fam.matrices[l + 2]
-                for i in range(n):
-                    for t in range(n):
-                        if families.lucas_entry(field, fam.L, n, l, i, t) != m.at(i, t):
-                            bad += 1
-            if bad == 0:
-                print(f"PASS ({max(fam.L - 2, 0)} matrices, {n * n} entries each agree with the digit product)")
-                return 0
-            print(f"FAIL ({bad} entries disagree)")
-            return 1
-        if args.check == "delta":
-            fam = families.construct(field, 3, n)
-            if families.pascal_inverse_check(fam):
-                print(f"PASS (binomial matrix times {n} delta factors is the identity)")
-                return 0
-            print("FAIL (delta product is not the identity)")
-            return 1
-        # bound
-        L = args.L if args.L is not None else field.q + 2
-        report = families.refute_bound(field, n, L)
-        expected = n == 1 or L <= field.q + 1
-        if report.exists:
-            # With n = 1 the count is q**(L - 2), too long to print in decimal
-            # for a large L.
-            total = report.total_candidates
-            if total.bit_length() > 4096:
-                total = f"{field.q}^{n * n * (L - 2)}"
-            print(
-                f"found ({L},{n},{field.q}) family after verifying "
-                f"{report.candidates_verified} of {total} raw candidates"
-            )
-            if report.note:
-                print(report.note)
-        else:
-            print(
-                f"no ({L},{n},{field.q}) family exists; {report.total_candidates} raw candidates "
-                f"pruned to {report.candidates_verified} verified"
-            )
-        if report.exists == expected:
-            print("PASS (search agrees with the L <= q+1 bound)")
+    if args.check == "hasse":
+        if args.L is None:
+            raise ParseError("oracle hasse requires --L")
+        fam = families.construct(field, args.L, n)
+        bad = 0
+        for l, m in enumerate(fam.matrices):
+            for i in range(n):
+                for t in range(n):
+                    if families.construct_entry_oracle(field, fam.L, n, l, i, t) != m.at(i, t):
+                        bad += 1
+        if bad == 0:
+            print(f"PASS ({fam.L} matrices, {n * n} entries each agree with the derivative route)")
             return 0
-        print("FAIL (search contradicts the L <= q+1 bound)")
+        print(f"FAIL ({bad} entries disagree)")
         return 1
-    except BudgetExceeded as exc:
-        return _fail(str(exc), 2)
-    except _USAGE_ERRORS as exc:
-        return _fail(str(exc), 2)
+    if args.check == "lucas":
+        if args.L is None:
+            raise ParseError("oracle lucas requires --L")
+        fam = families.construct(field, args.L, n)
+        bad = 0
+        for l in range(fam.L - 2):
+            m = fam.matrices[l + 2]
+            for i in range(n):
+                for t in range(n):
+                    if families.lucas_entry(field, fam.L, n, l, i, t) != m.at(i, t):
+                        bad += 1
+        if bad == 0:
+            print(f"PASS ({max(fam.L - 2, 0)} matrices, {n * n} entries each agree with the digit product)")
+            return 0
+        print(f"FAIL ({bad} entries disagree)")
+        return 1
+    if args.check == "delta":
+        fam = families.construct(field, 3, n)
+        if families.pascal_inverse_check(fam):
+            print(f"PASS (binomial matrix times {n} delta factors is the identity)")
+            return 0
+        print("FAIL (delta product is not the identity)")
+        return 1
+    # bound
+    L = args.L if args.L is not None else field.q + 2
+    report = families.refute_bound(field, n, L)
+    expected = n == 1 or L <= field.q + 1
+    if report.exists:
+        # With n = 1 the count is q**(L - 2), too long to print in decimal
+        # for a large L.
+        total = report.total_candidates
+        if total.bit_length() > 4096:
+            total = f"{field.q}^{n * n * (L - 2)}"
+        print(
+            f"found ({L},{n},{field.q}) family after verifying "
+            f"{report.candidates_verified} of {total} raw candidates"
+        )
+        if report.note:
+            print(report.note)
+    else:
+        print(
+            f"no ({L},{n},{field.q}) family exists; {report.total_candidates} raw candidates "
+            f"pruned to {report.candidates_verified} verified"
+        )
+    if report.exists == expected:
+        print("PASS (search agrees with the L <= q+1 bound)")
+        return 0
+    print("FAIL (search contradicts the L <= q+1 bound)")
+    return 1
 
 
 # -- parser ----------------------------------------------------------------------
@@ -516,7 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InsufficientSymbols as exc:
+        return _fail(f"insufficient symbols: {exc}", 1)
+    except (RankDeficient, Inconsistent) as exc:
+        return _fail(str(exc), 1)
+    except (UdmError, OSError) as exc:
+        return _fail(str(exc), 2)
 
 
 if __name__ == "__main__":

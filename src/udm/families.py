@@ -441,16 +441,13 @@ def reverse_pairs(family: UdmFamily) -> UdmFamily:
     """
     field = family.field
     n = family.n
-    neg, mul, add = field.neg, field.mul, field.add
+    neg, mul_add = field.neg, field.mul_add
     mats = [m.to_lists() for m in family.matrices]
 
     def combo(coeffs, rows):
         out = [0] * n
         for c, row in zip(coeffs, rows):
-            if c:
-                for j in range(n):
-                    if row[j]:
-                        out[j] = add(out[j], mul(c, row[j]))
+            mul_add(out, c, row, 0)
         return out
 
     for base in range(0, family.L - 1, 2):

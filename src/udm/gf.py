@@ -14,7 +14,7 @@ element encodings and on serialized matrices.
 from __future__ import annotations
 
 import re
-from operator import mul, xor
+from operator import mul as _int_mul, xor
 
 from .errors import BadExponent, DivisionByZero, NotPrime, NotPrimePower, ParseError
 
@@ -205,7 +205,12 @@ def _smallest_irreducible(p: int, s: int) -> list[int]:
 
 
 class Field:
-    """The finite field GF(p**s), acting on canonically encoded int elements."""
+    """The finite field GF(p**s), acting on canonically encoded int elements.
+
+    add, neg, sub, mul, inv and pow, and the row and polynomial kernels, are
+    plain functions bound per field by _encoding for the field's element
+    encoding; pow(a, 0) == 1 for every a, including zero.
+    """
 
     __slots__ = (
         "p",
@@ -218,6 +223,12 @@ class Field:
         "_zech",
         "_fact",
         "_inv_fact",
+        "add",
+        "neg",
+        "sub",
+        "mul",
+        "inv",
+        "pow",
         "insert_row",
         "back_substitute",
         "dot_rows",
@@ -248,8 +259,9 @@ class Field:
         self._alpha = self._find_primitive()
         if s > 1:
             self._build_tables()
-        self.insert_row, self.back_substitute, self.dot_rows = _row_kernels(self)
-        self.taylor, self.mul_add = _poly_kernels(self)
+        ops = _encoding(p, s, self._exp, self._log, self._zech)
+        self.add, self.neg, self.sub, self.mul, self.inv, self.pow = ops[:6]
+        self.insert_row, self.back_substitute, self.dot_rows, self.taylor, self.mul_add = ops[6:]
 
     # -- construction helpers ------------------------------------------------
 
@@ -365,68 +377,6 @@ class Field:
                 v -= (((v + carry) & top) >> (w - 1)) * p
         return exp
 
-    # -- arithmetic ----------------------------------------------------------
-    # Odd extension fields add through Zech logarithms:
-    #   alpha**a + alpha**b = alpha**(a + zech[b - a]),
-    # and -1 = alpha**((q - 1) / 2), so neg adds (q - 1) / 2 to the log.
-
-    def _add_logs(self, a: int, lb: int) -> int:
-        """a + alpha**lb in an odd extension field, for any integer lb."""
-        m = self.q - 1
-        if a == 0:
-            return self._exp[lb % m]
-        la = self._log[a]
-        z = self._zech[(lb - la) % m]
-        return 0 if z is None else self._exp[(la + z) % m]
-
-    def add(self, a: int, b: int) -> int:
-        if self.s == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        return self._add_logs(a, self._log[b]) if b else a
-
-    def neg(self, a: int) -> int:
-        if self.s == 1:
-            return (-a) % self.p
-        if self.p == 2 or a == 0:
-            return a
-        return self._exp[(self._log[a] + (self.q - 1) // 2) % (self.q - 1)]
-
-    def sub(self, a: int, b: int) -> int:
-        if self.s == 1:
-            return (a - b) % self.p
-        if self.p == 2:
-            return a ^ b
-        return self._add_logs(a, self._log[b] + (self.q - 1) // 2) if b else a
-
-    def mul(self, a: int, b: int) -> int:
-        if self.s == 1:
-            return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("inverse of zero")
-        if self.s == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
-
-    def pow(self, a: int, e: int) -> int:
-        """a**e with the convention a**0 == 1 for every a, including zero."""
-        if e == 0:
-            return 1
-        if a == 0:
-            if e < 0:
-                raise DivisionByZero("negative power of zero")
-            return 0
-        e %= self.q - 1
-        if self.s == 1:
-            return pow(a, e, self.p)
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
-
     # -- field-specific queries ----------------------------------------------
 
     def nat_map(self, z: int) -> int:
@@ -494,16 +444,28 @@ class Field:
         return hash((self.p, self.s))
 
     def __reduce__(self):
-        # Rebuilt from (p, s): the tables and row kernels are derived state.
+        # Rebuilt from (p, s): the tables and bound functions are derived state.
         return (Field, (self.p, self.s))
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
 
 
-def _row_kernels(field: Field):
-    """The row kernels of one field, as plain functions:
-    (insert_row, back_substitute, dot_rows).
+def _zero_power(e: int) -> int:
+    """0**e, with 0**0 == 1 as for every element."""
+    if e < 0:
+        raise DivisionByZero("negative power of zero")
+    return 0 if e else 1
+
+
+def _encoding(p: int, s: int, exp, log, zech):
+    """The arithmetic of GF(p**s), bound once for its element encoding, as
+    plain functions: (add, neg, sub, mul, inv, pow, insert_row,
+    back_substitute, dot_rows, taylor, mul_add). exp, log and zech are the
+    field's tables (None for a prime field, zech None for p = 2).
+
+    The scalar ops act on canonical elements; inv(0) and pow(0, e) for
+    e < 0 raise DivisionByZero, and pow(a, 0) == 1 for every a.
 
     insert_row(basis, row) reduces `row` (canonical elements) against
     `basis`, a list of slots indexed by pivot column, one per column of the
@@ -523,28 +485,63 @@ def _row_kernels(field: Field):
     dot_rows(rows, v) returns the list of the dot products of v with each
     of `rows`, all of canonical elements and as long as v.
 
+    A polynomial is a list of canonical elements, constant term first.
+    taylor(a, beta, k) returns the first k Taylor coefficients of a at
+    beta, the coefficients of a(beta + Y) in Y: entry i is the i-th Hasse
+    derivative of a at beta, and entries past a's degree are 0. Each is the
+    remainder of one synthetic division by X - beta, done in place on a
+    copy of a, the quotient of each pass divided by the next. a is not
+    changed. mul_add(acc, c, v, j) adds c * v[i] to acc[j + i] for every
+    i, in place; acc must reach j + len(v).
+
     A stored row is the tail after the pivot column of the row scaled to a
-    leading 1. The reduction step r - f*b, that scaling, dot(xs, b), the
-    sum of xs[j] * b[j] for canonical xs and stored b over the shorter of
-    the two, and the subtraction in back_substitute depend on the field;
-    each encoding gets its own:
+    leading 1. The encoding is chosen once, here, and each encoding defines
+    its scalar ops and the pieces the shared kernels are built from:
+    pivot(t, i), that scaling of t[i:]; reduce(t, i, b), the step t - t[i]
+    * b on the tail; stored(v) and value(y), to and from the stored format;
+    dot(xs, b), the sum of xs[j] * b[j] for canonical xs and stored b over
+    the shorter of the two; divide(a, lo, beta), one synthetic division of
+    a[lo:] by X - beta in place, leaving the remainder in a[lo] and the
+    quotient above it; and mul_add. Each keeps its own per-element loop:
     - prime fields: the residues themselves, reduced with % p;
-    - characteristic 2: stored rows hold logarithms, the update is an XOR;
+    - characteristic 2: stored rows hold logarithms, sums are XORs;
     - odd characteristic, s > 1: stored rows hold logarithms, sums go
-      through the Zech table.
+      through Zech logarithms, alpha**a + alpha**b = alpha**(a + zech[b -
+      a]), and -1 = alpha**((q - 1) / 2).
     Stored logarithms are kept in [-m, 0) for m = q - 1, with 0 marking a
     zero entry, so that adding a logarithm in [0, m) gives an index in
-    [-m, m), where Python's negative indexing wraps the exp table mod m.
+    [-m, m), where Python's negative indexing wraps the exp table mod m;
+    beta and c go to such a logarithm once per divide and mul_add call.
     An all-zero tail, as from a unit row of an identity or reversal
     matrix, is stored empty, and reducing by it only drops the pivot entry.
     dot_rows takes v into the stored format once per call, so each of its
     products, like each in back_substitute, is one such index.
 
-    The kernels hold the field's tables, never the field itself, so a Field
-    is in no reference cycle and is freed as soon as it is dropped.
+    The functions hold the field's tables, never the field itself, so a
+    Field is in no reference cycle and is freed as soon as it is dropped.
     """
-    p, m = field.p, field.q - 1
-    if field.s == 1:
+    m = p**s - 1
+    if s == 1:
+
+        def add(a, b):
+            return (a + b) % p
+
+        def neg(a):
+            return -a % p
+
+        def sub(a, b):
+            return (a - b) % p
+
+        def mul(a, b):
+            return a * b % p
+
+        def inv(a):
+            if not a:
+                raise DivisionByZero("inverse of zero")
+            return pow(a, p - 2, p)
+
+        def power(a, e):
+            return pow(a, e % m, p) if a else _zero_power(e)
 
         def pivot(t, i):
             k = pow(t[i], p - 2, p)
@@ -561,13 +558,30 @@ def _row_kernels(field: Field):
             return y
 
         def dot(xs, b):
-            return sum(map(mul, xs, b)) % p
+            return sum(map(_int_mul, xs, b)) % p
 
-        def sub(a, b):
-            return (a - b) % p
+        def divide(a, lo, b):
+            acc = 0
+            for i in range(len(a) - 1, lo - 1, -1):
+                acc = a[i] = (a[i] + b * acc) % p
+
+        def mul_add(acc, c, v, j):
+            if c:
+                e = j + len(v)
+                acc[j:e] = [(x + c * y) % p for x, y in zip(acc[j:e], v)]
 
     else:
-        exp, log, zech = field._exp, field._log, field._zech
+
+        def mul(a, b):
+            return exp[log[a] + log[b] - m] if a and b else 0
+
+        def inv(a):
+            if not a:
+                raise DivisionByZero("inverse of zero")
+            return exp[-log[a]]
+
+        def power(a, e):
+            return exp[log[a] * e % m] if a else _zero_power(e)
 
         def pivot(t, i):
             l0 = log[t[i]]
@@ -580,6 +594,10 @@ def _row_kernels(field: Field):
             return exp[y] if y else 0
 
         if p == 2:
+            add = sub = xor
+
+            def neg(a):
+                return a
 
             def reduce(t, i, b):
                 lf = log[t[i]]
@@ -592,11 +610,35 @@ def _row_kernels(field: Field):
                         acc ^= exp[log[x] + y]
                 return acc
 
-            sub = xor
+            def divide(a, lo, b):
+                lb, acc = log[b] - m, 0
+                for i in range(len(a) - 1, lo - 1, -1):
+                    acc = a[i] = a[i] ^ exp[log[acc] + lb] if acc else a[i]
+
+            def mul_add(acc, c, v, j):
+                if c:
+                    lc, e = log[c] - m, j + len(v)
+                    acc[j:e] = [x ^ exp[log[y] + lc] if y else x for x, y in zip(acc[j:e], v)]
 
         else:
             half = m // 2  # alpha**half == -1
-            add_power = _power_adder(exp, log, zech)
+
+            def add_power(x, lw):
+                """x + alpha**lw for canonical x and lw in [-m, m)."""
+                if not x:
+                    return exp[lw]
+                lx = log[x]
+                z = zech[(lw - lx) % m]
+                return 0 if z is None else exp[lx + z - m]
+
+            def add(a, b):
+                return add_power(a, log[b]) if b else a
+
+            def neg(a):
+                return exp[log[a] + half - m] if a else 0
+
+            def sub(a, b):
+                return add_power(a, log[b] + half - m) if b else a  # + (-b)
 
             def reduce(t, i, b):
                 nf = (log[t[i]] + half) % m  # the logarithm of -t[i]
@@ -609,8 +651,17 @@ def _row_kernels(field: Field):
                         acc = add_power(acc, log[x] + y)
                 return acc
 
-            def sub(a, b):
-                return add_power(a, log[b] + half - m) if b else a  # + (-b)
+            def divide(a, lo, b):
+                lb, acc = log[b] - m, 0
+                for i in range(len(a) - 1, lo - 1, -1):
+                    acc = a[i] = add_power(a[i], log[acc] + lb) if acc else a[i]
+
+            def mul_add(acc, c, v, j):
+                if c:
+                    lc, e = log[c] - m, j + len(v)
+                    acc[j:e] = [
+                        add_power(x, log[y] + lc) if y else x for x, y in zip(acc[j:e], v)
+                    ]
 
     def insert_row(basis, row):
         t, c = row, 0
@@ -642,89 +693,6 @@ def _row_kernels(field: Field):
         sv = stored(v)
         return [dot(r, sv) for r in rows]
 
-    return insert_row, back_substitute, dot_rows
-
-
-def _power_adder(exp, log, zech):
-    """add_power(x, lw) = x + alpha**lw for canonical x and lw in [-m, m),
-    through the Zech table of an odd extension field."""
-    m = len(exp)
-
-    def add_power(x, lw):
-        if not x:
-            return exp[lw]
-        lx = log[x]
-        z = zech[(lw - lx) % m]
-        return 0 if z is None else exp[lx + z - m]
-
-    return add_power
-
-
-def _poly_kernels(field: Field):
-    """The polynomial kernels of one field, as plain functions:
-    (taylor, mul_add). A polynomial is a list of canonical elements,
-    constant term first.
-
-    taylor(a, beta, k) returns the first k Taylor coefficients of a at
-    beta, the coefficients of a(beta + Y) in Y: entry i is the i-th Hasse
-    derivative of a at beta, and entries past a's degree are 0. Each is the
-    remainder of one synthetic division by X - beta, done in place on a
-    copy of a, the quotient of each pass divided by the next. a is not
-    changed.
-
-    mul_add(acc, c, v, j) adds c * v[i] to acc[j + i] for every i, in
-    place; acc must reach j + len(v).
-
-    One pass, divide(a, lo, beta), divides a[lo:] by X - beta in place,
-    leaving the remainder in a[lo] and the quotient above it. Its Horner
-    step, acc * beta + a[i], and the scaled add of mul_add depend on the
-    field; each encoding gets its own, with beta and
-    c taken to a logarithm once per call in the extension fields, as in
-    _row_kernels. Like the row kernels, these hold the field's tables and
-    never the field itself.
-    """
-    p, m = field.p, field.q - 1
-    if field.s == 1:
-
-        def divide(a, lo, b):
-            acc = 0
-            for i in range(len(a) - 1, lo - 1, -1):
-                acc = a[i] = (a[i] + b * acc) % p
-
-        def mul_add(acc, c, v, j):
-            if c:
-                e = j + len(v)
-                acc[j:e] = [(x + c * y) % p for x, y in zip(acc[j:e], v)]
-
-    else:
-        exp, log = field._exp, field._log
-        if p == 2:
-
-            def divide(a, lo, b):
-                lb, acc = log[b] - m, 0
-                for i in range(len(a) - 1, lo - 1, -1):
-                    acc = a[i] = a[i] ^ exp[log[acc] + lb] if acc else a[i]
-
-            def mul_add(acc, c, v, j):
-                if c:
-                    lc, e = log[c] - m, j + len(v)
-                    acc[j:e] = [x ^ exp[log[y] + lc] if y else x for x, y in zip(acc[j:e], v)]
-
-        else:
-            add_power = _power_adder(exp, log, field._zech)
-
-            def divide(a, lo, b):
-                lb, acc = log[b] - m, 0
-                for i in range(len(a) - 1, lo - 1, -1):
-                    acc = a[i] = add_power(a[i], log[acc] + lb) if acc else a[i]
-
-            def mul_add(acc, c, v, j):
-                if c:
-                    lc, e = log[c] - m, j + len(v)
-                    acc[j:e] = [
-                        add_power(x, log[y] + lc) if y else x for x, y in zip(acc[j:e], v)
-                    ]
-
     def taylor(a, beta, k):
         a = list(a)
         while len(a) > k and not a[-1]:
@@ -735,7 +703,9 @@ def _poly_kernels(field: Field):
                 divide(a, lo, beta)
         return a[:k]
 
-    return taylor, mul_add
+    return (
+        add, neg, sub, mul, inv, power, insert_row, back_substitute, dot_rows, taylor, mul_add
+    )
 
 
 def field_string(field: Field) -> str:

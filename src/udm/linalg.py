@@ -103,22 +103,15 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatch("matrices over different fields")
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    field = a.field
-    add, mul = field.add, field.mul
+    mul_add = a.field.mul_add
+    brows = [b.row(k) for k in range(b.rows)]
     out = []
-    brows = b.to_lists()
     for i in range(a.rows):
-        arow = a.row(i)
         acc_row = [0] * b.cols
-        for k in range(a.cols):
-            v = arow[k]
-            if v:
-                brow = brows[k]
-                for j in range(b.cols):
-                    if brow[j]:
-                        acc_row[j] = add(acc_row[j], mul(v, brow[j]))
+        for v, brow in zip(a.row(i), brows):
+            mul_add(acc_row, v, brow, 0)
         out.extend(acc_row)
-    return Matrix._unchecked(field, a.rows, b.cols, tuple(out))
+    return Matrix._unchecked(a.field, a.rows, b.cols, tuple(out))
 
 
 def matvec(a: Matrix, v: Sequence[int]) -> tuple[int, ...]:
@@ -127,15 +120,6 @@ def matvec(a: Matrix, v: Sequence[int]) -> tuple[int, ...]:
     if len(v) != a.cols:
         raise DimensionMismatch(f"vector of length {len(v)} against {a.rows}x{a.cols}")
     return tuple(a.field.dot_rows(map(a.row, range(a.rows)), v))
-
-
-def transpose(a: Matrix) -> Matrix:
-    return Matrix._unchecked(
-        a.field,
-        a.cols,
-        a.rows,
-        tuple(a.at(i, j) for j in range(a.cols) for i in range(a.rows)),
-    )
 
 
 def _forward_eliminate(rows: list[list[int]], ncols: int, field: Field) -> list[int]:

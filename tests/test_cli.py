@@ -1,9 +1,14 @@
 """Command-line behaviour, file formats, and exit-code contracts."""
 
 import hashlib
+import io
+import re
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udm.cli import (
     main,
@@ -239,6 +244,20 @@ def test_verify_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_input_files_exit_2(known_path, tmp_path, capsys):
+    binary = tmp_path / "binary.udm"
+    binary.write_bytes(bytes(range(128, 192)))  # no byte here starts a UTF-8 character
+    out = str(tmp_path / "out.udm")
+    assert main(["verify", "--in", str(binary)]) == 2
+    assert main(["transform", "--in", str(binary), "--op", "reduce", "--out", out]) == 2
+    assert main(["codec", "decode", "--in", str(known_path), "--obs", str(binary)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("error: ") and "not UTF-8" in line for line in lines)
+
+
 def generate_gf2_333(tmp_path):
     """The GF(2) (L, n) = (3, 3) family; its tensor square is not
     universally decodable."""
@@ -460,3 +479,58 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# -- fuzzed input files ----------------------------------------------------------------------------
+
+# u = (1, 0, 0) over the known family, with three surplus symbols
+OBSERVATION = "k=3: 1 0 0\nk=1: 0\nk=2: 1 0\nk=0:\n"
+FUZZ_ALPHABET = " \n\t0123456789-+_?:=;,^kLnqmatrixlphfiedUDMv"
+
+
+@st.composite
+def mutated(draw, text):
+    """Random bytes; text with one token replaced by a small integer; or
+    text with a few slices replaced by short runs of format characters."""
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return draw(st.binary(max_size=64))
+    if kind < 3:
+        parts = re.split(r"(\s+)", text)  # tokens at the even indices
+        parts[draw(st.sampled_from(range(0, len(parts), 2)))] = str(draw(st.integers(-1, 4)))
+        return "".join(parts).encode()
+    data = text.encode()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 4)))
+        data = data[:i] + draw(st.text(FUZZ_ALPHABET, max_size=4)).encode() + data[j:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_fuzzed_input_files_exit_with_a_code(fuzz_dir, data):
+    family, obs = KNOWN_FILE.encode(), OBSERVATION.encode()
+    if data.draw(st.booleans()):
+        family = data.draw(mutated(KNOWN_FILE))
+    else:
+        obs = data.draw(mutated(OBSERVATION))
+    fam_path, obs_path = fuzz_dir / "family.udm", fuzz_dir / "obs.txt"
+    fam_path.write_bytes(family)
+    obs_path.write_bytes(obs)
+    for argv in (
+        ["verify", "--in", str(fam_path)],
+        ["transform", "--in", str(fam_path), "--op", "reduce", "--out", str(fuzz_dir / "out.udm")],
+        ["codec", "decode", "--in", str(fam_path), "--obs", str(obs_path)],
+    ):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert err.getvalue().startswith("error: ")

@@ -504,7 +504,9 @@ def check_digitwise(f, a, b):
     assert f.neg(a) == undigits([-x % p for x in da], p)
 
 
-@pytest.mark.parametrize("p,s", [(3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize(
+    "p,s", SMALL_FIELDS + SAMPLED_FIELDS + [(3, 3), (5, 2), (2, 6), (31, 1)]
+)
 def test_add_neg_sub_are_digitwise_exhaustive(p, s):
     f = Field(p, s)
     for a in f.elements():
@@ -513,9 +515,72 @@ def test_add_neg_sub_are_digitwise_exhaustive(p, s):
 
 
 def test_add_neg_sub_are_digitwise_sampled(big_fields):
-    f = big_fields[(3, 10)]
-    rng = random.Random(310)
-    pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(3000)]
-    pairs += [(0, 0), (0, 5), (5, 0), (1, f.q - 1)] + [(a, f.neg(a)) for a, _ in pairs[:200]]
-    for a, b in pairs:
-        check_digitwise(f, a, b)
+    for f in (big_fields[(3, 10)], big_fields[(2, 16)]):
+        rng = random.Random(310)
+        pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(3000)]
+        pairs += [(0, 0), (0, 5), (5, 0), (1, f.q - 1)] + [(a, f.neg(a)) for a, _ in pairs[:200]]
+        for a, b in pairs:
+            check_digitwise(f, a, b)
+
+
+# -- mul, inv and pow against schoolbook products ----------------------------------------------
+
+
+def schoolbook_mul(f, a, b):
+    """a * b from the digit lists: their product mod p, reduced modulo the
+    field's modulus (a prime field has none, and one digit)."""
+    p, s = f.p, f.s
+    product = poly_mul_mod_p(digits(a, p, s), digits(b, p, s), p)
+    if f.modulus is not None:
+        product = poly_rem(product, f.modulus, p)
+    return undigits(product, p)
+
+
+def schoolbook_pow(f, a, e):
+    """a**e for e >= 0 by square-and-multiply on schoolbook_mul, with no
+    reduction of e."""
+    acc = 1
+    while e:
+        if e & 1:
+            acc = schoolbook_mul(f, acc, a)
+        a = schoolbook_mul(f, a, a)
+        e >>= 1
+    return acc
+
+
+def check_mul_inv_pow(f, a, b, exponents):
+    assert f.mul(a, b) == schoolbook_mul(f, a, b)
+    if a:
+        assert schoolbook_mul(f, a, f.inv(a)) == 1
+    else:
+        with pytest.raises(DivisionByZero):
+            f.inv(a)
+    for e in exponents:
+        if e >= 0:
+            assert f.pow(a, e) == schoolbook_pow(f, a, e)
+        elif a:
+            assert schoolbook_mul(f, f.pow(a, e), schoolbook_pow(f, a, -e)) == 1
+        else:
+            with pytest.raises(DivisionByZero):
+                f.pow(a, e)
+
+
+@pytest.mark.parametrize("p,s", SMALL_FIELDS + SAMPLED_FIELDS)
+def test_mul_inv_pow_match_schoolbook_products_exhaustive(p, s):
+    f = Field(p, s)
+    exponents = range(-2 * f.q, 2 * f.q + 1)
+    for a in f.elements():
+        for b in f.elements():
+            check_mul_inv_pow(f, a, b, exponents if b == 0 else ())
+
+
+@pytest.mark.parametrize("p,s", [(3, 10), (2, 16)])
+def test_mul_inv_pow_match_schoolbook_products_sampled(big_fields, p, s):
+    f = big_fields[(p, s)]
+    rng = random.Random(p * 100 + s)
+    pairs = [(0, 0), (0, 7), (7, 0), (1, f.q - 1), (f.q - 1, f.q - 1)]
+    pairs += [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(600)]
+    for i, (a, b) in enumerate(pairs):
+        # pow on the first 60 pairs only: each check is ~20 schoolbook products
+        exponents = [rng.randrange(-3 * f.q, 3 * f.q), -1, 0, f.q - 1] if i < 60 else ()
+        check_mul_inv_pow(f, a, b, exponents)

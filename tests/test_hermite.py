@@ -7,7 +7,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_linalg import outcome, solve_gaussian
 
@@ -316,9 +316,7 @@ def test_simulate_stacks_at_most_once_per_trial(monkeypatch):
 PROPERTY_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (7, 1)]
 
 
-@settings(
-    max_examples=60, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_property_decode_of_encode_equals_solve(data):
     p, s = data.draw(st.sampled_from(PROPERTY_FIELDS))
