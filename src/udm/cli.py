@@ -15,17 +15,26 @@ line on stderr:
   including non-UTF-8 ones, and the library's argument errors) and OSError:
   2.
 Anything else, such as a stray ValueError, is a defect and propagates.
+
+Each process loads only what its subcommand runs: generate, verify and
+transform need udm.families (with udm.gf and udm.linalg under it); codec
+adds udm.codec and oracle adds udm.oracles (and udm.hasse), both imported
+inside their commands. The `udm` package itself imports nothing eagerly.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-from . import codec, families, gf
+from . import families, gf
 from .errors import Inconsistent, InsufficientSymbols, ParseError, RankDeficient, UdmError
 from .families import UdmFamily
 from .linalg import Matrix
+
+if TYPE_CHECKING:
+    from .codec import ChannelOutput
 
 FILE_TAG = "UDMv1"
 
@@ -114,7 +123,7 @@ def parse_family(text: str) -> UdmFamily:
 # -- observation and vector formats -------------------------------------------
 
 
-def render_observation(obs: codec.ChannelOutput, erased_upto: int | None = None) -> str:
+def render_observation(obs: ChannelOutput, erased_upto: int | None = None) -> str:
     """One line per channel: 'k=<int>: s0 s1 ...'. With erased_upto set to
     the block length, erased positions are shown as '?' for inspection."""
     lines = []
@@ -127,7 +136,9 @@ def render_observation(obs: codec.ChannelOutput, erased_upto: int | None = None)
     return "\n".join(lines) + "\n"
 
 
-def parse_observation(text: str) -> codec.ChannelOutput:
+def parse_observation(text: str) -> ChannelOutput:
+    from .codec import ChannelOutput
+
     ks = []
     prefixes = []
     for raw in text.splitlines():
@@ -158,7 +169,7 @@ def parse_observation(text: str) -> codec.ChannelOutput:
         prefixes.append(prefix)
     if not ks:
         raise ParseError("empty observation")
-    return codec.ChannelOutput(tuple(ks), tuple(prefixes))
+    return ChannelOutput(tuple(ks), tuple(prefixes))
 
 
 def parse_vector(text: str) -> tuple[int, ...]:
@@ -276,6 +287,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_codec(args) -> int:
+    from . import codec
+
     fam = parse_family(_read_text(args.infile))
     n = fam.n
 
@@ -321,72 +334,9 @@ def cmd_codec(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    field = gf.field_of_order(args.q)
-    n = args.n
-    if args.check == "hasse":
-        if args.L is None:
-            raise ParseError("oracle hasse requires --L")
-        fam = families.construct(field, args.L, n)
-        bad = 0
-        for l, m in enumerate(fam.matrices):
-            for i in range(n):
-                for t in range(n):
-                    if families.construct_entry_oracle(field, fam.L, n, l, i, t) != m.at(i, t):
-                        bad += 1
-        if bad == 0:
-            print(f"PASS ({fam.L} matrices, {n * n} entries each agree with the derivative route)")
-            return 0
-        print(f"FAIL ({bad} entries disagree)")
-        return 1
-    if args.check == "lucas":
-        if args.L is None:
-            raise ParseError("oracle lucas requires --L")
-        fam = families.construct(field, args.L, n)
-        bad = 0
-        for l in range(fam.L - 2):
-            m = fam.matrices[l + 2]
-            for i in range(n):
-                for t in range(n):
-                    if families.lucas_entry(field, fam.L, n, l, i, t) != m.at(i, t):
-                        bad += 1
-        if bad == 0:
-            print(f"PASS ({max(fam.L - 2, 0)} matrices, {n * n} entries each agree with the digit product)")
-            return 0
-        print(f"FAIL ({bad} entries disagree)")
-        return 1
-    if args.check == "delta":
-        fam = families.construct(field, 3, n)
-        if families.pascal_inverse_check(fam):
-            print(f"PASS (binomial matrix times {n} delta factors is the identity)")
-            return 0
-        print("FAIL (delta product is not the identity)")
-        return 1
-    # bound
-    L = args.L if args.L is not None else field.q + 2
-    report = families.refute_bound(field, n, L)
-    expected = n == 1 or L <= field.q + 1
-    if report.exists:
-        # With n = 1 the count is q**(L - 2), too long to print in decimal
-        # for a large L.
-        total = report.total_candidates
-        if total.bit_length() > 4096:
-            total = f"{field.q}^{n * n * (L - 2)}"
-        print(
-            f"found ({L},{n},{field.q}) family after verifying "
-            f"{report.candidates_verified} of {total} raw candidates"
-        )
-        if report.note:
-            print(report.note)
-    else:
-        print(
-            f"no ({L},{n},{field.q}) family exists; {report.total_candidates} raw candidates "
-            f"pruned to {report.candidates_verified} verified"
-        )
-    if report.exists == expected:
-        print("PASS (search agrees with the L <= q+1 bound)")
-        return 0
-    print("FAIL (search contradicts the L <= q+1 bound)")
-    return 1
+    from . import oracles
+
+    return oracles.run_check(args.check, args.q, args.L, args.n)
 
 
 # -- parser ----------------------------------------------------------------------

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import (
     BadArgument,
@@ -27,25 +27,47 @@ from .gf import Field
 from .linalg import matvec, solve, stack_prefixes
 
 
-@dataclass(frozen=True)
 class ChannelOutput:
-    """Per-channel prefix lengths and the surviving leading symbols."""
+    """Per-channel prefix lengths and the surviving leading symbols.
 
-    ks: tuple[int, ...]
-    prefixes: tuple[tuple[int, ...], ...]
+    Instances are immutable; they compare, hash, print and pickle on
+    (ks, prefixes)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "ks", tuple(self.ks))
-        object.__setattr__(self, "prefixes", tuple(tuple(p) for p in self.prefixes))
-        if len(self.ks) != len(self.prefixes):
+    __slots__ = ("ks", "prefixes")
+
+    def __init__(self, ks: tuple[int, ...], prefixes: tuple[tuple[int, ...], ...]):
+        ks = tuple(ks)
+        prefixes = tuple(tuple(p) for p in prefixes)
+        if len(ks) != len(prefixes):
             raise DimensionMismatch("prefix count does not match channel count")
-        for k, p in zip(self.ks, self.prefixes):
+        for k, p in zip(ks, prefixes):
             if k < 0 or len(p) != k:
                 raise DimensionMismatch(f"prefix of length {len(p)} declared as k={k}")
+        object.__setattr__(self, "ks", ks)
+        object.__setattr__(self, "prefixes", prefixes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable ChannelOutput")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable ChannelOutput")
+
+    def __eq__(self, other):
+        if other.__class__ is not ChannelOutput:
+            return NotImplemented
+        return (self.ks, self.prefixes) == (other.ks, other.prefixes)
+
+    def __hash__(self) -> int:
+        return hash((self.ks, self.prefixes))
+
+    def __repr__(self) -> str:
+        return f"ChannelOutput(ks={self.ks!r}, prefixes={self.prefixes!r})"
+
+    def __reduce__(self):
+        return ChannelOutput, (self.ks, self.prefixes)
 
 
-@dataclass(frozen=True)
-class SimulationStats:
+class SimulationStats(NamedTuple):
     trials: int
     successes: int
     failures_insufficient: int

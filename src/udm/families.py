@@ -1,5 +1,6 @@
-"""Families of universally decodable matrices: construction, verification,
-structure-preserving transforms, and the exhaustive existence search.
+"""Families of universally decodable matrices: construction, verification
+and structure-preserving transforms. The independent entry routes and the
+exhaustive existence search live in udm.oracles.
 
 An (L, n, q) family is universally decodable when, for every tuple
 (k_0, ..., k_{L-1}) of per-channel prefix lengths with sum at least n,
@@ -9,16 +10,13 @@ tuples with sum exactly n suffices; there are C(n+L-1, L-1) of them.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from . import hasse
 from .errors import (
     BadArgument,
     BadNormalization,
-    BudgetExceeded,
     DegenerateNullVector,
     NotLowerTriangular,
     Singular,
@@ -38,7 +36,6 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
 class UdmFamily:
     """An ordered list of L square matrices of size n x n over one field.
 
@@ -46,57 +43,86 @@ class UdmFamily:
     it is None for hand-built families and for transforms that leave the
     constructed entry pattern behind. A hand-built family can claim any
     alpha, so code that relies on it asks is_generator instead.
+
+    Instances are immutable; they compare, hash, print and pickle on
+    (field, L, n, matrices, alpha).
     """
 
-    field: Field
-    L: int
-    n: int
-    matrices: tuple[Matrix, ...]
-    alpha: int | None = None
-    # is_generator's answer once known: set by construct and on first use,
-    # and reset by dataclasses.replace, which does not copy init=False fields.
-    _generator: bool | None = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("field", "L", "n", "matrices", "alpha", "_generator")
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrices", tuple(self.matrices))
-        if self.L < 1 or self.n < 1:
+    def __init__(
+        self, field: Field, L: int, n: int, matrices: tuple[Matrix, ...], alpha: int | None = None
+    ):
+        matrices = tuple(matrices)
+        if L < 1 or n < 1:
             raise BadArgument("L and n must be positive")
-        if len(self.matrices) != self.L:
-            raise BadArgument(f"expected {self.L} matrices, got {len(self.matrices)}")
-        for m in self.matrices:
-            if m.rows != self.n or m.cols != self.n:
-                raise BadArgument(f"matrix of shape {m.rows}x{m.cols} in an n={self.n} family")
-            if m.field != self.field:
+        if len(matrices) != L:
+            raise BadArgument(f"expected {L} matrices, got {len(matrices)}")
+        for m in matrices:
+            if m.rows != n or m.cols != n:
+                raise BadArgument(f"matrix of shape {m.rows}x{m.cols} in an n={n} family")
+            # Identity first spares a Field.__eq__ call per matrix.
+            if m.field is not field and m.field != field:
                 raise BadArgument("matrix over a different field than the family")
+        # _generator is is_generator's answer once known: set by construct
+        # and on first use, and never copied by _replace.
+        for name, value in zip(self.__slots__, (field, L, n, matrices, alpha, None)):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return (self.field, self.L, self.n, self.matrices, self.alpha)
+
+    def _replace(self, **changes) -> UdmFamily:
+        """A new family with some fields changed, checked as any other; the
+        is_generator answer is not carried over."""
+        fields = dict(
+            field=self.field, L=self.L, n=self.n, matrices=self.matrices, alpha=self.alpha
+        )
+        return UdmFamily(**{**fields, **changes})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable UdmFamily")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable UdmFamily")
+
+    def __eq__(self, other):
+        if other.__class__ is not UdmFamily:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"UdmFamily(field={self.field!r}, L={self.L!r}, n={self.n!r}, "
+            f"matrices={self.matrices!r}, alpha={self.alpha!r})"
+        )
+
+    def __reduce__(self):
+        # The is_generator answer travels as the state.
+        return UdmFamily, self._key(), self._generator
+
+    def __setstate__(self, known: bool):
+        object.__setattr__(self, "_generator", known)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     ks: tuple[int, ...]
     stacked: Matrix
     rank: int
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     passed: bool
     tuples_checked: int
     witness: Witness | None
 
 
-@dataclass(frozen=True)
-class SearchReport:
-    exists: bool
-    family: UdmFamily | None
-    total_candidates: int
-    candidates_verified: int
-    note: str | None = None
-
-
 # The most entries, L * n**2, of a family that construct, tensor_power or
-# refute_bound will build: about 4.2 million, some 34 MB of tuple slots.
+# oracles.refute_bound will build: about 4.2 million, some 34 MB of tuple
+# slots.
 MAX_FAMILY_ENTRIES = 1 << 22
 
 
@@ -110,15 +136,9 @@ def check_family_size(L: int, n: int):
         )
 
 
-def construct(field: Field, L: int, n: int) -> UdmFamily:
-    """The explicit (L, n, q) family: identity, row reversal, then for each
-    remaining index l a binomial matrix with entry (i, t) equal to
-    C(t, i) * alpha**(l * (t - i)), alpha the canonical primitive element.
-
-    Requires L <= q + 1 when n >= 2; n = 1 is unconstrained (every family of
-    1x1 ones is universally decodable) and accepts any L. L * n**2 is
-    bounded by MAX_FAMILY_ENTRIES.
-    """
+def check_construct(field: Field, L: int, n: int):
+    """Raise what construct(field, L, n) raises for its arguments, without
+    building anything."""
     if n < 1:
         raise BadArgument("n must be positive")
     if L < 1:
@@ -128,6 +148,18 @@ def construct(field: Field, L: int, n: int) -> UdmFamily:
             f"no (L={L}, n={n}, q={field.q}) family exists: L exceeds q + 1"
         )
     check_family_size(L, n)
+
+
+def construct(field: Field, L: int, n: int) -> UdmFamily:
+    """The explicit (L, n, q) family: identity, row reversal, then for each
+    remaining index l a binomial matrix with entry (i, t) equal to
+    C(t, i) * alpha**(l * (t - i)), alpha the canonical primitive element.
+
+    Requires L <= q + 1 when n >= 2; n = 1 is unconstrained (every family of
+    1x1 ones is universally decodable) and accepts any L. L * n**2 is
+    bounded by MAX_FAMILY_ENTRIES.
+    """
+    check_construct(field, L, n)
     alpha = field.primitive_element()
     mats = [identity(field, n)]
     if L >= 2:
@@ -161,25 +193,6 @@ def _binomial_matrices(field: Field, alpha: int, count: int, n: int) -> list[Mat
             # c * w is the entry for c = 0 or 1, without a field multiply.
             out += [mul(c, w) if c > 1 else c * w for c, w in zip(binoms, pw)]
     return [Matrix._unchecked(field, n, n, tuple(e)) for e in entries]
-
-
-def construct_entry_oracle(field: Field, L: int, n: int, l: int, i: int, t: int) -> int:
-    """Entry (i, t) of the l-th constructed matrix, derived through the
-    polynomial route instead of the direct binomial formula.
-
-    For l != 1 it evaluates the i-th Hasse derivative of X^t at the l-th
-    evaluation point (0 for l = 0, alpha**(l-2) afterwards). For l = 1 it
-    evaluates the homogeneous monomial at the point at infinity.
-    """
-    if not 0 <= l < L:
-        raise BadArgument(f"matrix index {l} out of range [0, {L})")
-    if not (0 <= i < n and 0 <= t < n):
-        raise BadArgument("entry indices out of range")
-    if l == 1:
-        return hasse.hasse_monomial_bivariate(field, t, n, i, (1, 0))
-    beta = 0 if l == 0 else field.pow(field.primitive_element(), l - 2)
-    mono = hasse.Polynomial.monomial(field, t)
-    return hasse.evaluate(hasse.hasse_derivative(mono, i), beta)
 
 
 def count_exact_tuples(L: int, n: int) -> int:
@@ -347,7 +360,7 @@ def left_transform(family: UdmFamily, l: int, c: Matrix) -> UdmFamily:
         raise ZeroDiagonal("transform matrix has a zero diagonal entry")
     mats = list(family.matrices)
     mats[l] = matmul(c, mats[l])
-    return replace(family, matrices=tuple(mats), alpha=None)
+    return family._replace(matrices=tuple(mats), alpha=None)
 
 
 def right_multiply(family: UdmFamily, b: Matrix) -> UdmFamily:
@@ -357,7 +370,7 @@ def right_multiply(family: UdmFamily, b: Matrix) -> UdmFamily:
     if rank(b) < family.n:
         raise Singular("right multiplier is not invertible")
     mats = tuple(matmul(m, b) for m in family.matrices)
-    return replace(family, matrices=mats, alpha=None)
+    return family._replace(matrices=mats, alpha=None)
 
 
 def tensor_power(family: UdmFamily, m: int) -> UdmFamily:
@@ -424,7 +437,7 @@ def with_checked_alpha(family: UdmFamily) -> UdmFamily:
     lack."""
     if family.alpha is None or is_generator(family):
         return family
-    return replace(family, alpha=None)
+    return family._replace(alpha=None)
 
 
 def reverse_pairs(family: UdmFamily) -> UdmFamily:
@@ -465,11 +478,7 @@ def reverse_pairs(family: UdmFamily) -> UdmFamily:
             c0, c1 = b[: i + 1], b[i + 1 :]
             a0[i] = combo(c0, b0)
             a1[n - i - 1] = [neg(v) for v in combo(c1, b1)]
-    return replace(
-        family,
-        matrices=tuple(Matrix.from_rows(field, m) for m in mats),
-        alpha=None,
-    )
+    return family._replace(matrices=tuple(Matrix.from_rows(field, m) for m in mats), alpha=None)
 
 
 def reduce(family: UdmFamily) -> UdmFamily:
@@ -491,7 +500,7 @@ def reduce(family: UdmFamily) -> UdmFamily:
             m.at(i, j) for i in range(n - 1) for j in range(n) if j != drop_col
         ]
         mats.append(Matrix(field, n - 1, n - 1, entries))
-    return replace(family, n=n - 1, matrices=tuple(mats))
+    return family._replace(n=n - 1, matrices=tuple(mats))
 
 
 def permute(family: UdmFamily, perm) -> UdmFamily:
@@ -499,122 +508,11 @@ def permute(family: UdmFamily, perm) -> UdmFamily:
     perm = tuple(perm)
     if sorted(perm) != list(range(family.L)):
         raise BadArgument(f"not a permutation of 0..{family.L - 1}: {perm}")
-    return replace(
-        family, matrices=tuple(family.matrices[p] for p in perm), alpha=None
-    )
+    return family._replace(matrices=tuple(family.matrices[p] for p in perm), alpha=None)
 
 
 def prefix(family: UdmFamily, L: int) -> UdmFamily:
     """The family of the first L matrices."""
     if not 1 <= L <= family.L:
         raise BadArgument(f"prefix length {L} out of range [1, {family.L}]")
-    return replace(family, L=L, matrices=family.matrices[:L])
-
-
-def delta_matrix(field: Field, n: int, t: int) -> Matrix:
-    """Unit upper bidiagonal factor: +1 on the diagonal, -1 at (t'-1, t')
-    for t < t' <= n-1. The product A_2 * delta_0 * ... * delta_{n-1} is the
-    identity, which inverts the binomial matrix column by column."""
-    if not 0 <= t < n:
-        raise BadArgument(f"index {t} out of range [0, {n})")
-    neg1 = field.nat_map(-1)
-    entries = [0] * (n * n)
-    for d in range(n):
-        entries[d * n + d] = 1
-    for tp in range(t + 1, n):
-        entries[(tp - 1) * n + tp] = neg1
-    return Matrix(field, n, n, entries)
-
-
-def pascal_inverse_check(family: UdmFamily) -> bool:
-    """Whether A_2 times the full chain of delta factors is the identity."""
-    if family.L < 3:
-        raise BadArgument("family has no third matrix")
-    field, n = family.field, family.n
-    acc = family.matrices[2]
-    for t in range(n):
-        acc = matmul(acc, delta_matrix(field, n, t))
-    return acc == identity(field, n)
-
-
-def lucas_entry(field: Field, L: int, n: int, l: int, i: int, t: int) -> int:
-    """Entry (i, t) of the (l+2)-nd constructed matrix computed digit by
-    digit in radix p: the product over digits h of
-    C(t_h, i_h) * alpha**(l * (t_h - i_h) * p**h)."""
-    if not 0 <= l < L - 2:
-        raise BadArgument(f"twist index {l} out of range [0, {L - 2})")
-    if not (0 <= i < n and 0 <= t < n):
-        raise BadArgument("entry indices out of range")
-    p = field.p
-    m = 0
-    while p**m < n:
-        m += 1
-    alpha = field.primitive_element()
-    acc = 1
-    ii, tt = i, t
-    for h in range(m):
-        ii, i_h = divmod(ii, p)
-        tt, t_h = divmod(tt, p)
-        c = field.binom(t_h, i_h)
-        if c == 0:
-            return 0
-        acc = field.mul(acc, c)
-        acc = field.mul(acc, field.pow(alpha, l * (t_h - i_h) * p**h))
-    return acc
-
-
-def refute_bound(field: Field, n: int, L: int, budget: int = 10_000_000) -> SearchReport:
-    """Exhaustively search for an (L, n, q) family with A_0 = I and A_1 = J.
-
-    Candidate matrices for the remaining slots are pruned by two necessary
-    conditions before verification: every first-row entry nonzero, and the
-    ratios of the last two first-row entries pairwise distinct across slots.
-    Raises BudgetExceeded when the raw space q**(n*n*(L-2)) is above budget.
-    """
-    if n < 1 or L < 1:
-        raise BadArgument(f"n and L must be positive, got n={n}, L={L}")
-    check_family_size(L, n)
-    q = field.q
-    slots = max(L - 2, 0)
-    if n == 1:
-        fam = UdmFamily(field, L, 1, tuple(identity(field, 1) for _ in range(L)))
-        return SearchReport(
-            True,
-            fam,
-            q**slots,
-            0,
-            note="n = 1 is unconstrained: the all-ones family works for any L",
-        )
-    # The count is built up factor by factor, so a huge one is refused
-    # before it is formed.
-    total = 1
-    for _ in range(n * n * slots):
-        total *= q
-        if total > budget:
-            raise BudgetExceeded(
-                f"{q}^{n * n * slots} raw candidates exceed the budget of {budget}"
-            )
-    base = (identity(field, n), anti_identity(field, n))[:L]
-    if slots == 0:
-        fam = UdmFamily(field, L, n, base)
-        if verify(fam).passed:
-            return SearchReport(True, fam, total, 1)
-        return SearchReport(False, None, total, 1)
-    candidates = (
-        (Matrix._unchecked(field, n, n, combo), field.mul(combo[n - 2], field.inv(combo[n - 1])))
-        for combo in itertools.product(range(q), repeat=n * n)
-        if all(combo[:n])
-    )
-    # One slot takes the candidates as they come, so the search stops making
-    # them at the first passing family; product() would list them all first.
-    choices = zip(candidates) if slots == 1 else itertools.product(candidates, repeat=slots)
-    verified = 0
-    for picks in choices:
-        ratios = [r for _, r in picks]
-        if len(set(ratios)) != slots:
-            continue
-        fam = UdmFamily(field, L, n, base + tuple(m for m, _ in picks))
-        verified += 1
-        if verify(fam).passed:
-            return SearchReport(True, fam, total, verified)
-    return SearchReport(False, None, total, verified)
+    return family._replace(L=L, matrices=family.matrices[:L])

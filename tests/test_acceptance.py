@@ -17,13 +17,9 @@ from udm.errors import InsufficientSymbols
 from udm.families import (
     UdmFamily,
     construct,
-    construct_entry_oracle,
     count_exact_tuples,
-    delta_matrix,
     enumerate_exact_tuples,
-    pascal_inverse_check,
     reduce,
-    refute_bound,
     reverse_pairs,
     tensor_power,
     verify,
@@ -39,6 +35,7 @@ from udm.hasse import (
     poly_scale,
 )
 from udm.linalg import anti_identity, identity, matmul, rank, stack_prefixes
+from udm.oracles import construct_entry_oracle, delta_matrix, pascal_inverse_check, refute_bound
 
 SWEEP_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]  # q in {2,3,4,5,7,8,9}
 

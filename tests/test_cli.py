@@ -17,11 +17,12 @@ from udm.cli import (
     render_family,
     render_observation,
 )
-from udm import families
+from udm import families, oracles
 from udm.codec import ChannelOutput
-from udm.errors import ParseError
-from udm.families import construct
-from udm.gf import Field, factor_prime_power
+from udm.errors import BadArgument, ParseError
+from udm.families import construct, permute, right_multiply
+from udm.gf import Field, factor_prime_power, field_of_order
+from udm.linalg import Matrix, rank
 
 KNOWN_FILE = """UDMv1
 field q=3^1
@@ -69,6 +70,31 @@ def test_parse_render_roundtrip_is_byte_identical():
         assert render_family(again) == text
         assert again.matrices == fam.matrices
         assert again.alpha == fam.alpha
+
+
+@st.composite
+def desk_families(draw):
+    """construct's output at desk scale, possibly right-multiplied by a
+    random invertible matrix and then permuted."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    field = field_of_order(q)
+    n = draw(st.integers(1, 4))
+    fam = construct(field, draw(st.integers(1, q + 1 if n > 1 else 6)), n)
+    if draw(st.booleans()):
+        entries = draw(st.lists(st.integers(0, q - 1), min_size=n * n, max_size=n * n))
+        b = Matrix(field, n, n, entries)
+        if rank(b) == n:
+            fam = right_multiply(fam, b)
+    if draw(st.booleans()):
+        fam = permute(fam, draw(st.permutations(range(fam.L))))
+    return fam
+
+
+@settings(max_examples=30)
+@given(fam=desk_families())
+def test_render_parse_render_is_byte_identical(fam):
+    text = render_family(fam)
+    assert render_family(parse_family(text)) == text
 
 
 def test_parse_family_without_alpha():
@@ -183,6 +209,52 @@ def test_oracle_bound_prints_huge_counts_as_powers(capsys):
     assert "0 of 3^9998 raw candidates" in capsys.readouterr().out
     assert main(["oracle", "bound", "--q", "2", "--L", "40", "--n", "20"]) == 2
     assert "2^15200 raw candidates exceed the budget" in capsys.readouterr().err
+
+
+def test_oracle_bound_with_one_block_forms_no_huge_count(capsys):
+    # 65521**3999998 alone took ~45 s to form; the printed count is a power.
+    start = time.perf_counter()
+    assert main(["oracle", "bound", "--q", "65521", "--L", "4000000", "--n", "1"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert "0 of 65521^3999998 raw candidates" in capsys.readouterr().out
+    # Counts of up to 4096 bits are printed in decimal, as before.
+    assert main(["oracle", "bound", "--q", "2", "--L", "4097", "--n", "1"]) == 0
+    assert f"0 of {2**4095} raw candidates" in capsys.readouterr().out
+    assert main(["oracle", "bound", "--q", "2", "--L", "4098", "--n", "1"]) == 0
+    assert "0 of 2^4096 raw candidates" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "check, L, largest",
+    [("hasse", 1, 258), ("hasse", 3, 175), ("lucas", 3, 774), ("delta", 3, 104)],
+)
+def test_oracle_checks_are_bounded_by_their_cost(check, L, largest):
+    oracles.check_cost(check, L, largest)
+    with pytest.raises(BadArgument, match="steps"):
+        oracles.check_cost(check, L, largest + 1)
+
+
+def test_oversized_oracle_checks_exit_2_before_building(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("built a family for an oversized check")
+
+    monkeypatch.setattr(oracles, "construct", refuse)
+    start = time.perf_counter()
+    # n = 1182 is the largest n with L = 3 that the family size bound lets
+    # through; each check would take minutes at that size.
+    for argv in (
+        ["oracle", "hasse", "--q", "2", "--L", "3", "--n", "1182"],
+        ["oracle", "lucas", "--q", "2", "--L", "3", "--n", "1182"],
+        ["oracle", "delta", "--q", "2", "--n", "1182"],
+    ):
+        assert main(argv) == 2
+        assert "above the supported maximum" in capsys.readouterr().err
+    assert main(["oracle", "hasse", "--q", "65536", "--L", "10000", "--n", "9"]) == 2
+    assert "steps" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
+    # A check refused for its arguments keeps the message of construct.
+    assert main(["oracle", "hasse", "--q", "2", "--L", "5", "--n", "500"]) == 2
+    assert "L exceeds q + 1" in capsys.readouterr().err
 
 
 def test_verify_rejects_a_huge_field_header_at_once(tmp_path, capsys):

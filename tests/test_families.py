@@ -25,18 +25,13 @@ from udm.families import (
     UdmFamily,
     check_family_size,
     construct,
-    construct_entry_oracle,
     count_exact_tuples,
-    delta_matrix,
     enumerate_exact_tuples,
     enumerate_superset_tuples,
     left_transform,
-    lucas_entry,
-    pascal_inverse_check,
     permute,
     prefix,
     reduce,
-    refute_bound,
     reverse_pairs,
     right_multiply,
     tensor_power,
@@ -44,6 +39,13 @@ from udm.families import (
 )
 from udm.gf import Field, field_of_order
 from udm.linalg import Matrix, anti_identity, identity, matmul, rank, solve, stack_prefixes
+from udm.oracles import (
+    construct_entry_oracle,
+    delta_matrix,
+    lucas_entry,
+    pascal_inverse_check,
+    refute_bound,
+)
 
 F2 = Field(2)
 F3 = Field(3)
@@ -464,6 +466,15 @@ def test_refute_bound_trivial_blocks():
     assert report.exists
     assert report.note is not None
     assert verify(report.family).passed
+
+
+def test_refute_bound_with_one_block_forms_counts_of_up_to_4096_bits():
+    assert refute_bound(F2, 1, 4097).total_candidates == 2**4095
+    assert refute_bound(F2, 1, 4098).total_candidates is None
+    assert (3**2584).bit_length() == 4096
+    assert refute_bound(F3, 1, 2586).total_candidates == 3**2584
+    assert refute_bound(F3, 1, 2587).total_candidates is None
+    assert refute_bound(F3, 1, 2).total_candidates == 1
 
 
 def test_refute_bound_budget():

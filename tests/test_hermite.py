@@ -2,7 +2,6 @@
 polynomial kernels against the Hasse-derivative route, decode against
 solve and the Gaussian reference, and the provenance that selects it."""
 
-import dataclasses
 import pickle
 import random
 
@@ -191,7 +190,7 @@ def hand_built(field, L, n, rng):
         b = Matrix(field, n, n, [rng.randrange(field.q) for _ in range(n * n)])
         if rank(b) == n:
             break
-    yield dataclasses.replace(right_multiply(fam, b), alpha=alpha)
+    yield right_multiply(fam, b)._replace(alpha=alpha)
     l, i = rng.randrange(L), rng.randrange(n)
     entries = list(fam.matrices[l].entries)
     entries[i * n : (i + 1) * n] = [0] * n
@@ -257,8 +256,8 @@ def test_is_generator_needs_alpha_and_construct_matrices():
     field = Field(2, 2)
     fam = construct(field, 4, 3)
     assert is_generator(fam)
-    assert not is_generator(dataclasses.replace(fam, alpha=None))
-    assert not is_generator(dataclasses.replace(fam, alpha=3 if fam.alpha == 2 else 2))
+    assert not is_generator(fam._replace(alpha=None))
+    assert not is_generator(fam._replace(alpha=3 if fam.alpha == 2 else 2))
     # Transforms that keep alpha are checked again: these land on construct's
     # output, the permuted one does not.
     assert is_generator(prefix(fam, 3))

@@ -1,0 +1,212 @@
+"""The lazy `udm` package, the modules each CLI process loads, and the
+immutable record classes."""
+
+import json
+import os
+import pickle
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import udm
+from udm import families
+from udm.cli import render_family
+from udm.codec import ChannelOutput, SimulationStats
+from udm.errors import BadArgument, DimensionMismatch
+from udm.families import UdmFamily, VerifyReport, Witness, construct, is_generator
+from udm.gf import Field
+from udm.oracles import SearchReport
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Every public name of the package, by the module it lives in.
+HOMES = {
+    "codec": "ChannelOutput SimulationStats decode encode erase simulate",
+    "families": "UdmFamily VerifyReport Witness construct count_exact_tuples "
+    "enumerate_exact_tuples enumerate_superset_tuples left_transform permute prefix "
+    "reduce reverse_pairs right_multiply tensor_power verify",
+    "gf": "Field factor_prime_power field_string parse_field_string",
+    "hasse": "INFINITE Polynomial evaluate from_linear_factors hasse_derivative "
+    "hasse_monomial_bivariate root_multiplicity",
+    "linalg": "Matrix anti_identity identity kron left_null_vector matmul matvec rank solve "
+    "stack_prefixes",
+    "oracles": "SearchReport construct_entry_oracle delta_matrix lucas_entry "
+    "pascal_inverse_check refute_bound",
+}
+
+
+# -- the lazy package ------------------------------------------------------------------------
+
+
+def test_every_public_name_is_its_home_modules_object():
+    names = sorted(name for names in HOMES.values() for name in names.split())
+    assert udm.__all__ == names
+    for module, names in HOMES.items():
+        home = import_module(f"udm.{module}")
+        for name in names.split():
+            assert getattr(udm, name) is getattr(home, name), name
+
+
+def test_dir_covers_all():
+    assert set(udm.__all__) <= set(dir(udm))
+    assert "__version__" in dir(udm)
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="nope"):
+        udm.nope
+    assert not hasattr(udm, "poly_add")  # public in udm.hasse, not in __all__
+    # A submodule still imports through the package.
+    from udm import hasse
+
+    assert hasse is sys.modules["udm.hasse"]
+
+
+# -- what each process loads -----------------------------------------------------------------
+
+HEAVY = ["udm.codec", "udm.hasse", "udm.oracles", "dataclasses", "inspect"]
+
+
+def loaded_by(code: str, tmp_path) -> set[str]:
+    """The modules a fresh interpreter loads while running code, beyond
+    those loaded at its start."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "print(__import__('json').dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_generate_and_verify_load_no_codec_oracle_or_dataclasses(tmp_path):
+    loaded = loaded_by(
+        "from udm.cli import main\n"
+        "assert main(['generate', '--q', '3', '--L', '4', '--n', '3', '--out', 'f.udm']) == 0\n"
+        "assert main(['verify', '--in', 'f.udm']) == 0",
+        tmp_path,
+    )
+    assert {"udm.cli", "udm.families", "udm.gf", "udm.linalg", "udm.errors"} <= loaded
+    assert not loaded & set(HEAVY)
+
+
+def test_codec_loads_codec_but_not_hasse(tmp_path):
+    (tmp_path / "f.udm").write_text(render_family(construct(Field(3), 4, 3)))
+    loaded = loaded_by(
+        "from udm.cli import main\n"
+        "assert main(['codec', 'roundtrip', '--in', 'f.udm', '--u', '1 2 0', "
+        "'--k', '1 1 1 0']) == 0",
+        tmp_path,
+    )
+    assert "udm.codec" in loaded
+    assert not loaded & {"udm.hasse", "udm.oracles", "dataclasses", "inspect"}
+
+
+def test_bare_import_loads_no_submodule(tmp_path):
+    loaded = loaded_by("import udm", tmp_path)
+    assert not {m for m in loaded if m.startswith("udm.")}
+
+
+# -- record classes ---------------------------------------------------------------------------
+
+
+def records():
+    field = Field(3)
+    fam = construct(field, 4, 3)
+    return [
+        (fam, UdmFamily(field, 4, 3, fam.matrices, alpha=2), fam._replace(alpha=None)),
+        (
+            ChannelOutput((1, 0), ((2,), ())),
+            ChannelOutput([1, 0], [[2], []]),
+            ChannelOutput((0, 1), ((), (2,))),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("record, equal, other", records())
+def test_records_are_immutable(record, equal, other):
+    for name in type(record).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("record, equal, other", records())
+def test_records_compare_and_hash_on_their_fields(record, equal, other):
+    assert record == equal and hash(record) == hash(equal)
+    assert record != other
+    assert record != tuple(getattr(record, name) for name in type(record).__slots__[:2])
+    assert len({record, equal, other}) == 2
+
+
+@pytest.mark.parametrize("record, equal, other", records())
+def test_records_pickle(record, equal, other):
+    again = pickle.loads(pickle.dumps(record))
+    assert again == record and repr(again) == repr(record)
+
+
+def test_records_repr_their_fields():
+    obs = ChannelOutput((1, 0), ((2,), ()))
+    assert repr(obs) == "ChannelOutput(ks=(1, 0), prefixes=((2,), ()))"
+    fam = construct(Field(2), 2, 1)
+    assert repr(fam) == (
+        f"UdmFamily(field={fam.field!r}, L=2, n=1, matrices={fam.matrices!r}, alpha=1)"
+    )
+
+
+def test_records_keep_their_checks():
+    fam = construct(Field(3), 4, 3)
+    with pytest.raises(BadArgument):
+        fam._replace(L=3)
+    with pytest.raises(BadArgument):
+        fam._replace(n=2)
+    with pytest.raises(DimensionMismatch):
+        ChannelOutput((1,), ((1, 2),))
+    with pytest.raises(DimensionMismatch):
+        ChannelOutput((1, 0), ((1,),))
+
+
+def test_replace_resets_the_generator_memo(monkeypatch):
+    fam = construct(Field(3), 4, 3)
+    assert fam._generator is True
+    same = fam._replace()
+    assert same == fam and same is not fam and same._generator is None
+    calls = []
+    real = families.construct
+    monkeypatch.setattr(families, "construct", lambda *a: calls.append(a) or real(*a))
+    assert is_generator(same) and len(calls) == 1
+    assert not is_generator(fam._replace(alpha=1))
+    # A pickled family keeps the answer.
+    assert pickle.loads(pickle.dumps(same))._generator is True
+
+
+def test_reports_keep_their_field_names():
+    assert Witness._fields == ("ks", "stacked", "rank")
+    assert VerifyReport._fields == ("passed", "tuples_checked", "witness")
+    assert SearchReport._fields == (
+        "exists", "family", "total_candidates", "candidates_verified", "note"
+    )
+    assert SearchReport(True, None, 1, 0).note is None
+    assert SimulationStats._fields == (
+        "trials",
+        "successes",
+        "failures_insufficient",
+        "failures_rank_deficient",
+        "mean_symbols",
+        "weight_histogram",
+    )
