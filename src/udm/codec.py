@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Sequence
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 from .errors import (
@@ -113,8 +113,10 @@ def decode(family: UdmFamily, obs: ChannelOutput) -> tuple[int, ...]:
     - Every other family, whatever alpha it claims, and every transform
       output among them: the matching matrix prefixes are stacked and
       solved with linalg.solve, one echelon row insertion per surviving
-      symbol followed by back-substitution, O(n^3). For a verified family
-      the solve cannot be rank deficient.
+      symbol followed by back-substitution, O(n^3) field operations. Over
+      GF(2) up to GF(256) a row operation is a few C-level calls on a whole
+      byte row (gf._byte_rows), so that is O(n^2) row steps. For a
+      verified family the solve cannot be rank deficient.
     """
     n = family.n
     if len(obs.ks) != family.L:
@@ -158,7 +160,7 @@ def _interpolate(family: UdmFamily, obs: ChannelOutput) -> tuple[int, ...]:
             top = prefix[:k]
         elif k:
             points.append((field.pow(family.alpha, l - 2) if l else 0, prefix[:k]))
-        rows += map(m.row, range(k, len(prefix)))
+        rows += m.entries[k * n : len(prefix) * n]
         redundant += prefix[k:]
     u = hermite(field, n, top, points)
     if field.dot_rows(rows, u) != redundant:
@@ -277,7 +279,7 @@ def simulate(
     else:
         source = pattern_source
     n, L, q = family.n, family.L, family.field.q
-    dot_rows = family.field.dot_rows
+    dot_rows, mats = family.field.dot_rows, family.matrices
     successes = 0
     fail_insufficient = 0
     fail_rank = 0
@@ -287,7 +289,7 @@ def simulate(
         rng = trial_rng(seed, t)
         ks = tuple(source(rng, L, n))
         u = tuple(rng.randrange(q) for _ in range(n))
-        y = dot_rows([m.row(i) for m, k in zip(family.matrices, ks) for i in range(k)], u)
+        y = dot_rows(tuple(chain.from_iterable(m.entries[: k * n] for m, k in zip(mats, ks))), u)
         obs = ChannelOutput(ks, tuple(y[e - k : e] for k, e in zip(ks, accumulate(ks))))
         weight = sum(ks)
         total_symbols += weight

@@ -482,8 +482,9 @@ def _encoding(p: int, s: int, exp, log, zech):
     as a list of canonical elements: x[c] = rhs[c] - sum(b[c][j] * x[j]
     for c < j < n).
 
-    dot_rows(rows, v) returns the list of the dot products of v with each
-    of `rows`, all of canonical elements and as long as v.
+    dot_rows(entries, v) returns the list of the dot products of v, which
+    must not be empty, with each row of `entries`, a flat sequence of rows
+    as long as v one after another, all of canonical elements.
 
     A polynomial is a list of canonical elements, constant term first.
     taylor(a, beta, k) returns the first k Taylor coefficients of a at
@@ -494,8 +495,20 @@ def _encoding(p: int, s: int, exp, log, zech):
     changed. mul_add(acc, c, v, j) adds c * v[i] to acc[j + i] for every
     i, in place; acc must reach j + len(v).
 
-    A stored row is the tail after the pivot column of the row scaled to a
-    leading 1. The encoding is chosen once, here, and each encoding defines
+    The encoding is chosen once, here. Characteristic 2 with s <= 8,
+    GF(2) up to GF(256), takes insert_row, back_substitute, dot_rows and
+    mul_add from _byte_rows: a row is one byte per element, held as a
+    big-endian int, a sum of rows is one XOR and a scaled row one
+    bytes.translate, so each kernel makes a few C-level calls per row
+    instead of one Python step per element; a stored row is the full-width
+    bytes row scaled to a leading 1. GF(2), which has no tables, passes the
+    exp and log of its multiplicative group {1}. translate maps a byte to
+    a byte, so the selection stops at q = 256 and GF(2^9) up to GF(2^16)
+    keep the log rows below.
+
+    Every other field, and the scalar ops and taylor of every field, use
+    the per-element kernels. There, a stored row is the tail after the
+    pivot column of the row scaled to a leading 1, and each encoding defines
     its scalar ops and the pieces the shared kernels are built from:
     pivot(t, i), that scaling of t[i:]; reduce(t, i, b), the step t - t[i]
     * b on the tail; stored(v) and value(y), to and from the stored format;
@@ -689,9 +702,9 @@ def _encoding(p: int, s: int, exp, log, zech):
                 x[c] = sub(value(b[-1]), dot(x[c + 1 :], b))
         return x
 
-    def dot_rows(rows, v):
-        sv = stored(v)
-        return [dot(r, sv) for r in rows]
+    def dot_rows(entries, v):
+        sv, w = stored(v), len(v)
+        return [dot(entries[i : i + w], sv) for i in range(0, len(entries), w)]
 
     def taylor(a, beta, k):
         a = list(a)
@@ -703,9 +716,81 @@ def _encoding(p: int, s: int, exp, log, zech):
                 divide(a, lo, beta)
         return a[:k]
 
+    if p == 2 and s <= 8:
+        insert_row, back_substitute, dot_rows, mul_add = _byte_rows(exp or [1], log or [0, 0])
     return (
         add, neg, sub, mul, inv, power, insert_row, back_substitute, dot_rows, taylor, mul_add
     )
+
+
+def _byte_rows(exp, log):
+    """insert_row, back_substitute, dot_rows and mul_add of _encoding for
+    GF(2**s), s <= 8, from its exp and log tables; each acts on a whole row
+    with a few C-level calls.
+
+    A row of w elements is w bytes, one per element in column order, or
+    the big-endian int of those bytes: adding two rows is one XOR, and the
+    leading element of a nonzero int row is its top byte. scale[c] is the
+    256-byte table of x -> c * x, so a row times c is one bytes.translate.
+    The table of alpha maps alpha**k to alpha**(k + 1), which is the log
+    bytes translated through exp shifted by one, and the table of
+    alpha**(k + 1) is that of alpha**k translated through it; the inverse
+    of c is exp[-log[c]]. A stored row is the full-width bytes row scaled
+    to a leading 1. back_substitute and dot_rows work a column at a time:
+    in the rows joined into one bytes object, column j is a strided slice.
+    """
+    q = len(log)
+    next_power = bytes(exp[1:] + exp[:1]).ljust(256, b"\0")
+    by_alpha = (b"\0" + bytes(log[1:]).translate(next_power)).ljust(256, b"\0")
+    scale = [bytes(256)] * q
+    t = bytes(range(256))
+    for k in range(q - 1):
+        scale[exp[k]] = t
+        t = t.translate(by_alpha)
+    from_bytes = int.from_bytes
+
+    def insert_row(basis, row):
+        w = len(row)
+        t = from_bytes(bytes(row), "big")
+        while t:
+            # The leading element is the top byte, which starts at bit sh.
+            sh = t.bit_length() - 1 & -8
+            lead, c = t >> sh, w - 1 - (sh >> 3)
+            b = basis[c]
+            if b is None:
+                basis[c] = t.to_bytes(w, "big").translate(scale[exp[-log[lead]]])
+                return c
+            t ^= from_bytes(b.translate(scale[lead]), "big")
+        return -1
+
+    def back_substitute(basis, n):
+        # acc starts as the right-hand side and loses x[c] * column c once
+        # x[c] is known, so entry c of acc is x[c] when column c comes up.
+        rows = b"".join(basis[:n])
+        acc = from_bytes(rows[n :: n + 1], "big")
+        x = [0] * n
+        for c in range(n - 1, -1, -1):
+            xc = x[c] = acc >> 8 * (n - 1 - c) & 255
+            if xc:
+                acc ^= from_bytes(rows[c :: n + 1].translate(scale[xc]), "big")
+        return x
+
+    def dot_rows(entries, v):
+        rows, w = bytes(entries), len(v)
+        acc = 0
+        for j, vj in enumerate(v):
+            if vj:
+                acc ^= from_bytes(rows[j::w].translate(scale[vj]), "big")
+        return list(acc.to_bytes(len(rows) // w, "big"))
+
+    def mul_add(acc, c, v, j):
+        if c:
+            e = j + len(v)
+            t = from_bytes(bytes(acc[j:e]), "big")
+            t ^= from_bytes(bytes(v).translate(scale[c]), "big")
+            acc[j:e] = t.to_bytes(e - j, "big")
+
+    return insert_row, back_substitute, dot_rows, mul_add
 
 
 def field_string(field: Field) -> str:

@@ -399,6 +399,34 @@ def test_transform_right_mul_identity(known_path, tmp_path):
     assert fam.alpha is None  # transforms drop the construction marker
 
 
+_B16 = "3 0 7 1; 1 1 0 2; 0 5 1 0; "
+_B256 = "3 0 7 1 200 9; 1 1 0 2 17 255; 0 5 1 0 0 64; 9 0 0 1 128 2; 77 31 5 0 1 1; "
+
+
+@pytest.mark.parametrize(
+    "q, L, n, matrix, singular, digest",
+    [
+        (16, 5, 4, _B16 + "9 0 0 1", _B16 + "2 4 6 3",
+         "ebfa4bc8136e891857188372171fcd8875c86ba9c4ce18586be3f359ba15b548"),
+        (256, 6, 6, _B256 + "0 0 0 0 3 250", _B256 + "70 27 3 2 88 181",
+         "c9fc70dcb054988b845bafaba689b316eb9c738ed383e40ac9a3a802ae3a10fb"),
+    ],
+)
+def test_transform_right_mul_output_is_pinned(q, L, n, matrix, singular, digest, tmp_path,
+                                              capsys):
+    # Byte-row fields: the UDMv1 file is the one the log-row kernels wrote,
+    # and a multiplier whose last row is the sum of the others is refused.
+    base = tmp_path / "base.udm"
+    assert main(["generate", "--q", str(q), "--L", str(L), "--n", str(n), "--out", str(base)]) == 0
+    capsys.readouterr()
+    for b, code in ((matrix, 0), (singular, 2)):
+        assert main(["transform", "--in", str(base), "--op", "right-mul", "--matrix", b,
+                     "--out", "-"]) == code
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err == "error: right multiplier is not invertible\n"
+
+
 def test_transform_left_tri(known_path, tmp_path, capsys):
     out = tmp_path / "scaled.udm"
     rc = main(["transform", "--in", str(known_path), "--op", "left-tri", "--ell", "2",

@@ -302,6 +302,26 @@ def test_right_multiply_rejects_singular():
     fam = known_family()
     with pytest.raises(Singular):
         right_multiply(fam, Matrix.from_rows(F3, [[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
+    # Refused exactly when the per-element rank is short, on both sides of
+    # the byte-row range.
+    for p, s in [(3, 1), (2, 1), (2, 4), (2, 8), (2, 9), (2, 16), (3, 2)]:
+        field = Field(p, s)
+        fam = construct(field, 3, 4)
+        rng = random.Random(p * 50 + s)
+        seen = {True: 0, False: 0}
+        for _ in range(40):
+            entries = [rng.randrange(1, field.q) if rng.random() < 0.5 else 0 for _ in range(16)]
+            if rng.random() < 0.2:
+                entries[12:] = entries[:4]
+            b = Matrix(field, 4, 4, entries)
+            singular = rank(b) < 4
+            seen[singular] += 1
+            if singular:
+                with pytest.raises(Singular, match="right multiplier is not invertible"):
+                    right_multiply(fam, b)
+            else:
+                assert right_multiply(fam, b).matrices == tuple(matmul(m, b) for m in fam.matrices)
+        assert min(seen.values()) >= 5, (field, seen)
 
 
 def test_right_multiply_preserves_verification():

@@ -396,12 +396,24 @@ def test_a_dropped_field_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         before = sum(isinstance(o, Field) for o in gc.get_objects())
-        for p, s in [(7, 1), (2, 4), (3, 2)]:
+        for p, s in [(7, 1), (2, 1), (2, 4), (2, 8), (2, 9), (2, 16), (3, 2)]:
             Field(p, s)
         after = sum(isinstance(o, Field) for o in gc.get_objects())
     finally:
         gc.enable()
     assert after == before
+
+
+def test_the_field_order_alone_selects_the_byte_row_kernels():
+    # GF(2) up to GF(256) and nothing else; the scalar ops and taylor keep
+    # the per-element encoding everywhere.
+    for p, s in [(2, 1), (2, 2), (2, 8), (2, 9), (2, 16), (3, 1), (3, 5), (251, 1)]:
+        field = Field(p, s)
+        kernels = (field.insert_row, field.back_substitute, field.dot_rows, field.mul_add)
+        owner = "_byte_rows." if p == 2 and s <= 8 else "_encoding."
+        assert all(f.__qualname__.startswith(owner) for f in kernels), (p, s)
+        assert field.mul.__qualname__.startswith("_encoding.")
+        assert field.taylor.__qualname__.startswith("_encoding.")
 
 
 def test_field_of_order_checks_the_cap_before_factoring():

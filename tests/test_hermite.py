@@ -92,7 +92,7 @@ def test_taylor_matches_hasse_derivatives(field):
         assert a == before
 
 
-@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+@pytest.mark.parametrize("field", KERNEL_FIELDS + [Field(2, 9), Field(2, 16)], ids=repr)
 def test_mul_add_matches_field_calls(field):
     rng = random.Random(field.q + 1)
     q = field.q

@@ -9,6 +9,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udm.cli import parse_matrix_arg
 from udm.errors import DimensionMismatch, Inconsistent, ParseError, RankDeficient
@@ -123,6 +125,9 @@ def naive_matvec(field, a, v):
 ORACLE_FIELDS = [
     Field(p, s) for p, s in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3)]
 ]
+# Either side of the byte-row kernels' range, GF(2) up to GF(2^8), in
+# characteristic 2; GF(2) is in ORACLE_FIELDS already.
+BYTE_ROW_EDGES = [Field(2, s) for s in (8, 9, 16)]
 
 
 # -- identity and reversal ---------------------------------------------------------
@@ -162,7 +167,7 @@ def test_product_associativity_with_vectors():
         assert matvec(matmul(a, b), v) == matvec(a, matvec(b, v))
 
 
-@pytest.mark.parametrize("field", ORACLE_FIELDS + [Field(2, 8)], ids=repr)
+@pytest.mark.parametrize("field", ORACLE_FIELDS + BYTE_ROW_EDGES, ids=repr)
 def test_matmul_columns_match_the_naive_loop(field):
     rng = random.Random(field.q)
     for _ in range(12):
@@ -325,7 +330,7 @@ def random_system(rng, field, rows, cols):
     return a, y
 
 
-@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@pytest.mark.parametrize("field", ORACLE_FIELDS + BYTE_ROW_EDGES, ids=repr)
 def test_solve_matches_gaussian_reference(field):
     # Square, tall and wide systems, rows = 0 and n = 0 included: the same
     # solution, or the same exception with the same rank in its message.
@@ -337,6 +342,16 @@ def test_solve_matches_gaussian_reference(field):
         assert got == want, (a.to_lists(), y)
         seen[want[0] if want and isinstance(want[0], type) else "ok"] += 1
     assert min(seen.values()) >= 20, seen
+    # Unit rows, and a zero row whose right-hand side alone is nonzero.
+    top = field.q - 1
+    for n in range(1, 6):
+        y = tuple((top - i) % field.q for i in range(n))
+        assert solve(identity(field, n), y) == y
+        assert solve(anti_identity(field, n), y) == y[::-1]
+        a = Matrix(field, n + 1, n, identity(field, n).entries + (0,) * n)
+        assert solve(a, y + (0,)) == y
+        with pytest.raises(Inconsistent):
+            solve(a, y + (top,))
 
 
 def test_solve_reports_rank_deficiency_before_contradiction():
@@ -359,10 +374,26 @@ def test_solve_edge_shapes():
         solve(Matrix(F5, 0, 3, []), ())
 
 
+@settings(max_examples=60)
+@given(data=st.data())
+def test_property_solve_equals_gaussian_over_small_char_2_fields(data):
+    # GF(2^s) for s <= 9: the byte-row kernels and, at s = 9, the log rows.
+    field = Field(2, data.draw(st.integers(1, 9)))
+    rows, cols = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 6))
+    element = st.one_of(st.just(0), st.integers(0, field.q - 1))
+
+    def vector(size):
+        return data.draw(st.lists(element, min_size=size, max_size=size))
+
+    a = Matrix(field, rows, cols, vector(rows * cols))
+    y = naive_matvec(field, a, vector(cols)) if data.draw(st.booleans()) else vector(rows)
+    assert outcome(solve, a, y) == outcome(solve_gaussian, a, y)
+
+
 # -- matvec --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p, s", [(7, 1), (2, 4), (5, 2), (3, 10), (2, 16)])
+@pytest.mark.parametrize("p, s", [(7, 1), (2, 1), (2, 4), (2, 8), (2, 9), (5, 2), (3, 10), (2, 16)])
 def test_matvec_matches_naive_loop(p, s):
     field = Field(p, s)
     rng = random.Random(p * 1000 + s)

@@ -20,7 +20,7 @@ from udm.families import (
     verify,
 )
 from udm.gf import Field
-from udm.linalg import Matrix, rank, stack_prefixes
+from udm.linalg import Matrix, anti_identity, identity, rank, stack_prefixes
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2)]
 MAX_N = 5
@@ -132,6 +132,25 @@ def test_pinned_7_5_12_witness():
     assert rep.witness.stacked == broken.matrices[0]
 
 
+@pytest.mark.parametrize(
+    "s, L, n, superset, checked, ks, r",
+    [
+        (4, 6, 8, False, 84, (0, 0, 2, 0, 2, 4), 7),
+        (4, 6, 8, True, 1262, (0, 0, 2, 0, 2, 4), 7),
+        (8, 5, 6, False, 130, (1, 2, 3, 0, 0), 5),
+        (8, 5, 6, True, 3044, (1, 2, 3, 0, 0), 5),
+    ],
+)
+def test_pinned_byte_row_field_witnesses(s, L, n, superset, checked, ks, r):
+    # GF(16) and GF(256) families with entry (1, 3) of matrix 2 zeroed: the
+    # witness and the tuple count are pinned to those of the log-row walk.
+    broken = with_entries(construct(Field(2, s), L, n), {(2, 1, 3): 0})
+    rep = verify(broken, superset=superset)
+    assert not rep.passed
+    assert (rep.tuples_checked, rep.witness.ks, rep.witness.rank) == (checked, ks, r)
+    assert rep.witness.stacked == stack_prefixes(broken.matrices, ks)
+
+
 def test_many_channels_walk_without_recursion():
     fam = construct(Field(2), 3000, 1)
     assert verify(fam) == VerifyReport(True, 3000, None)
@@ -142,25 +161,38 @@ def test_many_channels_walk_without_recursion():
     )
 
 
-@pytest.mark.parametrize("p, s", [(2, 1), (7, 1), (2, 3), (2, 4), (3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize(
+    "p, s", [(2, 1), (7, 1), (2, 3), (2, 4), (2, 8), (2, 9), (2, 16), (3, 2), (5, 2), (3, 3)]
+)
 def test_insert_row_counts_the_rank(p, s):
-    # Every encoding: the rows that insert_row accepts are as many as the
-    # rank, each in its own slot, and clearing those slots empties the basis.
+    # Every encoding, on both sides of the byte-row range: the rows that
+    # insert_row accepts are as many as the rank, each in its own slot, and
+    # clearing those slots empties the basis. Zero-width and all-zero rows
+    # are refused.
     field = Field(p, s)
     rng = random.Random(p * 100 + s)
     for _ in range(60):
-        n = rng.randint(1, 7)
+        n = rng.randint(0, 7)
         rows = [
             tuple(rng.randrange(field.q) if rng.random() < 0.7 else 0 for _ in range(n))
             for _ in range(rng.randint(1, 9))
         ]
-        rows += [rows[0]] * rng.randint(0, 1)
+        rows += [rows[0]] * rng.randint(0, 1) + [(0,) * n] * rng.randint(0, 1)
         basis = [None] * n
         filled = [c for c in (field.insert_row(basis, r) for r in rows) if c >= 0]
         assert len(filled) == len(set(filled)) == rank(Matrix.from_rows(field, rows))
         for c in filled:
             basis[c] = None
         assert basis == [None] * n
+    # Unit rows fill their own column, and a row that is zero but for its
+    # last entry, an augmented row's right-hand side, fills the last slot.
+    for n in range(1, 7):
+        for unit, cols in ((identity, range(n)), (anti_identity, range(n - 1, -1, -1))):
+            basis, m = [None] * n, unit(field, n)
+            assert [field.insert_row(basis, m.row(i)) for i in range(n)] == list(cols)
+        basis = [None] * (n + 1)
+        assert field.insert_row(basis, (0,) * n + (field.q - 1,)) == n
+        assert field.insert_row(basis, (0,) * n + (1,)) == -1
 
 
 def plus_one(v, p):
