@@ -114,9 +114,11 @@ def decode(family: UdmFamily, obs: ChannelOutput) -> tuple[int, ...]:
       output among them: the matching matrix prefixes are stacked and
       solved with linalg.solve, one echelon row insertion per surviving
       symbol followed by back-substitution, O(n^3) field operations. Over
-      GF(2) up to GF(256) a row operation is a few C-level calls on a whole
-      byte row (gf._byte_rows), so that is O(n^2) row steps. For a
-      verified family the solve cannot be rank deficient.
+      a field whose elements pack into one byte (GF(2^s) for s <= 8, odd
+      primes up to 127, GF(9), GF(25), GF(49)) a row operation is a few
+      C-level calls on a whole byte row (gf._byte_rows), so that is O(n^2)
+      row steps. For a verified family the solve cannot be rank
+      deficient.
     """
     n = family.n
     if len(obs.ks) != family.L:

@@ -234,6 +234,7 @@ class Field:
         "dot_rows",
         "taylor",
         "mul_add",
+        "matmul",
     )
 
     def __init__(self, p: int, s: int = 1):
@@ -259,9 +260,10 @@ class Field:
         self._alpha = self._find_primitive()
         if s > 1:
             self._build_tables()
-        ops = _encoding(p, s, self._exp, self._log, self._zech)
+        ops = _encoding(p, s, self._alpha, self._exp, self._log, self._zech)
         self.add, self.neg, self.sub, self.mul, self.inv, self.pow = ops[:6]
-        self.insert_row, self.back_substitute, self.dot_rows, self.taylor, self.mul_add = ops[6:]
+        self.insert_row, self.back_substitute, self.dot_rows = ops[6:9]
+        self.taylor, self.mul_add, self.matmul = ops[9:]
 
     # -- construction helpers ------------------------------------------------
 
@@ -458,11 +460,12 @@ def _zero_power(e: int) -> int:
     return 0 if e else 1
 
 
-def _encoding(p: int, s: int, exp, log, zech):
+def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     """The arithmetic of GF(p**s), bound once for its element encoding, as
     plain functions: (add, neg, sub, mul, inv, pow, insert_row,
-    back_substitute, dot_rows, taylor, mul_add). exp, log and zech are the
-    field's tables (None for a prime field, zech None for p = 2).
+    back_substitute, dot_rows, taylor, mul_add, matmul). alpha is the
+    field's primitive element, and exp, log and zech are its tables (None
+    for a prime field, zech None for p = 2).
 
     The scalar ops act on canonical elements; inv(0) and pow(0, e) for
     e < 0 raise DivisionByZero, and pow(a, 0) == 1 for every a.
@@ -495,16 +498,21 @@ def _encoding(p: int, s: int, exp, log, zech):
     changed. mul_add(acc, c, v, j) adds c * v[i] to acc[j + i] for every
     i, in place; acc must reach j + len(v).
 
-    The encoding is chosen once, here. Characteristic 2 with s <= 8,
-    GF(2) up to GF(256), takes insert_row, back_substitute, dot_rows and
-    mul_add from _byte_rows: a row is one byte per element, held as a
-    big-endian int, a sum of rows is one XOR and a scaled row one
+    matmul(a, b, k) returns the flat entries of the product of an r x k
+    matrix and a k x c one, both given as flat sequences of canonical
+    elements, k >= 1 and b not empty: row i is the sum of a[i, t] times row
+    t of b.
+
+    The encoding is chosen once, here. A field whose elements pack into
+    one byte with room for a digit-wise sum, GF(2^s) for s <= 8, the odd
+    primes up to 127, GF(9), GF(25) and GF(49), takes insert_row,
+    back_substitute, dot_rows, mul_add and matmul from _byte_rows: a row
+    is one byte per element, held as a big-endian int, a sum of rows is
+    one XOR, or one int add and one bytes.translate, and a scaled row one
     bytes.translate, so each kernel makes a few C-level calls per row
-    instead of one Python step per element; a stored row is the full-width
-    bytes row scaled to a leading 1. GF(2), which has no tables, passes the
-    exp and log of its multiplicative group {1}. translate maps a byte to
-    a byte, so the selection stops at q = 256 and GF(2^9) up to GF(2^16)
-    keep the log rows below.
+    instead of one Python step per element. A prime field, which has no
+    tables, passes the powers of its primitive element; for GF(2) that is
+    {1}.
 
     Every other field, and the scalar ops and taylor of every field, use
     the per-element kernels. There, a stored row is the tail after the
@@ -515,7 +523,8 @@ def _encoding(p: int, s: int, exp, log, zech):
     dot(xs, b), the sum of xs[j] * b[j] for canonical xs and stored b over
     the shorter of the two; divide(a, lo, beta), one synthetic division of
     a[lo:] by X - beta in place, leaving the remainder in a[lo] and the
-    quotient above it; and mul_add. Each keeps its own per-element loop:
+    quotient above it; and mul_add, on which matmul is built. Each keeps
+    its own per-element loop:
     - prime fields: the residues themselves, reduced with % p;
     - characteristic 2: stored rows hold logarithms, sums are XORs;
     - odd characteristic, s > 1: stored rows hold logarithms, sums go
@@ -716,51 +725,119 @@ def _encoding(p: int, s: int, exp, log, zech):
                 divide(a, lo, beta)
         return a[:k]
 
-    if p == 2 and s <= 8:
-        insert_row, back_substitute, dot_rows, mul_add = _byte_rows(exp or [1], log or [0, 0])
+    def matmul(a, b, k):
+        c = len(b) // k
+        brows = [b[i : i + c] for i in range(0, len(b), c)]
+        out = []
+        for i in range(0, len(a), k):
+            row = [0] * c
+            for v, brow in zip(a[i : i + k], brows):
+                mul_add(row, v, brow, 0)
+            out += row
+        return out
+
+    w = 1 if p == 2 else (2 * p - 2).bit_length()
+    if s * w <= 8:
+        exp = exp or [pow(alpha, k, p) for k in range(m)]
+        insert_row, back_substitute, dot_rows, mul_add, matmul = _byte_rows(p, s, w, exp)
     return (
-        add, neg, sub, mul, inv, power, insert_row, back_substitute, dot_rows, taylor, mul_add
+        add, neg, sub, mul, inv, power, insert_row, back_substitute, dot_rows, taylor, mul_add,
+        matmul,
     )
 
 
-def _byte_rows(exp, log):
-    """insert_row, back_substitute, dot_rows and mul_add of _encoding for
-    GF(2**s), s <= 8, from its exp and log tables; each acts on a whole row
-    with a few C-level calls.
+def _byte_rows(p, s, w, exp):
+    """insert_row, back_substitute, dot_rows, mul_add and matmul of
+    _encoding for a field whose elements pack into one byte with room for
+    a digit-wise sum, from its exp table; each acts on a whole row with a
+    few C-level calls.
 
-    A row of w elements is w bytes, one per element in column order, or
-    the big-endian int of those bytes: adding two rows is one XOR, and the
-    leading element of a nonzero int row is its top byte. scale[c] is the
-    256-byte table of x -> c * x, so a row times c is one bytes.translate.
-    The table of alpha maps alpha**k to alpha**(k + 1), which is the log
-    bytes translated through exp shifted by one, and the table of
-    alpha**(k + 1) is that of alpha**k translated through it; the inverse
-    of c is exp[-log[c]]. A stored row is the full-width bytes row scaled
-    to a leading 1. back_substitute and dot_rows work a column at a time:
-    in the rows joined into one bytes object, column j is a strided slice.
+    An element is packed as its base-p digits, w bits apart, s * w <= 8:
+    w = 1 for p = 2, and w = (2p - 2).bit_length() for odd p, so that the
+    sum of two digits stays in its slot, as _exp_table packs them. For
+    prime fields and in characteristic 2 the packed byte is the canonical
+    encoding itself; otherwise a canonical row packs, and a packed one
+    unpacks, with one translate. A row of n elements is n packed bytes,
+    one per element in column order, or the big-endian int of those bytes.
+    Adding two rows is one XOR in characteristic 2. In odd characteristic
+    it is one int add, in which no digit carries into the next, followed by
+    one translate through red, which reduces every digit mod p. The
+    leading element of a nonzero int row is its top byte.
+
+    A row times c is one translate through the 256-byte table of x -> c * x.
+    The table of alpha maps alpha**k to alpha**(k + 1), and the table of
+    alpha**(k + 1) is that of alpha**k translated through it, so the q - 1
+    tables cost q - 1 translates and no field multiplications. scale[c]
+    is the table of a canonical c; neg[b] and inv[b] are those of -b and
+    1 / b for a packed b, the same tables at other powers of alpha. A
+    stored row is the full-width bytes row scaled to a leading 1.
+    back_substitute, dot_rows and matmul work a column, or a row of b, at
+    a time: in the rows joined into one bytes object, column j is a
+    strided slice.
+
+    That covers GF(2^s) for s <= 8, every odd prime p <= 127, and GF(9),
+    GF(25) and GF(49), the fields with s * w <= 8. translate maps a byte to
+    a byte, so GF(27) (three 3-bit digits), GF(121) (two 5-bit digits),
+    the primes from 131 up (sums up to 260) and every larger field keep the
+    per-element rows.
     """
-    q = len(log)
-    next_power = bytes(exp[1:] + exp[:1]).ljust(256, b"\0")
-    by_alpha = (b"\0" + bytes(log[1:]).translate(next_power)).ljust(256, b"\0")
-    scale = [bytes(256)] * q
+    m = len(exp)
+    pack = [0]
+    for j in range(s):
+        pack = [x + (d << w * j) for d in range(p) for x in pack]
+    pexp = [pack[v] for v in exp]
+    by_alpha = bytearray(256)
+    for a, b in zip(pexp[-1:] + pexp[:-1], pexp):
+        by_alpha[a] = b
+    by_packed = [bytes(256)] * 256
     t = bytes(range(256))
-    for k in range(q - 1):
-        scale[exp[k]] = t
+    for b in pexp:
+        by_packed[b] = t
         t = t.translate(by_alpha)
+    scale = [by_packed[b] for b in pack]
+    half = m // 2 if p > 2 else 0  # alpha**half == -1
+    neg, inv = list(by_packed), list(by_packed)
+    for b, nb, ib in zip(pexp, pexp[half:] + pexp[:half], pexp[:1] + pexp[:0:-1]):
+        neg[b], inv[b] = by_packed[nb], by_packed[ib]
     from_bytes = int.from_bytes
 
+    if s == 1 or p == 2:
+        packed, unpacked = bytes, list
+    else:
+        to_packed, unpack = bytes(pack).ljust(256, b"\0"), bytearray(256)
+        for v, b in enumerate(pack):
+            unpack[b] = v
+
+        def packed(row):
+            return bytes(row).translate(to_packed)
+
+        def unpacked(row):
+            return list(row.translate(unpack))
+
+    if p == 2:
+        add = xor
+    else:
+        red = [0]
+        for j in range(s):
+            red = [x + (d % p << w * j) for d in range(1 << w) for x in red]
+        red = bytes(red).ljust(256, b"\0")
+
+        def add(a, b):
+            v = a + b
+            return from_bytes(v.to_bytes(v.bit_length() + 7 >> 3, "big").translate(red), "big")
+
     def insert_row(basis, row):
-        w = len(row)
-        t = from_bytes(bytes(row), "big")
+        n = len(row)
+        t = from_bytes(packed(row), "big")
         while t:
             # The leading element is the top byte, which starts at bit sh.
             sh = t.bit_length() - 1 & -8
-            lead, c = t >> sh, w - 1 - (sh >> 3)
+            lead, c = t >> sh, n - 1 - (sh >> 3)
             b = basis[c]
             if b is None:
-                basis[c] = t.to_bytes(w, "big").translate(scale[exp[-log[lead]]])
+                basis[c] = t.to_bytes(n, "big").translate(inv[lead])
                 return c
-            t ^= from_bytes(b.translate(scale[lead]), "big")
+            t = add(t, from_bytes(b.translate(neg[lead]), "big"))
         return -1
 
     def back_substitute(basis, n):
@@ -768,29 +845,44 @@ def _byte_rows(exp, log):
         # x[c] is known, so entry c of acc is x[c] when column c comes up.
         rows = b"".join(basis[:n])
         acc = from_bytes(rows[n :: n + 1], "big")
-        x = [0] * n
+        x = bytearray(n)
         for c in range(n - 1, -1, -1):
             xc = x[c] = acc >> 8 * (n - 1 - c) & 255
             if xc:
-                acc ^= from_bytes(rows[c :: n + 1].translate(scale[xc]), "big")
-        return x
+                acc = add(acc, from_bytes(rows[c :: n + 1].translate(neg[xc]), "big"))
+        return unpacked(x)
 
     def dot_rows(entries, v):
-        rows, w = bytes(entries), len(v)
+        rows, cols = packed(entries), len(v)
         acc = 0
         for j, vj in enumerate(v):
             if vj:
-                acc ^= from_bytes(rows[j::w].translate(scale[vj]), "big")
-        return list(acc.to_bytes(len(rows) // w, "big"))
+                acc = add(acc, from_bytes(rows[j::cols].translate(scale[vj]), "big"))
+        return unpacked(acc.to_bytes(len(rows) // cols, "big"))
 
     def mul_add(acc, c, v, j):
         if c:
             e = j + len(v)
-            t = from_bytes(bytes(acc[j:e]), "big")
-            t ^= from_bytes(bytes(v).translate(scale[c]), "big")
-            acc[j:e] = t.to_bytes(e - j, "big")
+            t = from_bytes(packed(v).translate(scale[c]), "big")
+            t = add(from_bytes(packed(acc[j:e]), "big"), t)
+            acc[j:e] = unpacked(t.to_bytes(e - j, "big"))
 
-    return insert_row, back_substitute, dot_rows, mul_add
+    def matmul(a, b, k):
+        # Each row of b is packed once; row i of the product is the sum of
+        # a[i, t] times row t of b.
+        c = len(b) // k
+        rows = packed(b)
+        brows = [rows[i : i + c] for i in range(0, len(rows), c)]
+        out = []
+        for i in range(0, len(a), k):
+            acc = 0
+            for ait, brow in zip(a[i : i + k], brows):
+                if ait:
+                    acc = add(acc, from_bytes(brow.translate(scale[ait]), "big"))
+            out.append(acc.to_bytes(c, "big"))
+        return unpacked(b"".join(out))
+
+    return insert_row, back_substitute, dot_rows, mul_add, matmul
 
 
 def field_string(field: Field) -> str:

@@ -5,12 +5,15 @@ owning field. Vectors are plain sequences of ints. Elimination uses
 first-nonzero pivoting scanning top-down; there is no magnitude to prefer
 over an exact field, and the fixed rule keeps every witness reproducible.
 
-solve and matvec, the decode and encode paths, run on the field's row
-kernels (Field.insert_row, back_substitute and dot_rows), whose stored-row
-format stays inside gf. Over GF(2) up to GF(256) those kernels act on whole
-byte rows, so solve is O(n^2) C-level row steps rather than O(n^3) Python
-steps per element. rank and left_null_vector eliminate with per-element
-Field calls, an independent path that the verify tests use as their oracle.
+solve, matvec and matmul, the decode, encode and transform paths, run on
+the field's row kernels (Field.insert_row, back_substitute, dot_rows and
+matmul), whose stored-row format stays inside gf. Over every field whose
+elements pack into one byte (GF(2^s) for s <= 8, odd primes up to 127,
+GF(9), GF(25) and GF(49)) those kernels act on whole byte rows, so solve
+is O(n^2) C-level row steps rather than O(n^3) Python steps per element,
+and matmul packs each row of b once and adds one scaled row per nonzero
+entry of a. rank and left_null_vector eliminate with per-element Field
+calls, an independent path that the verify tests use as their oracle.
 """
 
 from __future__ import annotations
@@ -101,18 +104,14 @@ def anti_identity(field: Field, n: int) -> Matrix:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b through the field's matmul kernel, handed the flat entries."""
     if a.field != b.field:
         raise DimensionMismatch("matrices over different fields")
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    mul_add = a.field.mul_add
-    brows = [b.row(k) for k in range(b.rows)]
-    out = []
-    for i in range(a.rows):
-        acc_row = [0] * b.cols
-        for v, brow in zip(a.row(i), brows):
-            mul_add(acc_row, v, brow, 0)
-        out.extend(acc_row)
+    if not a.cols or not b.cols:
+        return Matrix._unchecked(a.field, a.rows, b.cols, (0,) * (a.rows * b.cols))
+    out = a.field.matmul(a.entries, b.entries, a.cols)
     return Matrix._unchecked(a.field, a.rows, b.cols, tuple(out))
 
 

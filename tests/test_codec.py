@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_linalg import ORACLE_FIELDS, outcome, solve_gaussian
 
 from udm.codec import (
@@ -25,7 +27,14 @@ from udm.errors import (
     InsufficientSymbols,
     RankDeficient,
 )
-from udm.families import UdmFamily, construct, enumerate_exact_tuples, right_multiply
+from udm.families import (
+    UdmFamily,
+    construct,
+    enumerate_exact_tuples,
+    left_transform,
+    permute,
+    right_multiply,
+)
 from udm.gf import Field
 from udm.linalg import Matrix, identity, rank, stack_prefixes
 
@@ -317,3 +326,37 @@ def test_pattern_sources_stay_in_range():
             assert all(0 <= k <= 3 for k in ks)
     for _ in range(50):
         assert sum(exact_pattern(rng, 4, 3)) == 3
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_property_decode_of_encode_after_transforms(data):
+    # left_transform, right_multiply and permute keep a family universally
+    # decodable, so every observation of at least n symbols decodes to u.
+    # A transformed family takes the generic solve, on the byte-row kernels
+    # here, and its matrices come from the matmul kernel.
+    p, s = data.draw(st.sampled_from([(7, 1), (5, 2), (2, 8)]))
+    field = Field(p, s)
+    n = data.draw(st.integers(1, 6))
+    L = data.draw(st.integers(1, min(field.q + 1, 8) if n > 1 else 8))
+    fam = construct(field, L, n)
+    elements = st.integers(0, field.q - 1)
+    for op in data.draw(st.lists(st.sampled_from(["left", "right", "permute"]), max_size=3)):
+        if op == "left":
+            entries = data.draw(st.lists(elements, min_size=n * n, max_size=n * n))
+            for i in range(n):
+                entries[i * n + i + 1 : (i + 1) * n] = [0] * (n - 1 - i)
+                entries[i * n + i] = data.draw(st.integers(1, field.q - 1))
+            l = data.draw(st.integers(0, L - 1))
+            fam = left_transform(fam, l, Matrix(field, n, n, entries))
+        elif op == "right":
+            b = Matrix(field, n, n, data.draw(st.lists(elements, min_size=n * n, max_size=n * n)))
+            if rank(b) == n:
+                fam = right_multiply(fam, b)
+        else:
+            fam = permute(fam, data.draw(st.permutations(range(L))))
+    u = tuple(data.draw(st.lists(elements, min_size=n, max_size=n)))
+    ks = data.draw(st.lists(st.integers(0, n), min_size=L, max_size=L))
+    for l in range(L):
+        ks[l] += min(n - ks[l], max(0, n - sum(ks)))
+    assert decode(fam, erase(encode(fam, u), ks)) == u

@@ -404,13 +404,20 @@ def test_a_dropped_field_is_freed_without_the_cycle_collector():
     assert after == before
 
 
+BYTE_ROW_FIELDS = {(2, 1), (2, 2), (2, 8), (3, 1), (5, 1), (127, 1), (3, 2), (5, 2), (7, 2)}
+
+
 def test_the_field_order_alone_selects_the_byte_row_kernels():
-    # GF(2) up to GF(256) and nothing else; the scalar ops and taylor keep
-    # the per-element encoding everywhere.
-    for p, s in [(2, 1), (2, 2), (2, 8), (2, 9), (2, 16), (3, 1), (3, 5), (251, 1)]:
+    # GF(2^s) for s <= 8, odd primes up to 127, GF(9), GF(25) and GF(49),
+    # and nothing else: both sides of every boundary. The scalar ops and
+    # taylor keep the per-element encoding everywhere.
+    edges = [(2, 9), (2, 16), (131, 1), (251, 1), (3, 3), (3, 5), (3, 10), (11, 2)]
+    for p, s in sorted(BYTE_ROW_FIELDS) + edges:
         field = Field(p, s)
-        kernels = (field.insert_row, field.back_substitute, field.dot_rows, field.mul_add)
-        owner = "_byte_rows." if p == 2 and s <= 8 else "_encoding."
+        kernels = (
+            field.insert_row, field.back_substitute, field.dot_rows, field.mul_add, field.matmul
+        )
+        owner = "_byte_rows." if (p, s) in BYTE_ROW_FIELDS else "_encoding."
         assert all(f.__qualname__.startswith(owner) for f in kernels), (p, s)
         assert field.mul.__qualname__.startswith("_encoding.")
         assert field.taylor.__qualname__.startswith("_encoding.")

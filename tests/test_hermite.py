@@ -92,7 +92,11 @@ def test_taylor_matches_hasse_derivatives(field):
         assert a == before
 
 
-@pytest.mark.parametrize("field", KERNEL_FIELDS + [Field(2, 9), Field(2, 16)], ids=repr)
+@pytest.mark.parametrize(
+    "field",
+    KERNEL_FIELDS + [Field(p, s) for p, s in [(127, 1), (131, 1), (7, 2), (2, 9), (2, 16)]],
+    ids=repr,
+)
 def test_mul_add_matches_field_calls(field):
     rng = random.Random(field.q + 1)
     q = field.q

@@ -121,13 +121,16 @@ def naive_matvec(field, a, v):
     return tuple(out)
 
 
-# Every arithmetic path: prime fields, characteristic 2, odd extensions.
+# Every arithmetic path: prime fields, characteristic 2, odd extensions;
+# on both sides of the byte-row kernels' range in odd characteristic,
+# GF(9), GF(25) and GF(49) against GF(27).
 ORACLE_FIELDS = [
-    Field(p, s) for p, s in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3)]
+    Field(p, s)
+    for p, s in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)]
 ]
-# Either side of the byte-row kernels' range, GF(2) up to GF(2^8), in
-# characteristic 2; GF(2) is in ORACLE_FIELDS already.
-BYTE_ROW_EDGES = [Field(2, s) for s in (8, 9, 16)]
+# The other edges of the byte-row range: the largest prime it covers and
+# the next one, GF(81), and GF(2^8) against GF(2^9) and GF(2^16).
+BYTE_ROW_EDGES = [Field(p, s) for p, s in [(127, 1), (131, 1), (3, 4), (2, 8), (2, 9), (2, 16)]]
 
 
 # -- identity and reversal ---------------------------------------------------------
@@ -393,7 +396,11 @@ def test_property_solve_equals_gaussian_over_small_char_2_fields(data):
 # -- matvec --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p, s", [(7, 1), (2, 1), (2, 4), (2, 8), (2, 9), (5, 2), (3, 10), (2, 16)])
+@pytest.mark.parametrize(
+    "p, s",
+    [(7, 1), (127, 1), (131, 1), (2, 1), (2, 4), (2, 8), (2, 9), (5, 2), (7, 2), (3, 3), (3, 10),
+     (2, 16)],
+)
 def test_matvec_matches_naive_loop(p, s):
     field = Field(p, s)
     rng = random.Random(p * 1000 + s)

@@ -1,6 +1,7 @@
 """The lazy `udm` package, the modules each CLI process loads, and the
 immutable record classes."""
 
+import ast
 import json
 import os
 import pickle
@@ -210,3 +211,29 @@ def test_reports_keep_their_field_names():
         "mean_symbols",
         "weight_histogram",
     )
+
+
+def test_every_int_byte_conversion_names_its_byte_order():
+    # Python 3.10, the floor in pyproject.toml, has no default byte order
+    # for int.to_bytes and int.from_bytes, while 3.11 defaults to "big": a
+    # call without one passes on 3.11 and raises TypeError on 3.10. Names
+    # bound to either method, such as from_bytes = int.from_bytes, count.
+    methods = {"to_bytes", "from_bytes"}
+    calls = 0
+    for path in sorted((SRC / "udm").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        names = set(methods)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute):
+                if node.value.attr in methods:
+                    names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in names:
+                calls += 1
+                explicit = len(node.args) >= 2 or any(k.arg == "byteorder" for k in node.keywords)
+                assert explicit, f"{path.name}:{node.lineno} has no explicit byte order"
+    assert calls >= 10

@@ -9,6 +9,8 @@ failing, in both modes.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udm.families import (
     UdmFamily,
@@ -151,6 +153,91 @@ def test_pinned_byte_row_field_witnesses(s, L, n, superset, checked, ks, r):
     assert rep.witness.stacked == stack_prefixes(broken.matrices, ks)
 
 
+# Both sides of every edge of the byte-row range: GF(9), GF(25) and GF(49)
+# against GF(27) and GF(81), GF(127) against GF(131), GF(256) against
+# GF(512).
+BOUNDARY_FIELDS = [(3, 2), (5, 2), (7, 2), (3, 3), (3, 4), (127, 1), (131, 1), (2, 8), (2, 9)]
+
+
+@pytest.mark.parametrize(
+    "p, s, change, checked, ks, super_checked",
+    [
+        (3, 2, ((2, 1, 2), 0), 61, (2, 2, 2, 0), 689),
+        (5, 2, ((2, 1, 3), 0), 16, (0, 2, 2, 2), 70),
+        (7, 2, ((2, 1, 3), 0), 58, (2, 1, 3, 0), 650),
+        (3, 3, ((2, 1, 2), 0), 61, (2, 2, 2, 0), 689),
+        (3, 4, ((2, 1, 2), 0), 61, (2, 2, 2, 0), 689),
+        (127, 1, ((2, 1, 3), 1), 12, (0, 1, 4, 1), 43),
+        (131, 1, ((2, 1, 3), 2), 16, (0, 2, 2, 2), 70),
+        (2, 8, ((2, 1, 3), 0), 43, (1, 2, 3, 0), 376),
+        (2, 9, ((2, 1, 3), 0), 43, (1, 2, 3, 0), 376),
+    ],
+)
+def test_pinned_boundary_field_witnesses(p, s, change, checked, ks, super_checked):
+    # (4, 6) families with one entry changed, on both sides of the byte-row
+    # range: the witness and the tuple counts are pinned to those of the
+    # per-element walk, in both modes.
+    key, value = change
+    broken = with_entries(construct(Field(p, s), 4, 6), {key: value})
+    for superset, count in ((False, checked), (True, super_checked)):
+        rep = verify(broken, superset=superset)
+        assert not rep.passed
+        assert (rep.tuples_checked, rep.witness.ks, rep.witness.rank) == (count, ks, 5)
+        assert rep.witness.stacked == stack_prefixes(broken.matrices, ks)
+
+
+@pytest.mark.parametrize("p, s", BOUNDARY_FIELDS)
+def test_perturbed_boundary_field_families_match_the_reference(p, s):
+    # Random entries seldom break a family over a large field, so every
+    # other perturbation also makes one row a multiple of another.
+    field = Field(p, s)
+    rng = random.Random(p * 100 + s)
+    failing = 0
+    for L in range(2, 5):
+        for n in range(1, 6):
+            fam = construct(field, L, n)
+            for trial in range(4):
+                changes = {
+                    (rng.randrange(L), rng.randrange(n), rng.randrange(n)): rng.randrange(field.q)
+                    for _ in range(rng.randint(1, 3))
+                }
+                if trial % 2:
+                    (l, i), (l2, i2) = rng.sample([(l, i) for l in range(L) for i in range(n)], 2)
+                    c = rng.randrange(1, field.q)
+                    for j in range(n):
+                        changes[l, i, j] = field.mul(c, fam.matrices[l2].at(i2, j))
+                for superset in modes(fam):
+                    failing += not assert_same_report(with_entries(fam, changes), superset).passed
+    assert failing > 30
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_property_every_witness_is_rank_deficient(data):
+    # The witness of a failing report, rebuilt from scratch, is a tuple of
+    # the mode's kind whose stacked prefixes have rank below n by rank.
+    p, s = data.draw(st.sampled_from(BOUNDARY_FIELDS + [(2, 1), (7, 1), (2, 4)]))
+    field = Field(p, s)
+    n = data.draw(st.integers(1, 5))
+    L = data.draw(st.integers(1, min(field.q + 1, 4) if n > 1 else 4))
+    fam = construct(field, L, n)
+    cells = st.tuples(st.integers(0, L - 1), st.integers(0, n - 1), st.integers(0, n - 1))
+    values = st.integers(0, field.q - 1)
+    changes = data.draw(st.dictionaries(cells, values, min_size=1, max_size=4))
+    if data.draw(st.booleans()):
+        l, i = data.draw(st.integers(0, L - 1)), data.draw(st.integers(0, n - 1))
+        changes.update({(l, i, j): 0 for j in range(n)})
+    broken = with_entries(fam, changes)
+    for superset in modes(broken):
+        rep = verify(broken, superset=superset)
+        if rep.passed:
+            continue
+        ks = rep.witness.ks
+        assert sum(ks) >= n if superset else sum(ks) == n
+        assert rep.witness.stacked == stack_prefixes(broken.matrices, ks)
+        assert rank(rep.witness.stacked) == rep.witness.rank < n
+
+
 def test_many_channels_walk_without_recursion():
     fam = construct(Field(2), 3000, 1)
     assert verify(fam) == VerifyReport(True, 3000, None)
@@ -162,7 +249,9 @@ def test_many_channels_walk_without_recursion():
 
 
 @pytest.mark.parametrize(
-    "p, s", [(2, 1), (7, 1), (2, 3), (2, 4), (2, 8), (2, 9), (2, 16), (3, 2), (5, 2), (3, 3)]
+    "p, s",
+    [(2, 1), (7, 1), (127, 1), (131, 1), (2, 3), (2, 4), (2, 8), (2, 9), (2, 16), (3, 2), (5, 2),
+     (7, 2), (3, 3), (3, 4)],
 )
 def test_insert_row_counts_the_rank(p, s):
     # Every encoding, on both sides of the byte-row range: the rows that
