@@ -235,15 +235,20 @@ def verify(family: UdmFamily, superset: bool = False) -> VerifyReport:
 
     The tuples are walked in enumeration order (enumerate_exact_tuples or
     enumerate_superset_tuples) as a depth-first walk of the tree of
-    prefixes: one echelon basis is carried along, each step to the next
+    prefixes: one echelon basis is carried along, and each step to the next
     tuple undoes the rows of the channels it resets and inserts one row of
-    the channel it grows (exact sums: and then the last channel's rows).
-    Exact sums: the tuple being built fails as soon as one of its rows
-    reduces to zero; with sum n that is the same as rank < n. Superset: a tuple fails when its sum is at least n and its
-    rank below n; once the rows of channels 0..j reach rank n, every tuple
-    sharing that prefix passes, and they are counted without being built.
-    The witness is rebuilt from scratch with stack_prefixes and rank, so
-    reports are the same as from checking every tuple on its own.
+    the channel it grows. Exact sums: the first tuple, (0, ..., 0, n),
+    passes iff the last matrix M is invertible; then every other matrix is
+    right-multiplied once by T with M T = J, the row reversal, which
+    changes no rank and turns the last channel's first r rows into the
+    last r unit vectors. The last channel's rows are never inserted: each
+    later tuple costs one insertion and one compare, and passes iff its
+    new row takes the next free pivot column. Superset: a tuple fails when
+    its sum is at least n and its rank below n; once the rows of channels
+    0..j reach rank n, every tuple sharing that prefix passes, and they
+    are counted without being built. The witness is rebuilt from the
+    original matrices with stack_prefixes and rank, so reports are the
+    same as from checking every tuple on its own.
     """
     walk = _walk_superset if superset else _walk_exact
     checked, ks = walk(family)
@@ -254,9 +259,9 @@ def verify(family: UdmFamily, superset: bool = False) -> VerifyReport:
 
 
 class _Echelon:
-    """The echelon basis of the walk, with the (channel, column) of every
-    filled slot in insertion order, so the rows of channels above j can be
-    undone by popping."""
+    """The echelon basis of the superset walk, with the (channel, column)
+    of every filled slot in insertion order, so the rows of channels above
+    j can be undone by popping."""
 
     def __init__(self, family: UdmFamily):
         n = family.n
@@ -280,26 +285,51 @@ class _Echelon:
 
 
 def _walk_exact(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
-    """(tuples checked, first failing tuple or None) over the exact sums."""
-    L, n = family.L, family.n
-    ech = _Echelon(family)
+    """(tuples checked, first failing tuple or None) over the exact sums.
+
+    The first tuple, (0, ..., 0, n), passes iff the last matrix M is
+    invertible: the n rows of [M | J], J the row reversal, all take pivots
+    among the first n columns. Their back-substitution gives T with
+    M T = J, and every other matrix is right-multiplied by T once. T is
+    invertible, so no stack changes rank, and row i of M T is the unit
+    vector of column n - 1 - i: a tuple whose last channel holds r rows
+    passes iff its other n - r rows reduce to pivots in exactly the
+    columns 0..n-r-1.
+
+    Invariant: at each later tuple, with f = n - 1 - r, slots 0..f-1 of
+    the basis hold the tuple's other rows, in stacking order, except the
+    newest one. An earlier tuple, the one that ends with those rows and
+    n - f rows of the last channel, passed, so they fill exactly those
+    slots. The step to the tuple clears the slots of the channel it
+    resets and inserts the newest row, and the tuple passes iff that row
+    takes slot f: -1 is a dependent row and a larger column a pivot
+    among the last r.
+    """
+    L, n, field = family.L, family.n, family.field
+    insert_row = field.insert_row
     last = L - 1
     ks = [0] * L
     ks[last] = n
+    aug = [None] * (2 * n)
+    rev = anti_identity(field, n)
+    m = family.matrices[last]
+    if any(insert_row(aug, m.row(i) + rev.row(i)) >= n for i in range(n)):
+        return 1, tuple(ks)
+    t = Matrix._unchecked(field, n, n, tuple(field.back_substitute(aug, n, n)))
+    rows = [matmul(a, t) for a in family.matrices[:last]]
+    rows = [[a.row(i) for i in range(n)] for a in rows]
+    basis, empty = [None] * n, [None] * n
     nonzero = [last]  # the positions with ks > 0, ascending
     checked = 1
-    ok = True
     while True:
-        # The rows of the last channel come on top of the others' each time.
-        ok = ok and all(ech.insert(last, i) for i in range(ks[last]))
-        if not ok:
-            return checked, tuple(ks)
         # The next tuple moves one unit from the rightmost nonzero position
-        # r to r - 1 and the rest of ks[r] to the last channel.
+        # r to r - 1 and the rest of ks[r] to the last channel; the rows of
+        # channels before r keep slots 0..f-1.
         r = nonzero.pop()
         if r == 0:
             return checked, None
-        j, rest = r - 1, ks[r] - 1
+        j, f = r - 1, n - ks[r]
+        rest = ks[r] - 1
         ks[r] = 0
         if not ks[j]:
             nonzero.append(j)
@@ -308,8 +338,10 @@ def _walk_exact(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
         if rest:
             nonzero.append(last)
         checked += 1
-        ech.undo_above(j)
-        ok = ech.insert(j, ks[j] - 1)
+        if r < last:
+            basis[f:] = empty[f:]
+        if insert_row(basis, rows[j][ks[j] - 1]) != f:
+            return checked, tuple(ks)
 
 
 def _walk_superset(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:

@@ -479,11 +479,16 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     so a caller undoes insertions in any order by clearing the columns they
     returned.
 
-    back_substitute(basis, n) solves the unit upper triangular system held
-    in slots 0..n-1 of a basis of rows n + 1 wide, whose last column is the
-    right-hand side; every one of those slots must be filled. It returns x
-    as a list of canonical elements: x[c] = rhs[c] - sum(b[c][j] * x[j]
-    for c < j < n).
+    back_substitute(basis, n, k=1) solves the unit upper triangular system
+    held in slots 0..n-1 of a basis of rows n + k wide, whose last k
+    columns are right-hand sides; every one of those slots must be filled.
+    It returns the n x k solution x as a flat row-major list of canonical
+    elements: row c of x is rhs[c] - sum(b[c][j] * x[j] for c < j < n),
+    so column t solves right-hand side t, and for k = 1 the list is the one
+    solution. One right-hand side, as solve passes, takes one dot product
+    per row. With k of them, the per-element kernel works in row form, one
+    mul_add of a row of x per nonzero coefficient, and the byte-row kernel
+    one column of x after another.
 
     dot_rows(entries, v) returns the list of the dot products of v, which
     must not be empty, with each row of `entries`, a flat sequence of rows
@@ -702,14 +707,26 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
             t = reduce(t, i, b) if b else t[i + 1 :]
             c += 1
 
-    def back_substitute(basis, n):
-        x = [0] * n
+    def back_substitute(basis, n, k=1):
+        if k == 1:
+            x = [0] * n
+            for c in range(n - 1, -1, -1):
+                b = basis[c]
+                if b:
+                    # zip stops at x's end, before b's right-hand-side entry.
+                    x[c] = sub(value(b[-1]), dot(x[c + 1 :], b))
+            return x
+        # Row form: row c of x is its right-hand sides, the tail of b from
+        # column n on, less b[j] times each later row j.
+        x = [None] * n
         for c in range(n - 1, -1, -1):
             b = basis[c]
-            if b:
-                # zip stops at x's end, before b's right-hand-side entry.
-                x[c] = sub(value(b[-1]), dot(x[c + 1 :], b))
-        return x
+            row = [value(y) for y in b[n - c - 1 :]] if b else [0] * k
+            for xj, y in zip(x[c + 1 :], b):
+                if y:
+                    mul_add(row, neg(value(y)), xj, 0)
+            x[c] = row
+        return [v for row in x for v in row]
 
     def dot_rows(entries, v):
         sv, w = stored(v), len(v)
@@ -840,16 +857,18 @@ def _byte_rows(p, s, w, exp):
             t = add(t, from_bytes(b.translate(neg[lead]), "big"))
         return -1
 
-    def back_substitute(basis, n):
-        # acc starts as the right-hand side and loses x[c] * column c once
-        # x[c] is known, so entry c of acc is x[c] when column c comes up.
-        rows = b"".join(basis[:n])
-        acc = from_bytes(rows[n :: n + 1], "big")
-        x = bytearray(n)
-        for c in range(n - 1, -1, -1):
-            xc = x[c] = acc >> 8 * (n - 1 - c) & 255
-            if xc:
-                acc = add(acc, from_bytes(rows[c :: n + 1].translate(neg[xc]), "big"))
+    def back_substitute(basis, n, k=1):
+        # One right-hand side t at a time: acc starts as column n + t and
+        # loses x[c, t] * column c once x[c, t] is known, so entry c of acc
+        # is x[c, t] when column c comes up.
+        rows, w = b"".join(basis[:n]), n + k
+        x = bytearray(n * k)
+        for t in range(k):
+            acc = from_bytes(rows[n + t :: w], "big")
+            for c in range(n - 1, -1, -1):
+                xc = x[c * k + t] = acc >> 8 * (n - 1 - c) & 255
+                if xc:
+                    acc = add(acc, from_bytes(rows[c::w].translate(neg[xc]), "big"))
         return unpacked(x)
 
     def dot_rows(entries, v):

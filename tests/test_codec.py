@@ -274,6 +274,29 @@ def test_simulate_counts_rank_failures_for_degenerate_families():
     assert stats.failures_rank_deficient > 0
 
 
+@settings(max_examples=30)
+@given(data=st.data())
+def test_property_simulate_counts_add_up_to_its_trials(data):
+    # Over seeded families, broken ones included, and every pattern source:
+    # each trial is one success or one failure of one kind, and the weight
+    # histogram counts every trial once.
+    p, s = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]))
+    field = Field(p, s)
+    n = data.draw(st.integers(1, 4))
+    fam = construct(field, data.draw(st.integers(1, min(field.q + 1, 5))), n)
+    if data.draw(st.booleans()):
+        l, i = data.draw(st.integers(0, fam.L - 1)), data.draw(st.integers(0, n - 1))
+        entries = [list(m.entries) for m in fam.matrices]
+        entries[l][i * n : (i + 1) * n] = [0] * n
+        fam = UdmFamily(field, fam.L, n, tuple(Matrix(field, n, n, e) for e in entries))
+    source = data.draw(st.sampled_from(["uniform", "exact", "geometric"]))
+    trials = data.draw(st.integers(0, 40))
+    stats = simulate(fam, trials, source, seed=data.draw(st.integers(0, 2**16)))
+    assert stats.trials == trials
+    assert stats.successes + stats.failures_insufficient + stats.failures_rank_deficient == trials
+    assert sum(stats.weight_histogram.values()) == trials
+
+
 def simulate_full_encode(family, trials, source, seed):
     """simulate's trial loop on the full blocks: encode all L of them, then
     erase. The reference for simulate, which encodes only the survivors."""

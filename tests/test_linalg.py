@@ -357,6 +357,50 @@ def test_solve_matches_gaussian_reference(field):
             solve(a, y + (top,))
 
 
+# Both sides of the byte rows: GF(7) and GF(25) take them, GF(27), GF(131)
+# and GF(2^9) the per-element kernels.
+BACK_SUBSTITUTE_FIELDS = [Field(p, s) for p, s in [(7, 1), (5, 2), (3, 3), (131, 1), (2, 9)]]
+
+
+@pytest.mark.parametrize("field", BACK_SUBSTITUTE_FIELDS, ids=repr)
+def test_back_substitute_solves_k_right_hand_sides_at_once(field):
+    # The n rows of [a | y_0 ... y_{k-1}] for an invertible a, inserted into
+    # one basis: column t of back_substitute(basis, n, k) is solve(a, y_t),
+    # which equals the Gaussian reference. Zero right-hand sides and unit
+    # rows, whose stored tails may be empty, are among them.
+    rng = random.Random(field.q * 17 + field.s)
+    for trial in range(60):
+        n, k = rng.randint(1, 6), rng.randint(1, 5)
+        if trial % 4 == 0:
+            a = (identity if trial % 8 else anti_identity)(field, n)
+        else:
+            a = random_matrix(rng, field, n, n)
+            if rank(a) < n:
+                continue
+        density = rng.choice((0.0, 0.4, 1.0))
+        ys = [
+            tuple(rng.randrange(field.q) if rng.random() < density else 0 for _ in range(n))
+            for _ in range(k)
+        ]
+        basis = [None] * (n + k)
+        for i in range(n):
+            assert 0 <= field.insert_row(basis, a.row(i) + tuple(y[i] for y in ys)) < n
+        x = field.back_substitute(basis, n, k)
+        assert len(x) == n * k
+        for t, y in enumerate(ys):
+            assert tuple(x[t::k]) == solve(a, y) == solve_gaussian(a, y)
+    # k = n with the reversal as the right-hand sides: x is a^-1 J.
+    for n in range(1, 7):
+        a = random_matrix(rng, field, n, n)
+        while rank(a) < n:
+            a = random_matrix(rng, field, n, n)
+        rev = anti_identity(field, n)
+        basis = [None] * (2 * n)
+        for i in range(n):
+            field.insert_row(basis, a.row(i) + rev.row(i))
+        assert matmul(a, Matrix(field, n, n, field.back_substitute(basis, n, n))) == rev
+
+
 def test_solve_reports_rank_deficiency_before_contradiction():
     # Both rows of a repeat the same coefficients with different right-hand
     # sides, and the second column is zero: rank 1 < 2 must win.

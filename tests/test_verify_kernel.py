@@ -6,6 +6,7 @@ udm.families.verify must give the same report on every family, passing or
 failing, in both modes.
 """
 
+import itertools
 import random
 
 import pytest
@@ -17,8 +18,10 @@ from udm.families import (
     VerifyReport,
     Witness,
     construct,
+    count_exact_tuples,
     enumerate_exact_tuples,
     enumerate_superset_tuples,
+    right_multiply,
     verify,
 )
 from udm.gf import Field
@@ -209,6 +212,72 @@ def test_perturbed_boundary_field_families_match_the_reference(p, s):
                 for superset in modes(fam):
                     failing += not assert_same_report(with_entries(fam, changes), superset).passed
     assert failing > 30
+
+
+def seeded_invertible(field, n, rng):
+    """A dense n x n matrix of seeded entries that insert_row finds
+    invertible."""
+    while True:
+        m = Matrix(field, n, n, [rng.randrange(field.q) for _ in range(n * n)])
+        basis = [None] * n
+        if all(field.insert_row(basis, m.row(i)) >= 0 for i in range(n)):
+            return m
+
+
+def coordinate_change_families(field, rng):
+    """(kind, family) pairs that stress the exact walk's change of
+    coordinates: a dense last matrix, a singular last matrix, a singular
+    middle matrix and a zeroed first-row entry, for L = 1..4 and n = 1..5,
+    three rounds each."""
+    for L, n, _ in itertools.product(range(1, 5), range(1, 6), range(3)):
+        fam = construct(field, L, n)
+        dense = right_multiply(fam, seeded_invertible(field, n, rng))
+        yield "dense", dense
+        # Row i of the last matrix becomes a multiple of row i2 < i, or
+        # zero when i is 0.
+        i = rng.randrange(n)
+        i2, c = rng.randrange(max(i, 1)), rng.randrange(field.q)
+        row = dense.matrices[L - 1].row(i2)
+        yield "singular last", with_entries(
+            dense, {(L - 1, i, j): field.mul(c, row[j]) if i else 0 for j in range(n)}
+        )
+        if L >= 3 and n >= 2:
+            l, (i, i2) = rng.randrange(1, L - 1), sorted(rng.sample(range(n), 2))
+            row = dense.matrices[l].row(i)
+            yield "singular middle", with_entries(dense, {(l, i2, j): row[j] for j in range(n)})
+        for base in (fam, dense):
+            l, j = rng.randrange(L), rng.randrange(n)
+            yield "zeroed first row", with_entries(base, {(l, 0, j): 0})
+
+
+# Both sides of the byte rows: GF(7) and GF(25) take them, GF(27), GF(131)
+# and GF(2^9) the per-element kernels.
+WALK_FIELDS = [(7, 1), (5, 2), (3, 3), (131, 1), (2, 9)]
+
+
+@pytest.mark.parametrize("p, s", WALK_FIELDS)
+def test_exact_walk_after_its_change_of_coordinates_matches_the_reference(p, s):
+    # The walk right-multiplies by T with M T = J and then inserts one row
+    # per tuple; the per-tuple reference stacks and ranks every tuple of
+    # the original matrices. Failing families stop at the first tuple, in
+    # the middle of the walk, or at its last tuple.
+    field = Field(p, s)
+    rng = random.Random(p * 1000 + s)
+    kinds = ("dense", "singular last", "singular middle", "zeroed first row")
+    where = {kind: set() for kind in kinds}
+    for kind, fam in coordinate_change_families(field, rng):
+        rep = assert_same_report(fam, False)
+        total = count_exact_tuples(fam.L, fam.n)
+        if rep.passed:
+            where[kind].add("passed")
+        elif rep.tuples_checked == 1:
+            where[kind].add("first")
+        else:
+            where[kind].add("last" if rep.tuples_checked == total else "middle")
+    assert where["dense"] == {"passed"}
+    assert where["singular last"] == {"first"}
+    assert where["singular middle"] >= {"middle"}
+    assert "middle" in where["zeroed first row"]
 
 
 @settings(max_examples=40)
