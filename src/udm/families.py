@@ -48,7 +48,7 @@ class UdmFamily:
     (field, L, n, matrices, alpha).
     """
 
-    __slots__ = ("field", "L", "n", "matrices", "alpha", "_generator")
+    __slots__ = ("field", "L", "n", "matrices", "alpha", "_generator", "_columns")
 
     def __init__(
         self, field: Field, L: int, n: int, matrices: tuple[Matrix, ...], alpha: int | None = None
@@ -65,8 +65,11 @@ class UdmFamily:
             if m.field is not field and m.field != field:
                 raise BadArgument("matrix over a different field than the family")
         # _generator is is_generator's answer once known: set by construct
-        # and on first use, and never copied by _replace.
-        for name, value in zip(self.__slots__, (field, L, n, matrices, alpha, None)):
+        # and on first use. _columns is field.columns of the matrices'
+        # entries, set by codec.encode on first use: L * n**2 bytes over a
+        # byte-row field, the entry tuples themselves otherwise. Neither is
+        # copied by _replace, and only _generator is pickled.
+        for name, value in zip(self.__slots__, (field, L, n, matrices, alpha, None, None)):
             object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
@@ -74,7 +77,7 @@ class UdmFamily:
 
     def _replace(self, **changes) -> UdmFamily:
         """A new family with some fields changed, checked as any other; the
-        is_generator answer is not carried over."""
+        is_generator answer and the packed columns are not carried over."""
         fields = dict(
             field=self.field, L=self.L, n=self.n, matrices=self.matrices, alpha=self.alpha
         )

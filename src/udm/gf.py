@@ -232,6 +232,8 @@ class Field:
         "insert_row",
         "back_substitute",
         "dot_rows",
+        "columns",
+        "dot_columns",
         "taylor",
         "mul_add",
         "matmul",
@@ -263,7 +265,7 @@ class Field:
         ops = _encoding(p, s, self._alpha, self._exp, self._log, self._zech)
         self.add, self.neg, self.sub, self.mul, self.inv, self.pow = ops[:6]
         self.insert_row, self.back_substitute, self.dot_rows = ops[6:9]
-        self.taylor, self.mul_add, self.matmul = ops[9:]
+        self.columns, self.dot_columns, self.taylor, self.mul_add, self.matmul = ops[9:]
 
     # -- construction helpers ------------------------------------------------
 
@@ -463,9 +465,9 @@ def _zero_power(e: int) -> int:
 def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     """The arithmetic of GF(p**s), bound once for its element encoding, as
     plain functions: (add, neg, sub, mul, inv, pow, insert_row,
-    back_substitute, dot_rows, taylor, mul_add, matmul). alpha is the
-    field's primitive element, and exp, log and zech are its tables (None
-    for a prime field, zech None for p = 2).
+    back_substitute, dot_rows, columns, dot_columns, taylor, mul_add,
+    matmul). alpha is the field's primitive element, and exp, log and zech
+    are its tables (None for a prime field, zech None for p = 2).
 
     The scalar ops act on canonical elements; inv(0) and pow(0, e) for
     e < 0 raise DivisionByZero, and pow(a, 0) == 1 for every a.
@@ -486,13 +488,15 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     elements: row c of x is rhs[c] - sum(b[c][j] * x[j] for c < j < n),
     so column t solves right-hand side t, and for k = 1 the list is the one
     solution. One right-hand side, as solve passes, takes one dot product
-    per row. With k of them, the per-element kernel works in row form, one
-    mul_add of a row of x per nonzero coefficient, and the byte-row kernel
-    one column of x after another.
+    per row. With k of them, both kernels work in row form, adding one
+    scaled row of x per nonzero coefficient.
 
-    dot_rows(entries, v) returns the list of the dot products of v, which
-    must not be empty, with each row of `entries`, a flat sequence of rows
-    as long as v one after another, all of canonical elements.
+    columns(blocks, width) packs blocks, a sequence of flat sequences of
+    rows `width` long, stacked in order, into the kernels' column format;
+    dot_columns(cols, v), for v as long as the rows and not empty, returns
+    the list of the dot products of v with each row of the stack. So a
+    caller that multiplies one matrix by many vectors packs it once.
+    dot_rows(entries, v) is dot_columns(columns((entries,), len(v)), v).
 
     A polynomial is a list of canonical elements, constant term first.
     taylor(a, beta, k) returns the first k Taylor coefficients of a at
@@ -511,13 +515,13 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     The encoding is chosen once, here. A field whose elements pack into
     one byte with room for a digit-wise sum, GF(2^s) for s <= 8, the odd
     primes up to 127, GF(9), GF(25) and GF(49), takes insert_row,
-    back_substitute, dot_rows, mul_add and matmul from _byte_rows: a row
-    is one byte per element, held as a big-endian int, a sum of rows is
-    one XOR, or one int add and one bytes.translate, and a scaled row one
-    bytes.translate, so each kernel makes a few C-level calls per row
-    instead of one Python step per element. A prime field, which has no
-    tables, passes the powers of its primitive element; for GF(2) that is
-    {1}.
+    back_substitute, dot_rows, columns, dot_columns, mul_add and matmul
+    from _byte_rows: a row is one byte per element, held as a big-endian
+    int, a sum of rows is one XOR, or one int add and one bytes.translate,
+    and a scaled row one bytes.translate, so each kernel makes a few
+    C-level calls per row instead of one Python step per element. A prime
+    field, which has no tables, passes the powers of its primitive element;
+    for GF(2) that is {1}.
 
     Every other field, and the scalar ops and taylor of every field, use
     the per-element kernels. There, a stored row is the tail after the
@@ -541,8 +545,9 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     beta and c go to such a logarithm once per divide and mul_add call.
     An all-zero tail, as from a unit row of an identity or reversal
     matrix, is stored empty, and reducing by it only drops the pivot entry.
-    dot_rows takes v into the stored format once per call, so each of its
-    products, like each in back_substitute, is one such index.
+    Here columns returns the blocks as they are, and dot_columns takes v
+    into the stored format once per call and runs dot on each row, so each
+    of its products, like each in back_substitute, is one such index.
 
     The functions hold the field's tables, never the field itself, so a
     Field is in no reference cycle and is freed as soon as it is dropped.
@@ -728,9 +733,15 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
             x[c] = row
         return [v for row in x for v in row]
 
-    def dot_rows(entries, v):
+    def columns(blocks, width):
+        return blocks
+
+    def dot_columns(cols, v):
         sv, w = stored(v), len(v)
-        return [dot(entries[i : i + w], sv) for i in range(0, len(entries), w)]
+        return [dot(b[i : i + w], sv) for b in cols for i in range(0, len(b), w)]
+
+    def dot_rows(entries, v):
+        return dot_columns(columns((entries,), len(v)), v)
 
     def taylor(a, beta, k):
         a = list(a)
@@ -756,18 +767,19 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     w = 1 if p == 2 else (2 * p - 2).bit_length()
     if s * w <= 8:
         exp = exp or [pow(alpha, k, p) for k in range(m)]
-        insert_row, back_substitute, dot_rows, mul_add, matmul = _byte_rows(p, s, w, exp)
+        kernels = _byte_rows(p, s, w, exp)
+        insert_row, back_substitute, dot_rows, columns, dot_columns, mul_add, matmul = kernels
     return (
-        add, neg, sub, mul, inv, power, insert_row, back_substitute, dot_rows, taylor, mul_add,
-        matmul,
+        add, neg, sub, mul, inv, power, insert_row, back_substitute, dot_rows, columns,
+        dot_columns, taylor, mul_add, matmul,
     )
 
 
 def _byte_rows(p, s, w, exp):
-    """insert_row, back_substitute, dot_rows, mul_add and matmul of
-    _encoding for a field whose elements pack into one byte with room for
-    a digit-wise sum, from its exp table; each acts on a whole row with a
-    few C-level calls.
+    """insert_row, back_substitute, dot_rows, columns, dot_columns, mul_add
+    and matmul of _encoding for a field whose elements pack into one byte
+    with room for a digit-wise sum, from its exp table; each acts on a
+    whole row or column with a few C-level calls.
 
     An element is packed as its base-p digits, w bits apart, s * w <= 8:
     w = 1 for p = 2, and w = (2p - 2).bit_length() for odd p, so that the
@@ -788,9 +800,12 @@ def _byte_rows(p, s, w, exp):
     is the table of a canonical c; neg[b] and inv[b] are those of -b and
     1 / b for a packed b, the same tables at other powers of alpha. A
     stored row is the full-width bytes row scaled to a leading 1.
-    back_substitute, dot_rows and matmul work a column, or a row of b, at
-    a time: in the rows joined into one bytes object, column j is a
-    strided slice.
+    columns joins the packed blocks into one bytes object and cuts out
+    each column as a strided slice, so dot_columns adds one translated
+    column per nonzero v[j]. back_substitute with one right-hand side works
+    the columns of the stored rows the same way; with k of them it adds
+    one translated k-byte row of x per nonzero coefficient, as matmul adds
+    one translated row of b per nonzero entry of a.
 
     That covers GF(2^s) for s <= 8, every odd prime p <= 127, and GF(9),
     GF(25) and GF(49), the fields with s * w <= 8. translate maps a byte to
@@ -858,26 +873,42 @@ def _byte_rows(p, s, w, exp):
         return -1
 
     def back_substitute(basis, n, k=1):
-        # One right-hand side t at a time: acc starts as column n + t and
-        # loses x[c, t] * column c once x[c, t] is known, so entry c of acc
-        # is x[c, t] when column c comes up.
-        rows, w = b"".join(basis[:n]), n + k
-        x = bytearray(n * k)
-        for t in range(k):
-            acc = from_bytes(rows[n + t :: w], "big")
+        if k == 1:
+            # acc starts as column n and loses x[c] * column c once x[c] is
+            # known, so entry c of acc is x[c] when column c comes up.
+            rows = b"".join(basis[:n])
+            x = bytearray(n)
+            acc = from_bytes(rows[n :: n + 1], "big")
             for c in range(n - 1, -1, -1):
-                xc = x[c * k + t] = acc >> 8 * (n - 1 - c) & 255
+                xc = x[c] = acc >> 8 * (n - 1 - c) & 255
                 if xc:
-                    acc = add(acc, from_bytes(rows[c::w].translate(neg[xc]), "big"))
-        return unpacked(x)
+                    acc = add(acc, from_bytes(rows[c :: n + 1].translate(neg[xc]), "big"))
+            return unpacked(x)
+        # Row form: row c of x is the right-hand sides of b, less b[j] times
+        # each later row j.
+        x = [b""] * n
+        for c in range(n - 1, -1, -1):
+            b = basis[c]
+            acc = from_bytes(b[n:], "big")
+            for xj, bj in zip(x[c + 1 :], b[c + 1 : n]):
+                if bj:
+                    acc = add(acc, from_bytes(xj.translate(neg[bj]), "big"))
+            x[c] = acc.to_bytes(k, "big")
+        return unpacked(b"".join(x))
+
+    def columns(blocks, width):
+        rows = b"".join(map(packed, blocks))
+        return [rows[j::width] for j in range(width)]
+
+    def dot_columns(cols, v):
+        acc = 0
+        for col, vj in zip(cols, v):
+            if vj:
+                acc = add(acc, from_bytes(col.translate(scale[vj]), "big"))
+        return unpacked(acc.to_bytes(len(cols[0]), "big"))
 
     def dot_rows(entries, v):
-        rows, cols = packed(entries), len(v)
-        acc = 0
-        for j, vj in enumerate(v):
-            if vj:
-                acc = add(acc, from_bytes(rows[j::cols].translate(scale[vj]), "big"))
-        return unpacked(acc.to_bytes(len(rows) // cols, "big"))
+        return dot_columns(columns((entries,), len(v)), v)
 
     def mul_add(acc, c, v, j):
         if c:
@@ -901,7 +932,7 @@ def _byte_rows(p, s, w, exp):
             out.append(acc.to_bytes(c, "big"))
         return unpacked(b"".join(out))
 
-    return insert_row, back_substitute, dot_rows, mul_add, matmul
+    return insert_row, back_substitute, dot_rows, columns, dot_columns, mul_add, matmul
 
 
 def field_string(field: Field) -> str:

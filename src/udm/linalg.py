@@ -5,9 +5,11 @@ owning field. Vectors are plain sequences of ints. Elimination uses
 first-nonzero pivoting scanning top-down; there is no magnitude to prefer
 over an exact field, and the fixed rule keeps every witness reproducible.
 
-solve, matvec and matmul, the decode, encode and transform paths, run on
-the field's row kernels (Field.insert_row, back_substitute, dot_rows and
-matmul), whose stored-row format stays inside gf. Over every field whose
+solve, matvec and matmul, the decode and transform paths and the encode
+reference, run on the field's row kernels (Field.insert_row,
+back_substitute, dot_rows and matmul), whose stored-row format stays inside
+gf; codec.encode packs a family's columns once with Field.columns and
+multiplies by dot_columns, the kernel under dot_rows. Over every field whose
 elements pack into one byte (GF(2^s) for s <= 8, odd primes up to 127,
 GF(9), GF(25) and GF(49)) those kernels act on whole byte rows, so solve
 is O(n^2) C-level row steps rather than O(n^3) Python steps per element,

@@ -1,13 +1,15 @@
 """Encoding, prefix erasure, decoding, and the simulation harness."""
 
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_linalg import ORACLE_FIELDS, outcome, solve_gaussian
+from test_linalg import ORACLE_FIELDS, naive_matvec, outcome, solve_gaussian
 
+from udm.cli import parse_family, render_family
 from udm.codec import (
     ChannelOutput,
     SimulationStats,
@@ -36,7 +38,7 @@ from udm.families import (
     right_multiply,
 )
 from udm.gf import Field
-from udm.linalg import Matrix, identity, rank, stack_prefixes
+from udm.linalg import Matrix, identity, matvec, rank, stack_prefixes
 
 F2 = Field(2)
 F3 = Field(3)
@@ -70,6 +72,80 @@ def test_encode_validates_input():
         encode(fam, (1, 0))
     with pytest.raises(DimensionMismatch):
         encode(fam, (1, 0, 3))
+
+
+# Every encoding class: the byte rows in characteristic 2, for primes up to
+# 127 and for GF(9), GF(25) and GF(49); the per-element rows for GF(27),
+# GF(121), GF(131) and GF(2^16).
+ENCODE_FIELDS = [
+    Field(p, s)
+    for p, s in [
+        (2, 1), (7, 1), (127, 1), (2, 4), (2, 8), (3, 2), (5, 2), (7, 2),
+        (3, 3), (11, 2), (131, 1), (2, 16),
+    ]
+]
+
+
+def scalar_encode(family, u):
+    """Each block a sum of products through Field.add and Field.mul."""
+    return [naive_matvec(family.field, m, u) for m in family.matrices]
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_property_encode_matches_a_scalar_oracle(data):
+    # construct's families and right_multiply's, either of them parsed back
+    # from its file form, each encoded twice: the first encode packs the
+    # columns and the second reuses them.
+    field = data.draw(st.sampled_from(ENCODE_FIELDS))
+    n = data.draw(st.integers(1, 7))
+    L = data.draw(st.integers(1, min(field.q + 1, 6) if n > 1 else 6))
+    fam = construct(field, L, n)
+    elements = st.integers(0, field.q - 1)
+    if data.draw(st.booleans()):
+        b = Matrix(field, n, n, data.draw(st.lists(elements, min_size=n * n, max_size=n * n)))
+        if rank(b) == n:
+            fam = right_multiply(fam, b)
+    if data.draw(st.booleans()):
+        fam = parse_family(render_family(fam))
+    for _ in range(2):
+        u = tuple(data.draw(st.lists(elements, min_size=n, max_size=n)))
+        x = encode(fam, u)
+        assert x == scalar_encode(fam, u)
+        assert x == [matvec(m, u) for m in fam.matrices]
+
+
+@pytest.mark.parametrize("field", [Field(2, 8), Field(5, 2), Field(3, 3)], ids=repr)
+def test_the_packed_columns_are_invisible(field):
+    # Equality, hash, repr and pickle are the same before and after the
+    # first encode; copies from pickle and _replace encode correctly on
+    # their own; a bad u is refused before anything is packed.
+    rng = random.Random(field.q)
+    n = 4
+    b = Matrix(field, n, n, [rng.randrange(field.q) for _ in range(n * n)])
+    while rank(b) < n:
+        b = Matrix(field, n, n, [rng.randrange(field.q) for _ in range(n * n)])
+    fam = right_multiply(construct(field, 5, n), b)
+    twin = UdmFamily(field, 5, n, fam.matrices, fam.alpha)
+    seen = (hash(fam), repr(fam), pickle.dumps(fam))
+    with pytest.raises(DimensionMismatch):
+        encode(fam, (1,) * (n + 1))
+    with pytest.raises(DimensionMismatch):
+        encode(fam, (1,) * (n - 1) + (field.q,))
+    assert fam._columns is None
+    u = tuple(rng.randrange(field.q) for _ in range(n))
+    x = encode(fam, u)
+    assert fam._columns is not None
+    assert (hash(fam), repr(fam), pickle.dumps(fam)) == seen
+    assert fam == twin and twin == fam
+    again = pickle.loads(pickle.dumps(fam))
+    assert again._columns is None and again == fam
+    assert encode(again, u) == x == scalar_encode(fam, u)
+    same = fam._replace()
+    assert same._columns is None
+    assert encode(same, u) == x
+    other = fam._replace(matrices=fam.matrices[::-1])
+    assert encode(other, u) == x[::-1] == scalar_encode(other, u)
 
 
 # -- erase -------------------------------------------------------------------------
@@ -298,8 +374,9 @@ def test_property_simulate_counts_add_up_to_its_trials(data):
 
 
 def simulate_full_encode(family, trials, source, seed):
-    """simulate's trial loop on the full blocks: encode all L of them, then
-    erase. The reference for simulate, which encodes only the survivors."""
+    """simulate's trial loop with each block encoded by its own
+    linalg.matvec, independent of encode's packed columns, then erased. The
+    reference for simulate."""
     n, L, q = family.n, family.L, family.field.q
     counts = {"ok": 0, InsufficientSymbols: 0, RankDeficient: 0}
     total = 0
@@ -308,7 +385,7 @@ def simulate_full_encode(family, trials, source, seed):
         rng = trial_rng(seed, t)
         ks = tuple(source(rng, L, n))
         u = tuple(rng.randrange(q) for _ in range(n))
-        obs = erase(encode(family, u), ks)
+        obs = erase([matvec(m, u) for m in family.matrices], ks)
         total += sum(ks)
         histogram[sum(ks)] = histogram.get(sum(ks), 0) + 1
         try:

@@ -415,7 +415,8 @@ def test_the_field_order_alone_selects_the_byte_row_kernels():
     for p, s in sorted(BYTE_ROW_FIELDS) + edges:
         field = Field(p, s)
         kernels = (
-            field.insert_row, field.back_substitute, field.dot_rows, field.mul_add, field.matmul
+            field.insert_row, field.back_substitute, field.dot_rows, field.columns,
+            field.dot_columns, field.mul_add, field.matmul,
         )
         owner = "_byte_rows." if (p, s) in BYTE_ROW_FIELDS else "_encoding."
         assert all(f.__qualname__.startswith(owner) for f in kernels), (p, s)

@@ -401,6 +401,26 @@ def test_back_substitute_solves_k_right_hand_sides_at_once(field):
         assert matmul(a, Matrix(field, n, n, field.back_substitute(basis, n, n))) == rev
 
 
+@pytest.mark.parametrize("field", ORACLE_FIELDS + BYTE_ROW_EDGES, ids=repr)
+def test_back_substitute_on_dense_bases_matches_the_reference(field):
+    # Dense invertible a and dense right-hand sides, k in {1, 2, n}: k = 1
+    # takes the byte-row kernel's column form, k > 1 the row form of both
+    # kernels, and every column of x is the Gaussian solution computed with
+    # per-element Field calls.
+    rng = random.Random(field.q * 7 + field.s)
+    for n in (1, 2, 5, 12, 24):
+        a = random_matrix(rng, field, n, n)
+        while rank(a) < n:
+            a = random_matrix(rng, field, n, n)
+        for k in sorted({1, 2, n}):
+            ys = [[rng.randrange(field.q) for _ in range(n)] for _ in range(k)]
+            basis = [None] * (n + k)
+            for i in range(n):
+                field.insert_row(basis, a.row(i) + tuple(y[i] for y in ys))
+            x = field.back_substitute(basis, n, k)
+            assert [tuple(x[t::k]) for t in range(k)] == [solve_gaussian(a, y) for y in ys]
+
+
 def test_solve_reports_rank_deficiency_before_contradiction():
     # Both rows of a repeat the same coefficients with different right-hand
     # sides, and the second column is zero: rank 1 < 2 must win.
