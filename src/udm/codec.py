@@ -2,9 +2,9 @@
 
 Each channel delivers an intact prefix of its block and erases the rest.
 An observation therefore carries the per-channel prefix lengths explicitly
-together with the surviving symbols. Recovery interpolates a polynomial for
-the families of construct and solves the stacked linear system built from
-the matching matrix prefixes for every other family.
+together with the surviving symbols. Recovery interpolates a polynomial in
+Newton form for the families of construct and solves the stacked linear
+system built from the matching matrix prefixes for every other family.
 """
 
 from __future__ import annotations
@@ -118,11 +118,12 @@ def decode(family: UdmFamily, obs: ChannelOutput) -> tuple[int, ...]:
     Inconsistent. Two paths give the same vectors and the same errors:
 
     - A family for which families.is_generator holds, construct's output,
-      is decoded by Hermite interpolation (_interpolate), O(n^2) field
-      operations: row i of its matrix l applied to u is the i-th Hasse
-      derivative of u(X) = sum(u_t X^t) at one point of the projective
-      line. No matrix is stacked. Such a family is universally decodable,
-      so it is never rank deficient.
+      is decoded by Hermite interpolation (_interpolate), at most n^2 / 2
+      divided-difference steps and two from_newton calls: row i of its
+      matrix l applied to u is the i-th Hasse derivative of u(X) =
+      sum(u_t X^t) at one point of the projective line. No matrix is
+      stacked. Such a family is universally decodable, so it is never
+      rank deficient.
     - Every other family, whatever alpha it claims, and every transform
       output among them: the matching matrix prefixes are stacked and
       solved with linalg.solve, one echelon row insertion per surviving
@@ -160,10 +161,10 @@ def _interpolate(family: UdmFamily, obs: ChannelOutput) -> tuple[int, ...]:
     Channel 0 observes the Hasse derivatives of u(X) at 0, channel 1 its
     top coefficients (the point at infinity) and channel l >= 2 the
     derivatives at alpha**(l - 2). The first n symbols, taken channel by
-    channel, determine u by hermite(); every later one is re-encoded from u
-    with the field's dot_rows and must match. n = 1 is the only size at
-    which construct repeats points (when L > q + 1), and then only the
-    first of them is interpolated.
+    channel, determine u by hermite(), channel 1's as top; every later one
+    is re-encoded from u with the field's dot_rows and must match. n = 1
+    is the only size at which construct repeats points (when L > q + 1),
+    and then only the first of them is interpolated.
     """
     field, n = family.field, family.n
     need = n
@@ -191,38 +192,43 @@ def hermite(
     derivatives 0..k-1 at each (beta, w) of points, k = len(w), are w. The
     betas must be distinct and len(top) plus the k's must make n.
 
-    An incremental Chinese remainder step per point: P, which starts as the
-    top coefficients, meets every point so far, and M is the product of
-    (X - beta)**k over them. At the next point, with P~ and M~ the first k
-    Taylor coefficients of P and M there (M~[0] = M(beta) is nonzero), the
-    power series Q~ = (w - P~) / M~ mod Y**k is the Taylor expansion at beta
-    of the Q(X) of degree below k with P + M*Q meeting the point too; the
-    top coefficients stay, since M*Q has degree below n - len(top).
+    Confluent Newton interpolation. The points expand into d = n - len(top)
+    nodes z, each beta k times in a row, and level k of the in-place table
+    makes c[i] the divided difference over z_{i-k}..z_i: w[k] where those
+    nodes coincide, else (c[i] - c[i - 1]) / (z_i - z_{i-k}), the inverse
+    from one table over pairs of betas. R = sum(c[i] * N_i), N_i the
+    product of (X - z_j) over j < i, meets every point, and so does u = R +
+    M * T for M = N_d. R has degree below d, so top fixes T by a unit
+    triangular solve in M's top coefficients, and u is one Newton expansion
+    on the nodes extended by len(top) zeros.
     """
-    taylor, mul_add = field.taylor, field.mul_add
-    mul, sub, neg = field.mul, field.sub, field.neg
-    P = [0] * (n - len(top))
-    P += reversed(top)
-    M = [1]
-    for j, (beta, w) in enumerate(points):
-        k = len(w)
-        mt = taylor(M, beta, k)
-        scale = field.inv(mt[0])
-        qt = []
-        for i, (wi, pi) in enumerate(zip(w, taylor(P, beta, k))):
-            acc = sub(wi, pi)
-            for t in range(1, i + 1):
-                acc = sub(acc, mul(mt[t], qt[i - t]))
-            qt.append(mul(acc, scale))
-        # Q(X) = Q~(X - beta), the Taylor expansion of Q~ at -beta.
-        nb = neg(beta)
-        for i, c in enumerate(taylor(qt, nb, k)):
-            mul_add(P, c, M, i)
-        if j + 1 < len(points):
-            for _ in range(k):
-                M.insert(0, 0)
-                mul_add(M, nb, M[1:], 0)  # M * X - beta * M
-    return P
+    sub, mul = field.sub, field.mul
+    betas = [beta for beta, _ in points]
+    ws = [w for _, w in points]
+    invd = [[field.inv(sub(a, b)) for b in betas[:g]] for g, a in enumerate(betas)]
+    group = [g for g, w in enumerate(ws) for _ in w]
+    nodes = [betas[g] for g in group]
+    c = [ws[g][0] for g in group]
+    d = n - len(top)
+    for k in range(1, d):
+        # Level k from level k - 1: node i pairs with node i - k.
+        c[k:] = [
+            ws[g][k] if g == h else mul(sub(ci, cj), invd[g][h])
+            for g, h, ci, cj in zip(group[k:], group, c[k:], c[k - 1 :])
+        ]
+    if top:
+        # top[j] is T[j] + sum(M[d - s] * T[j - s]) over 1 <= s <= d, T
+        # highest first: M is monic of degree d, and s > d would reach
+        # below its constant term.
+        M = field.from_newton([0] * d, nodes, 1)
+        T = []
+        for j, v in enumerate(top):
+            for s in range(1, min(j, d) + 1):
+                v = sub(v, mul(M[d - s], T[j - s]))
+            T.append(v)
+        c += reversed(T)
+        nodes += [0] * len(T)
+    return field.from_newton(c[:-1], nodes[:-1], c[-1])
 
 
 def trial_rng(seed: int, index: int) -> random.Random:

@@ -234,7 +234,7 @@ class Field:
         "dot_rows",
         "columns",
         "dot_columns",
-        "taylor",
+        "from_newton",
         "mul_add",
         "matmul",
     )
@@ -265,7 +265,7 @@ class Field:
         ops = _encoding(p, s, self._alpha, self._exp, self._log, self._zech)
         self.add, self.neg, self.sub, self.mul, self.inv, self.pow = ops[:6]
         self.insert_row, self.back_substitute, self.dot_rows = ops[6:9]
-        self.columns, self.dot_columns, self.taylor, self.mul_add, self.matmul = ops[9:]
+        self.columns, self.dot_columns, self.from_newton, self.mul_add, self.matmul = ops[9:]
 
     # -- construction helpers ------------------------------------------------
 
@@ -465,7 +465,7 @@ def _zero_power(e: int) -> int:
 def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     """The arithmetic of GF(p**s), bound once for its element encoding, as
     plain functions: (add, neg, sub, mul, inv, pow, insert_row,
-    back_substitute, dot_rows, columns, dot_columns, taylor, mul_add,
+    back_substitute, dot_rows, columns, dot_columns, from_newton, mul_add,
     matmul). alpha is the field's primitive element, and exp, log and zech
     are its tables (None for a prime field, zech None for p = 2).
 
@@ -499,13 +499,12 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     dot_rows(entries, v) is dot_columns(columns((entries,), len(v)), v).
 
     A polynomial is a list of canonical elements, constant term first.
-    taylor(a, beta, k) returns the first k Taylor coefficients of a at
-    beta, the coefficients of a(beta + Y) in Y: entry i is the i-th Hasse
-    derivative of a at beta, and entries past a's degree are 0. Each is the
-    remainder of one synthetic division by X - beta, done in place on a
-    copy of a, the quotient of each pass divided by the next. a is not
-    changed. mul_add(acc, c, v, j) adds c * v[i] to acc[j + i] for every
-    i, in place; acc must reach j + len(v).
+    from_newton(c, nodes, lead), for c as long as nodes, returns the
+    len(nodes) + 1 coefficients of lead * N_d + sum(c[i] * N_i) for d =
+    len(nodes), where N_i is the product of (X - nodes[j]) over j < i: by
+    Horner's rule, one step acc * (X - nodes[i]) + c[i] per node from the
+    last. mul_add(acc, c, v, j) adds c * v[i] to acc[j + i] for every i,
+    in place; acc must reach j + len(v).
 
     matmul(a, b, k) returns the flat entries of the product of an r x k
     matrix and a k x c one, both given as flat sequences of canonical
@@ -515,25 +514,23 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     The encoding is chosen once, here. A field whose elements pack into
     one byte with room for a digit-wise sum, GF(2^s) for s <= 8, the odd
     primes up to 127, GF(9), GF(25) and GF(49), takes insert_row,
-    back_substitute, dot_rows, columns, dot_columns, mul_add and matmul
-    from _byte_rows: a row is one byte per element, held as a big-endian
-    int, a sum of rows is one XOR, or one int add and one bytes.translate,
-    and a scaled row one bytes.translate, so each kernel makes a few
-    C-level calls per row instead of one Python step per element. A prime
-    field, which has no tables, passes the powers of its primitive element;
-    for GF(2) that is {1}.
+    back_substitute, dot_rows, columns, dot_columns, from_newton, mul_add
+    and matmul from _byte_rows: a row is one byte per element, held as a
+    big-endian int, a sum of rows is one XOR, or one int add and one
+    bytes.translate, and a scaled row one bytes.translate, so each kernel
+    makes a few C-level calls per row instead of one Python step per
+    element. A prime field, which has no tables, passes the powers of its
+    primitive element; for GF(2) that is {1}.
 
-    Every other field, and the scalar ops and taylor of every field, use
-    the per-element kernels. There, a stored row is the tail after the
+    Every other field, and the scalar ops of every field, use the
+    per-element kernels. There, a stored row is the tail after the
     pivot column of the row scaled to a leading 1, and each encoding defines
     its scalar ops and the pieces the shared kernels are built from:
     pivot(t, i), that scaling of t[i:]; reduce(t, i, b), the step t - t[i]
     * b on the tail; stored(v) and value(y), to and from the stored format;
     dot(xs, b), the sum of xs[j] * b[j] for canonical xs and stored b over
-    the shorter of the two; divide(a, lo, beta), one synthetic division of
-    a[lo:] by X - beta in place, leaving the remainder in a[lo] and the
-    quotient above it; and mul_add, on which matmul is built. Each keeps
-    its own per-element loop:
+    the shorter of the two; and mul_add, on which matmul and from_newton
+    are built. Each keeps its own per-element loop:
     - prime fields: the residues themselves, reduced with % p;
     - characteristic 2: stored rows hold logarithms, sums are XORs;
     - odd characteristic, s > 1: stored rows hold logarithms, sums go
@@ -542,7 +539,7 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     Stored logarithms are kept in [-m, 0) for m = q - 1, with 0 marking a
     zero entry, so that adding a logarithm in [0, m) gives an index in
     [-m, m), where Python's negative indexing wraps the exp table mod m;
-    beta and c go to such a logarithm once per divide and mul_add call.
+    c goes to such a logarithm once per mul_add call.
     An all-zero tail, as from a unit row of an identity or reversal
     matrix, is stored empty, and reducing by it only drops the pivot entry.
     Here columns returns the blocks as they are, and dot_columns takes v
@@ -592,11 +589,6 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
         def dot(xs, b):
             return sum(map(_int_mul, xs, b)) % p
 
-        def divide(a, lo, b):
-            acc = 0
-            for i in range(len(a) - 1, lo - 1, -1):
-                acc = a[i] = (a[i] + b * acc) % p
-
         def mul_add(acc, c, v, j):
             if c:
                 e = j + len(v)
@@ -642,11 +634,6 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
                         acc ^= exp[log[x] + y]
                 return acc
 
-            def divide(a, lo, b):
-                lb, acc = log[b] - m, 0
-                for i in range(len(a) - 1, lo - 1, -1):
-                    acc = a[i] = a[i] ^ exp[log[acc] + lb] if acc else a[i]
-
             def mul_add(acc, c, v, j):
                 if c:
                     lc, e = log[c] - m, j + len(v)
@@ -682,11 +669,6 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
                     if x and y:
                         acc = add_power(acc, log[x] + y)
                 return acc
-
-            def divide(a, lo, b):
-                lb, acc = log[b] - m, 0
-                for i in range(len(a) - 1, lo - 1, -1):
-                    acc = a[i] = add_power(a[i], log[acc] + lb) if acc else a[i]
 
             def mul_add(acc, c, v, j):
                 if c:
@@ -743,15 +725,12 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     def dot_rows(entries, v):
         return dot_columns(columns((entries,), len(v)), v)
 
-    def taylor(a, beta, k):
-        a = list(a)
-        while len(a) > k and not a[-1]:
-            a.pop()
-        a += [0] * (k - len(a))
-        if beta:
-            for lo in range(k):
-                divide(a, lo, beta)
-        return a[:k]
+    def from_newton(c, nodes, lead):
+        acc = [lead]
+        for ci, b in zip(reversed(c), reversed(nodes)):
+            acc, prev = [ci] + acc, acc
+            mul_add(acc, neg(b), prev, 0)
+        return acc
 
     def matmul(a, b, k):
         c = len(b) // k
@@ -768,18 +747,19 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     if s * w <= 8:
         exp = exp or [pow(alpha, k, p) for k in range(m)]
         kernels = _byte_rows(p, s, w, exp)
-        insert_row, back_substitute, dot_rows, columns, dot_columns, mul_add, matmul = kernels
+        insert_row, back_substitute, dot_rows, columns, dot_columns = kernels[:5]
+        from_newton, mul_add, matmul = kernels[5:]
     return (
         add, neg, sub, mul, inv, power, insert_row, back_substitute, dot_rows, columns,
-        dot_columns, taylor, mul_add, matmul,
+        dot_columns, from_newton, mul_add, matmul,
     )
 
 
 def _byte_rows(p, s, w, exp):
-    """insert_row, back_substitute, dot_rows, columns, dot_columns, mul_add
-    and matmul of _encoding for a field whose elements pack into one byte
-    with room for a digit-wise sum, from its exp table; each acts on a
-    whole row or column with a few C-level calls.
+    """insert_row, back_substitute, dot_rows, columns, dot_columns,
+    from_newton, mul_add and matmul of _encoding for a field whose elements
+    pack into one byte with room for a digit-wise sum, from its exp table;
+    each acts on a whole row or column with a few C-level calls.
 
     An element is packed as its base-p digits, w bits apart, s * w <= 8:
     w = 1 for p = 2, and w = (2p - 2).bit_length() for odd p, so that the
@@ -805,7 +785,10 @@ def _byte_rows(p, s, w, exp):
     column per nonzero v[j]. back_substitute with one right-hand side works
     the columns of the stored rows the same way; with k of them it adds
     one translated k-byte row of x per nonzero coefficient, as matmul adds
-    one translated row of b per nonzero entry of a.
+    one translated row of b per nonzero entry of a. from_newton holds its
+    polynomial as one int, constant term in the low byte, so a Horner step
+    acc * (X - b) + c is one shift, one translate through the table of -b
+    and one add.
 
     That covers GF(2^s) for s <= 8, every odd prime p <= 127, and GF(9),
     GF(25) and GF(49), the fields with s * w <= 8. translate maps a byte to
@@ -910,6 +893,16 @@ def _byte_rows(p, s, w, exp):
     def dot_rows(entries, v):
         return dot_columns(columns((entries,), len(v)), v)
 
+    def from_newton(c, nodes, lead):
+        pc, acc, d = packed(c), pack[lead], len(nodes)
+        for i in range(d - 1, -1, -1):
+            b = nodes[i]
+            t = acc << 8 | pc[i]
+            if b:
+                t = add(t, from_bytes(acc.to_bytes(d - i, "big").translate(neg[pack[b]]), "big"))
+            acc = t
+        return unpacked(acc.to_bytes(d + 1, "big")[::-1])
+
     def mul_add(acc, c, v, j):
         if c:
             e = j + len(v)
@@ -932,7 +925,9 @@ def _byte_rows(p, s, w, exp):
             out.append(acc.to_bytes(c, "big"))
         return unpacked(b"".join(out))
 
-    return insert_row, back_substitute, dot_rows, columns, dot_columns, mul_add, matmul
+    return (
+        insert_row, back_substitute, dot_rows, columns, dot_columns, from_newton, mul_add, matmul,
+    )
 
 
 def field_string(field: Field) -> str:

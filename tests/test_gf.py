@@ -409,19 +409,18 @@ BYTE_ROW_FIELDS = {(2, 1), (2, 2), (2, 8), (3, 1), (5, 1), (127, 1), (3, 2), (5,
 
 def test_the_field_order_alone_selects_the_byte_row_kernels():
     # GF(2^s) for s <= 8, odd primes up to 127, GF(9), GF(25) and GF(49),
-    # and nothing else: both sides of every boundary. The scalar ops and
-    # taylor keep the per-element encoding everywhere.
+    # and nothing else: both sides of every boundary. The scalar ops keep
+    # the per-element encoding everywhere.
     edges = [(2, 9), (2, 16), (131, 1), (251, 1), (3, 3), (3, 5), (3, 10), (11, 2)]
     for p, s in sorted(BYTE_ROW_FIELDS) + edges:
         field = Field(p, s)
         kernels = (
             field.insert_row, field.back_substitute, field.dot_rows, field.columns,
-            field.dot_columns, field.mul_add, field.matmul,
+            field.dot_columns, field.from_newton, field.mul_add, field.matmul,
         )
         owner = "_byte_rows." if (p, s) in BYTE_ROW_FIELDS else "_encoding."
         assert all(f.__qualname__.startswith(owner) for f in kernels), (p, s)
         assert field.mul.__qualname__.startswith("_encoding.")
-        assert field.taylor.__qualname__.startswith("_encoding.")
 
 
 def test_field_of_order_checks_the_cap_before_factoring():

@@ -40,6 +40,23 @@ def hasse_taylor(field, a, beta, k):
     return [hasse.evaluate(hasse.hasse_derivative(f, i), beta) for i in range(k)]
 
 
+def naive_newton(field, c, nodes, lead):
+    """lead * N_d + sum(c[i] * N_i), N_i the product of (X - nodes[j]) over
+    j < i, through Field.add and Field.mul on coefficient lists."""
+    out = [0] * (len(nodes) + 1)
+    basis = [1]
+    for ci, b in zip(list(c) + [lead], list(nodes) + [None]):
+        for t, v in enumerate(basis):
+            out[t] = field.add(out[t], field.mul(ci, v))
+        if b is not None:
+            # basis * (X - b)
+            shifted = [0] + basis
+            for t, v in enumerate(basis):
+                shifted[t] = field.add(shifted[t], field.mul(field.neg(b), v))
+            basis = shifted
+    return out
+
+
 def naive_mul_add(field, acc, c, v, j):
     out = list(acc)
     for i, y in enumerate(v):
@@ -77,26 +94,29 @@ def surplus_pattern(rng, L, n):
 # -- kernels ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
-def test_taylor_matches_hasse_derivatives(field):
-    rng = random.Random(field.q)
+# Both kernel classes: byte rows up to GF(127) and GF(49), per-element rows
+# for GF(27), GF(131), GF(2^9) and GF(2^16).
+ROW_KERNEL_FIELDS = KERNEL_FIELDS + [
+    Field(p, s) for p, s in [(127, 1), (131, 1), (7, 2), (2, 9), (2, 16)]
+]
+
+
+@pytest.mark.parametrize("field", ROW_KERNEL_FIELDS, ids=repr)
+def test_from_newton_matches_naive_expansion(field):
+    rng = random.Random(field.q + 3)
     q = field.q
     for _ in range(60):
-        a = [rng.randrange(q) for _ in range(rng.randint(0, 9))]
-        if a and rng.random() < 0.3:
-            a[-1] = 0  # a zero leading coefficient is trimmed
-        beta = rng.choice([0, 1, q - 1, rng.randrange(q)])
-        k = rng.randint(1, 12)
-        before = list(a)
-        assert field.taylor(a, beta, k) == hasse_taylor(field, a, beta, k), (a, beta, k)
-        assert a == before
+        d = rng.randint(0, 9)
+        nodes = [rng.choice([0, 0, 1, q - 1, rng.randrange(q)]) for _ in range(d)]
+        c = [rng.choice([0, 1, q - 1, rng.randrange(q)]) for _ in range(d)]
+        lead = rng.choice([0, 1, rng.randrange(q)])
+        before = (list(c), list(nodes))
+        want = naive_newton(field, c, nodes, lead)
+        assert field.from_newton(c, nodes, lead) == want, (c, nodes, lead)
+        assert (c, nodes) == before
 
 
-@pytest.mark.parametrize(
-    "field",
-    KERNEL_FIELDS + [Field(p, s) for p, s in [(127, 1), (131, 1), (7, 2), (2, 9), (2, 16)]],
-    ids=repr,
-)
+@pytest.mark.parametrize("field", ROW_KERNEL_FIELDS, ids=repr)
 def test_mul_add_matches_field_calls(field):
     rng = random.Random(field.q + 1)
     q = field.q
@@ -126,6 +146,42 @@ def test_hermite_recovers_random_polynomials(field):
         assert hermite(field, n, top, points) == u
 
 
+def hermite_case(field, u, top_count, betas, ks):
+    """hermite's inputs for the known u: its top top_count coefficients and
+    ks[i] Hasse derivatives at betas[i]."""
+    top = u[::-1][:top_count]
+    return top, [(b, hasse_taylor(field, u, b, k)) for b, k in zip(betas, ks)]
+
+
+EDGE_FIELDS = [Field(p, s) for p, s in [(2, 8), (7, 1), (3, 2), (131, 1), (2, 9)]]
+
+
+@pytest.mark.parametrize("field", EDGE_FIELDS, ids=repr)
+def test_hermite_edge_shapes(field):
+    rng = random.Random(field.q + 4)
+    q = field.q
+    nz = rng.randrange(1, q)
+    shapes = [
+        # One point holds all n symbols, at a nonzero beta and at 0.
+        (8, 0, [nz], [8]),
+        (8, 0, [0], [8]),
+        # beta = 0 with multiplicity above 1, beside other points and top.
+        (7, 1, [0, nz], [3, 3]),
+        (6, 0, [nz, 0], [2, 4]),
+        # More top coefficients than d + 1, so the solve for them must stop
+        # at M's constant term: d = 0, 1 and 2 under five or six of them.
+        (6, 5, [0], [1]),
+        (6, 5, [nz], [1]),
+        (8, 6, [nz, 0], [1, 1]),
+        (5, 5, [], []),
+    ]
+    for n, top_count, betas, ks in shapes:
+        for _ in range(10):
+            u = [rng.randrange(q) for _ in range(n)]
+            top, points = hermite_case(field, u, top_count, betas, ks)
+            assert hermite(field, n, top, points) == u, (n, top_count, betas, ks)
+
+
 # -- decode against solve and the Gaussian reference --------------------------------------
 
 
@@ -143,6 +199,8 @@ DESK = [
     (9, 10, 3),
     (25, 4, 4),
     (27, 4, 3),
+    (131, 4, 3),
+    (512, 4, 3),
     (2, 7, 1),
     (3, 9, 1),
 ]

@@ -215,25 +215,32 @@ def test_reports_keep_their_field_names():
 
 def test_every_int_byte_conversion_names_its_byte_order():
     # Python 3.10, the floor in pyproject.toml, has no default byte order
-    # for int.to_bytes and int.from_bytes, while 3.11 defaults to "big": a
-    # call without one passes on 3.11 and raises TypeError on 3.10. Names
+    # for int.to_bytes and int.from_bytes, and no default length for
+    # int.to_bytes, while 3.11 defaults to length 1 and "big": a call
+    # without them passes on 3.11 and raises TypeError on 3.10. Names
     # bound to either method, such as from_bytes = int.from_bytes, count.
-    methods = {"to_bytes", "from_bytes"}
     calls = 0
     for path in sorted((SRC / "udm").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        names = set(methods)
+        method_of = {"to_bytes": "to_bytes", "from_bytes": "from_bytes"}
         for node in ast.walk(tree):
             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute):
-                if node.value.attr in methods:
-                    names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+                if node.value.attr in method_of:
+                    for t in node.targets:
+                        if isinstance(t, ast.Name):
+                            method_of[t.id] = node.value.attr
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in names:
+            method = method_of.get(name)
+            if method:
                 calls += 1
-                explicit = len(node.args) >= 2 or any(k.arg == "byteorder" for k in node.keywords)
+                keywords = {k.arg for k in node.keywords}
+                explicit = len(node.args) >= 2 or "byteorder" in keywords
                 assert explicit, f"{path.name}:{node.lineno} has no explicit byte order"
+                if method == "to_bytes":
+                    sized = node.args or "length" in keywords
+                    assert sized, f"{path.name}:{node.lineno} has no explicit length"
     assert calls >= 10
