@@ -198,34 +198,36 @@ def _binomial_matrices(field: Field, alpha: int, count: int, n: int) -> list[Mat
     return [Matrix._unchecked(field, n, n, tuple(e)) for e in entries]
 
 
+def _check_tuple_sizes(L: int, n: int):
+    """Raise BadArgument unless L >= 1 and n >= 0."""
+    if L < 1:
+        raise BadArgument("L must be positive")
+    if n < 0:
+        raise BadArgument("n must be non-negative")
+
+
 def count_exact_tuples(L: int, n: int) -> int:
+    _check_tuple_sizes(L, n)
     return math.comb(n + L - 1, L - 1)
 
 
 def enumerate_exact_tuples(L: int, n: int):
     """All (k_0, ..., k_{L-1}) with sum n and 0 <= k_l <= n, ascending
     lexicographic with k_0 varying slowest."""
-    if L < 1:
-        raise BadArgument("L must be positive")
-    if n < 0:
-        raise BadArgument("n must be non-negative")
-
-    def gen(slots, total):
-        if slots == 1:
-            yield (total,)
-            return
-        for k in range(total + 1):
-            for rest in gen(slots - 1, total - k):
-                yield (k,) + rest
-
-    yield from gen(L, n)
+    _check_tuple_sizes(L, n)
+    # Stars and bars: the L - 1 bars among n + L - 1 places, in
+    # lexicographic order, and k_l the gap after bar l - 1.
+    end = n + L - 1
+    return (
+        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, end)))
+        for bars in itertools.combinations(range(end), L - 1)
+    )
 
 
 def enumerate_superset_tuples(L: int, n: int):
     """All tuples in [0, n]^L with sum at least n, ascending lexicographic."""
-    for ks in itertools.product(range(n + 1), repeat=L):
-        if sum(ks) >= n:
-            yield ks
+    _check_tuple_sizes(L, n)
+    return (ks for ks in itertools.product(range(n + 1), repeat=L) if sum(ks) >= n)
 
 
 def verify(family: UdmFamily, superset: bool = False) -> VerifyReport:
@@ -236,22 +238,22 @@ def verify(family: UdmFamily, superset: bool = False) -> VerifyReport:
     directly. The first failing tuple, in enumeration order, becomes the
     witness.
 
-    The tuples are walked in enumeration order (enumerate_exact_tuples or
-    enumerate_superset_tuples) as a depth-first walk of the tree of
-    prefixes: one echelon basis is carried along, and each step to the next
-    tuple undoes the rows of the channels it resets and inserts one row of
-    the channel it grows. Exact sums: the first tuple, (0, ..., 0, n),
-    passes iff the last matrix M is invertible; then every other matrix is
-    right-multiplied once by T with M T = J, the row reversal, which
-    changes no rank and turns the last channel's first r rows into the
-    last r unit vectors. The last channel's rows are never inserted: each
-    later tuple costs one insertion and one compare, and passes iff its
-    new row takes the next free pivot column. Superset: a tuple fails when
-    its sum is at least n and its rank below n; once the rows of channels
-    0..j reach rank n, every tuple sharing that prefix passes, and they
-    are counted without being built. The witness is rebuilt from the
-    original matrices with stack_prefixes and rank, so reports are the
-    same as from checking every tuple on its own.
+    Both walks start from _reversal_rows: the first tuple of either order,
+    (0, ..., 0, n), passes iff the last matrix M is invertible, and then
+    every other matrix is right-multiplied once by T with M T = J, the row
+    reversal, which changes no rank and makes the last channel's first r
+    rows the last r unit vectors. So the last channel's rows are never
+    inserted: a stack holding r of them has rank n iff its other rows
+    fill the first n - r slots of an echelon basis. That basis is carried
+    along a depth-first walk of the prefixes over the other channels, in
+    enumeration order; each step undoes the rows of the channels it
+    resets and inserts one row of the channel it grows. Exact sums: each
+    later tuple costs one insertion and one compare. Superset: a prefix
+    of rank below n settles all of its tuples by its first empty slot,
+    and one whose rows reach rank n at channel j passes, with every
+    larger k_j, and its tuples are counted without being built. The
+    witness is rebuilt from the original matrices with stack_prefixes and
+    rank, so reports are the same as from checking every tuple on its own.
     """
     walk = _walk_superset if superset else _walk_exact
     checked, ks = walk(family)
@@ -261,43 +263,27 @@ def verify(family: UdmFamily, superset: bool = False) -> VerifyReport:
     return VerifyReport(False, checked, Witness(ks, stacked, rank(stacked)))
 
 
-class _Echelon:
-    """The echelon basis of the superset walk, with the (channel, column)
-    of every filled slot in insertion order, so the rows of channels above
-    j can be undone by popping."""
-
-    def __init__(self, family: UdmFamily):
-        n = family.n
-        self.insert_row = family.field.insert_row
-        self.rows = [[m.row(i) for i in range(n)] for m in family.matrices]
-        self.basis = [None] * n
-        self.trail: list[tuple[int, int]] = []
-
-    def insert(self, l: int, i: int) -> bool:
-        """Insert row i of matrix l; False when it is dependent."""
-        c = self.insert_row(self.basis, self.rows[l][i])
-        if c < 0:
-            return False
-        self.trail.append((l, c))
-        return True
-
-    def undo_above(self, j: int):
-        trail, basis = self.trail, self.basis
-        while trail and trail[-1][0] > j:
-            basis[trail.pop()[1]] = None
+def _reversal_rows(family: UdmFamily) -> list[list[tuple]] | None:
+    """The rows of A_l T for l < L-1, with M T = J for M the last matrix and
+    J the row reversal; None when M is singular. M is invertible iff the n
+    rows of [M | J] all take pivots among the first n columns, and their
+    back-substitution gives T. Row i of M T is the unit vector of column
+    n - 1 - i."""
+    field, n, m = family.field, family.n, family.matrices[-1]
+    aug, rev = [None] * (2 * n), anti_identity(field, n)
+    if any(field.insert_row(aug, m.row(i) + rev.row(i)) >= n for i in range(n)):
+        return None
+    t = Matrix._unchecked(field, n, n, tuple(field.back_substitute(aug, n, n)))
+    return [[a.row(i) for i in range(n)] for a in (matmul(a, t) for a in family.matrices[:-1])]
 
 
 def _walk_exact(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
     """(tuples checked, first failing tuple or None) over the exact sums.
 
-    The first tuple, (0, ..., 0, n), passes iff the last matrix M is
-    invertible: the n rows of [M | J], J the row reversal, all take pivots
-    among the first n columns. Their back-substitution gives T with
-    M T = J, and every other matrix is right-multiplied by T once. T is
-    invertible, so no stack changes rank, and row i of M T is the unit
-    vector of column n - 1 - i: a tuple whose last channel holds r rows
-    passes iff its other n - r rows reduce to pivots in exactly the
-    columns 0..n-r-1.
+    The first tuple, (0, ..., 0, n), passes iff _reversal_rows finds the
+    last matrix invertible. After it, a tuple whose last channel holds r
+    rows passes iff its other n - r rows, in _reversal_rows's coordinates,
+    reduce to pivots in exactly the columns 0..n-r-1.
 
     Invariant: at each later tuple, with f = n - 1 - r, slots 0..f-1 of
     the basis hold the tuple's other rows, in stacking order, except the
@@ -308,19 +294,14 @@ def _walk_exact(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
     takes slot f: -1 is a dependent row and a larger column a pivot
     among the last r.
     """
-    L, n, field = family.L, family.n, family.field
-    insert_row = field.insert_row
+    L, n = family.L, family.n
+    insert_row = family.field.insert_row
     last = L - 1
     ks = [0] * L
     ks[last] = n
-    aug = [None] * (2 * n)
-    rev = anti_identity(field, n)
-    m = family.matrices[last]
-    if any(insert_row(aug, m.row(i) + rev.row(i)) >= n for i in range(n)):
+    rows = _reversal_rows(family)
+    if rows is None:
         return 1, tuple(ks)
-    t = Matrix._unchecked(field, n, n, tuple(field.back_substitute(aug, n, n)))
-    rows = [matmul(a, t) for a in family.matrices[:last]]
-    rows = [[a.row(i) for i in range(n)] for a in rows]
     basis, empty = [None] * n, [None] * n
     nonzero = [last]  # the positions with ks > 0, ascending
     checked = 1
@@ -349,33 +330,51 @@ def _walk_exact(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
 
 def _walk_superset(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
     """(tuples checked, first failing tuple or None) over [0, n]^L with sum
-    at least n, in itertools.product order."""
-    L, n = family.L, family.n
-    ech = _Echelon(family)
-    ks = [0] * L
-    total = 0
-    checked = 0
+    at least n, in itertools.product order.
+
+    The first such tuple, (0, ..., 0, n), passes iff _reversal_rows finds
+    the last matrix invertible. Then the prefixes (k_0, ..., k_{L-2}) are
+    visited in product order, their rows in one echelon basis with the
+    (channel, slot) of every filled slot in insertion order in `trail`.
+    The tuples of a prefix of sum s hold r >= n - s rows of the last
+    channel, and pass iff r >= n - g, g the first empty slot. A visited
+    prefix of rank below n has s <= n: with one row fewer it is an earlier
+    prefix of rank below n, which, were its sum at least n, failed at
+    r = 0. So its s + 1 tuples pass iff g >= s, and otherwise the first of
+    them, r = n - s, is the witness. A prefix whose rows reach
+    rank n at channel j passes, with every larger k_j: its
+    (n + 1 - k_j) * (n + 1)**(L - 1 - j) tuples are counted at once and
+    the walk jumps to k_j = n.
+    """
+    n, last = family.n, family.L - 1
+    rows = _reversal_rows(family)
+    if rows is None:
+        return 1, (0,) * last + (n,)
+    insert_row = family.field.insert_row
+    ks, basis, trail = [0] * last, [None] * n, []
+    total = checked = 0
     while True:
-        j = L - 1
+        if len(trail) < n:
+            if basis.index(None) < total:
+                return checked + 1, (*ks, n - total)
+            checked += total + 1
+        else:
+            checked += (n + 1 - ks[j]) * (n + 1) ** (last - j)
+            total += n - ks[j] + n * (last - 1 - j)
+            ks[j:] = [n] * (last - j)
+        j = last - 1
         while j >= 0 and ks[j] == n:
             j -= 1
         if j < 0:
             return checked, None
-        ech.undo_above(j)
-        total += 1 - n * (L - 1 - j)
+        while trail and trail[-1][0] > j:
+            basis[trail.pop()[1]] = None
+        total += 1 - n * (last - 1 - j)
         ks[j] += 1
-        ks[j + 1 :] = [0] * (L - 1 - j)
-        if len(ech.trail) < n:
-            ech.insert(j, ks[j] - 1)
-        if len(ech.trail) == n:
-            # Every tuple with this prefix has rank n: count them and jump
-            # to the last of them.
-            checked += (n + 1) ** (L - 1 - j)
-            total += n * (L - 1 - j)
-            ks[j + 1 :] = [n] * (L - 1 - j)
-        elif total >= n:
-            checked += 1
-            return checked, tuple(ks)
+        ks[j + 1 :] = [0] * (last - 1 - j)
+        c = insert_row(basis, rows[j][ks[j] - 1])
+        if c >= 0:
+            trail.append((j, c))
 
 
 def _is_lower_triangular(c: Matrix) -> bool:

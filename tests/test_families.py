@@ -176,10 +176,39 @@ def test_enumerate_exact_tuples_lexicographic_and_complete():
         assert all(sum(t) == n and all(0 <= k <= n for k in t) for t in tuples)
 
 
+def test_enumerate_exact_tuples_many_channels_without_recursion():
+    tuples = list(enumerate_exact_tuples(3000, 1))
+    assert len(tuples) == count_exact_tuples(3000, 1) == 3000
+    assert tuples[0] == (0,) * 2999 + (1,) and tuples[-1] == (1,) + (0,) * 2999
+
+
 def test_enumerate_superset_tuples():
     tuples = list(enumerate_superset_tuples(4, 3))
     assert len(tuples) == 4**4 - 15  # all of [0,3]^4 minus the 15 with sum < 3
     assert all(sum(t) >= 3 for t in tuples)
+
+
+@pytest.mark.parametrize(
+    "helper, L, n",
+    [
+        (enumerate_superset_tuples, 0, 0),
+        (enumerate_superset_tuples, -1, 2),
+        (count_exact_tuples, 2, -1),
+        (count_exact_tuples, 0, 0),
+        (enumerate_exact_tuples, 0, 3),
+        (enumerate_exact_tuples, 2, -1),
+    ],
+)
+def test_tuple_helpers_reject_bad_sizes_when_called(helper, L, n):
+    # L < 1 or n < 0 raises BadArgument at the call, before any tuple.
+    with pytest.raises(BadArgument):
+        helper(L, n)
+
+
+def test_tuple_helpers_accept_n_zero():
+    assert count_exact_tuples(3, 0) == 1
+    assert list(enumerate_exact_tuples(3, 0)) == [(0, 0, 0)]
+    assert len(list(enumerate_superset_tuples(2, 0))) == 1
 
 
 # -- verification ------------------------------------------------------------------------

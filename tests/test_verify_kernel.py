@@ -307,6 +307,95 @@ def test_property_every_witness_is_rank_deficient(data):
         assert rank(rep.witness.stacked) == rep.witness.rank < n
 
 
+def superset_closed_form_families(field, rng):
+    """(kind, family) pairs aimed at the superset walk's closed form for the
+    last channel: a singular last matrix, a dependent row that leaves the
+    prefix (n, 0, ..., 0) of sum n rank-deficient, L = 1, n = 1 and a dense
+    right_multiply family."""
+    for L, n in itertools.product(range(2, 5), range(1, 5)):
+        if (n + 1) ** L > MAX_SUPERSET_TUPLES:
+            continue
+        dense = right_multiply(construct(field, L, n), seeded_invertible(field, n, rng))
+        yield "dense", dense
+        i = rng.randrange(n)
+        i2, c = rng.randrange(max(i, 1)), rng.randrange(field.q)
+        row = dense.matrices[L - 1].row(i2)
+        yield "singular last", with_entries(
+            dense, {(L - 1, i, j): field.mul(c, row[j]) if i else 0 for j in range(n)}
+        )
+        if n >= 2:
+            # Row n - 1 of the first matrix becomes a multiple of an earlier
+            # row. Only prefixes with k_0 = n hold it, so the first failing
+            # tuple is (n, 0, ..., 0): a prefix of sum n and r = 0.
+            row, c = dense.matrices[0].row(rng.randrange(n - 1)), rng.randrange(field.q)
+            yield "sum reaches n", with_entries(
+                dense, {(0, n - 1, j): field.mul(c, row[j]) for j in range(n)}
+            )
+    for n in range(1, 5):
+        m = seeded_invertible(field, n, rng)
+        one = UdmFamily(field, 1, n, (m,))
+        yield "L = 1", one
+        yield "singular last", with_entries(one, {(0, 0, j): 0 for j in range(n)})
+    for L in range(1, 7):
+        fam = construct(field, L, 1)
+        yield "n = 1", fam
+        for l in range(L):
+            yield "n = 1", with_entries(fam, {(l, 0, 0): 0})
+
+
+@pytest.mark.parametrize("p, s", [(7, 1), (131, 1), (2, 9)])
+def test_superset_closed_form_matches_the_reference(p, s):
+    # GF(7) takes the byte-row kernels, GF(131) and GF(2^9) the per-element
+    # ones. Each prefix of the first L - 1 channels settles every tuple it
+    # starts by its first empty slot; the per-tuple reference stacks and
+    # ranks every tuple of the original matrices.
+    field = Field(p, s)
+    rng = random.Random(p * 10 + s)
+    seen = set()
+    for kind, fam in superset_closed_form_families(field, rng):
+        rep = assert_same_report(fam, True)
+        n, L = fam.n, fam.L
+        seen.add(kind)
+        if kind in ("dense", "L = 1"):
+            assert rep.passed
+            assert rep.tuples_checked == superset_count(L, n)
+        elif kind == "singular last":
+            assert rep.tuples_checked == 1
+            assert rep.witness.ks == (0,) * (L - 1) + (n,)
+        elif kind == "sum reaches n":
+            assert rep.witness.ks == (n,) + (0,) * (L - 1)
+        elif not rep.passed:
+            assert sum(rep.witness.ks) == 1
+    assert seen == {"dense", "singular last", "sum reaches n", "L = 1", "n = 1"}
+
+
+def superset_count(L, n):
+    """Tuples in [0, n]^L with sum at least n, counted by their sums."""
+    ways = [1]  # ways[t]: tuples over the channels so far with sum t
+    for _ in range(L):
+        ways = [sum(ways[max(0, t - n) : t + 1]) for t in range(len(ways) + n)]
+    return sum(ways[n:])
+
+
+@pytest.mark.parametrize(
+    "p, s, L, n, want",
+    [(2, 2, 5, 4, 3069), (7, 1, 4, 7, 3886), (7, 1, 8, 6, None), (2, 4, 17, 3, None),
+     (2, 8, 12, 4, None)],
+)
+def test_superset_counts_beyond_the_reference(p, s, L, n, want):
+    # (n + 1)**L is above what the per-tuple reference can stack, so the
+    # count of a passing construct family, and of the same family after a
+    # dense right multiplication, is pinned to counting tuples by sums.
+    assert (n + 1) ** L > MAX_SUPERSET_TUPLES
+    count = superset_count(L, n)
+    assert want is None or count == want
+    field = Field(p, s)
+    fam = construct(field, L, n)
+    dense = right_multiply(fam, seeded_invertible(field, n, random.Random(L * n)))
+    for f in (fam, dense):
+        assert verify(f, superset=True) == VerifyReport(True, count, None)
+
+
 def test_many_channels_walk_without_recursion():
     fam = construct(Field(2), 3000, 1)
     assert verify(fam) == VerifyReport(True, 3000, None)
