@@ -398,14 +398,11 @@ def left_transform(family: UdmFamily, l: int, c: Matrix) -> UdmFamily:
 
 
 def right_multiply(family: UdmFamily, b: Matrix) -> UdmFamily:
-    """Replace every matrix A_l by A_l @ b for an invertible b: its rows
-    are inserted into one echelon basis with the field's insert_row, and b
-    is invertible when every row is accepted."""
+    """Replace every matrix A_l by A_l @ b for an invertible b, one of rank n."""
     n = family.n
     if b.rows != n or b.cols != n:
         raise BadArgument(f"multiplier must be {n}x{n}")
-    basis, insert_row = [None] * n, b.field.insert_row
-    if any(insert_row(basis, b.row(i)) < 0 for i in range(n)):
+    if rank(b) < n:
         raise Singular("right multiplier is not invertible")
     mats = tuple(matmul(m, b) for m in family.matrices)
     return family._replace(matrices=mats, alpha=None)

@@ -496,7 +496,8 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     dot_columns(cols, v), for v as long as the rows and not empty, returns
     the list of the dot products of v with each row of the stack. So a
     caller that multiplies one matrix by many vectors packs it once.
-    dot_rows(entries, v) is dot_columns(columns((entries,), len(v)), v).
+    dot_rows(entries, v) is dot_columns(columns((entries,), len(v)), v),
+    defined once from the selected columns and dot_columns.
 
     A polynomial is a list of canonical elements, constant term first.
     from_newton(c, nodes, lead), for c as long as nodes, returns the
@@ -514,13 +515,13 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     The encoding is chosen once, here. A field whose elements pack into
     one byte with room for a digit-wise sum, GF(2^s) for s <= 8, the odd
     primes up to 127, GF(9), GF(25) and GF(49), takes insert_row,
-    back_substitute, dot_rows, columns, dot_columns, from_newton, mul_add
-    and matmul from _byte_rows: a row is one byte per element, held as a
-    big-endian int, a sum of rows is one XOR, or one int add and one
-    bytes.translate, and a scaled row one bytes.translate, so each kernel
-    makes a few C-level calls per row instead of one Python step per
-    element. A prime field, which has no tables, passes the powers of its
-    primitive element; for GF(2) that is {1}.
+    back_substitute, columns, dot_columns, from_newton, mul_add and matmul
+    from _byte_rows: a row is one byte per element, held as a big-endian
+    int, a sum of rows is one XOR, or one int add and one bytes.translate,
+    and a scaled row one bytes.translate, so each kernel makes a few
+    C-level calls per row instead of one Python step per element. A prime
+    field, which has no tables, passes the powers of its primitive element;
+    for GF(2) that is {1}.
 
     Every other field, and the scalar ops of every field, use the
     per-element kernels. There, a stored row is the tail after the
@@ -722,9 +723,6 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
         sv, w = stored(v), len(v)
         return [dot(b[i : i + w], sv) for b in cols for i in range(0, len(b), w)]
 
-    def dot_rows(entries, v):
-        return dot_columns(columns((entries,), len(v)), v)
-
     def from_newton(c, nodes, lead):
         acc = [lead]
         for ci, b in zip(reversed(c), reversed(nodes)):
@@ -747,8 +745,12 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     if s * w <= 8:
         exp = exp or [pow(alpha, k, p) for k in range(m)]
         kernels = _byte_rows(p, s, w, exp)
-        insert_row, back_substitute, dot_rows, columns, dot_columns = kernels[:5]
-        from_newton, mul_add, matmul = kernels[5:]
+        insert_row, back_substitute, columns, dot_columns = kernels[:4]
+        from_newton, mul_add, matmul = kernels[4:]
+
+    def dot_rows(entries, v):
+        return dot_columns(columns((entries,), len(v)), v)
+
     return (
         add, neg, sub, mul, inv, power, insert_row, back_substitute, dot_rows, columns,
         dot_columns, from_newton, mul_add, matmul,
@@ -756,10 +758,10 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
 
 
 def _byte_rows(p, s, w, exp):
-    """insert_row, back_substitute, dot_rows, columns, dot_columns,
-    from_newton, mul_add and matmul of _encoding for a field whose elements
-    pack into one byte with room for a digit-wise sum, from its exp table;
-    each acts on a whole row or column with a few C-level calls.
+    """insert_row, back_substitute, columns, dot_columns, from_newton,
+    mul_add and matmul of _encoding for a field whose elements pack into
+    one byte with room for a digit-wise sum, from its exp table; each acts
+    on a whole row or column with a few C-level calls.
 
     An element is packed as its base-p digits, w bits apart, s * w <= 8:
     w = 1 for p = 2, and w = (2p - 2).bit_length() for odd p, so that the
@@ -890,9 +892,6 @@ def _byte_rows(p, s, w, exp):
                 acc = add(acc, from_bytes(col.translate(scale[vj]), "big"))
         return unpacked(acc.to_bytes(len(cols[0]), "big"))
 
-    def dot_rows(entries, v):
-        return dot_columns(columns((entries,), len(v)), v)
-
     def from_newton(c, nodes, lead):
         pc, acc, d = packed(c), pack[lead], len(nodes)
         for i in range(d - 1, -1, -1):
@@ -925,9 +924,7 @@ def _byte_rows(p, s, w, exp):
             out.append(acc.to_bytes(c, "big"))
         return unpacked(b"".join(out))
 
-    return (
-        insert_row, back_substitute, dot_rows, columns, dot_columns, from_newton, mul_add, matmul,
-    )
+    return insert_row, back_substitute, columns, dot_columns, from_newton, mul_add, matmul
 
 
 def field_string(field: Field) -> str:

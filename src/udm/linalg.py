@@ -1,21 +1,23 @@
 """Dense exact matrices and vectors over a Field.
 
 Matrices are immutable: a row-major tuple of int-encoded elements plus the
-owning field. Vectors are plain sequences of ints. Elimination uses
-first-nonzero pivoting scanning top-down; there is no magnitude to prefer
-over an exact field, and the fixed rule keeps every witness reproducible.
+owning field. Vectors are plain sequences of ints. Every elimination inserts
+rows in order into one echelon basis with the field's insert_row, each
+reduced row taking the slot of its first nonzero column; there is no
+magnitude to prefer over an exact field, and the fixed rule keeps every
+witness and null vector reproducible.
 
-solve, matvec and matmul, the decode and transform paths and the encode
-reference, run on the field's row kernels (Field.insert_row,
-back_substitute, dot_rows and matmul), whose stored-row format stays inside
-gf; codec.encode packs a family's columns once with Field.columns and
-multiplies by dot_columns, the kernel under dot_rows. Over every field whose
-elements pack into one byte (GF(2^s) for s <= 8, odd primes up to 127,
-GF(9), GF(25) and GF(49)) those kernels act on whole byte rows, so solve
-is O(n^2) C-level row steps rather than O(n^3) Python steps per element,
-and matmul packs each row of b once and adds one scaled row per nonzero
-entry of a. rank and left_null_vector eliminate with per-element Field
-calls, an independent path that the verify tests use as their oracle.
+rank, solve, left_null_vector, matvec and matmul, the verify, decode and
+transform paths and the encode reference, run on the field's row kernels
+(Field.insert_row, back_substitute, dot_rows and matmul), whose stored-row
+format stays inside gf; codec.encode packs a family's columns once with
+Field.columns and multiplies by dot_columns, the kernel under dot_rows.
+Over every field whose elements pack into one byte (GF(2^s) for s <= 8,
+odd primes up to 127, GF(9), GF(25) and GF(49)) those kernels act on whole
+byte rows, so rank and solve are O(n^2) C-level row steps rather than
+O(n^3) Python steps per element, and matmul packs each row of b once and
+adds one scaled row per nonzero entry of a. The tests check rank, solve and
+left_null_vector against per-element Gaussian elimination of their own.
 """
 
 from __future__ import annotations
@@ -127,45 +129,11 @@ def matvec(a: Matrix, v: Sequence[int]) -> tuple[int, ...]:
     return tuple(a.field.dot_rows(a.entries, v))
 
 
-def _forward_eliminate(rows: list[list[int]], ncols: int, field: Field) -> list[int]:
-    """In-place row echelon over the first ncols columns; returns pivot columns.
-
-    Pivot rows come out normalized to a leading 1. Row operations act on full
-    rows, so trailing augmented columns are carried along.
-    """
-    inv, mul, sub = field.inv, field.mul, field.sub
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    width = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        if piv != 1:
-            k = inv(piv)
-            rows[r] = [mul(k, v) for v in rows[r]]
-        prow = rows[r]
-        for i in range(r + 1, nrows):
-            f = rows[i][c]
-            if f:
-                ri = rows[i]
-                rows[i] = [sub(ri[j], mul(f, prow[j])) for j in range(width)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
 def rank(a: Matrix) -> int:
-    return len(_forward_eliminate(a.to_lists(), a.cols, a.field))
+    """The number of rows of a that the field's insert_row accepts into one
+    echelon basis of a.cols slots."""
+    insert_row, basis = a.field.insert_row, [None] * a.cols
+    return sum(insert_row(basis, a.row(i)) >= 0 for i in range(a.rows))
 
 
 def solve(a: Matrix, y: Sequence[int]) -> tuple[int, ...]:
@@ -240,27 +208,28 @@ def stack_prefixes(matrices: Sequence[Matrix], ks: Sequence[int]) -> Matrix:
 def left_null_vector(b: Matrix) -> tuple[int, ...]:
     """A nonzero v with v @ b == 0, for b of shape (n+1) x n.
 
-    Deterministic: under first-nonzero pivoting on the transpose, the
-    highest-index free variable is set to 1 and every other free variable
-    to 0.
+    Deterministic: b's rows are inserted in order with the field's
+    insert_row, and f is the last row it refuses. Then v[f] = 1, the rows
+    accepted before f take the coefficients that cancel row f, found by
+    solve on their transpose (unique, as those rows are independent), and
+    every other entry is 0. That is the vector that eliminating b's
+    transpose gives with its highest-index free variable set to 1 and every
+    other free variable to 0.
     """
     if b.rows != b.cols + 1:
         raise DimensionMismatch(f"expected an (n+1) x n matrix, got {b.rows}x{b.cols}")
-    field = b.field
-    m = b.rows
-    rows = [[b.at(i, j) for i in range(m)] for j in range(b.cols)]
-    pivots = _forward_eliminate(rows, m, field) if rows else []
-    pivot_set = set(pivots)
-    free = [c for c in range(m) if c not in pivot_set]
-    x = [0] * m
-    x[free[-1]] = 1
-    add, mul, neg = field.add, field.mul, field.neg
-    for idx in reversed(range(len(pivots))):
-        pc = pivots[idx]
-        row = rows[idx]
-        acc = 0
-        for c in range(pc + 1, m):
-            if row[c] and x[c]:
-                acc = add(acc, mul(row[c], x[c]))
-        x[pc] = neg(acc)
+    field, n = b.field, b.cols
+    insert_row, basis = field.insert_row, [None] * n
+    kept = []
+    for i in range(b.rows):
+        if insert_row(basis, b.row(i)) >= 0:
+            kept.append(i)
+        else:
+            f, k = i, len(kept)
+    kept = kept[:k]
+    t = Matrix._unchecked(field, n, k, tuple(b.entries[i * n + j] for j in range(n) for i in kept))
+    x = [0] * b.rows
+    for i, c in zip(kept, solve(t, [field.neg(v) for v in b.row(f)])):
+        x[i] = c
+    x[f] = 1
     return tuple(x)

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 
 import pytest
+from test_linalg import gaussian_rank
 
 from udm import hasse
 from udm.codec import simulate
@@ -331,8 +332,8 @@ def test_right_multiply_rejects_singular():
     fam = known_family()
     with pytest.raises(Singular):
         right_multiply(fam, Matrix.from_rows(F3, [[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
-    # Refused exactly when the per-element rank is short, on both sides of
-    # the byte-row range.
+    # Refused exactly when the Gaussian rank is short, on both sides of the
+    # byte-row range.
     for p, s in [(3, 1), (2, 1), (2, 4), (2, 8), (2, 9), (2, 16), (3, 2)]:
         field = Field(p, s)
         fam = construct(field, 3, 4)
@@ -343,7 +344,7 @@ def test_right_multiply_rejects_singular():
             if rng.random() < 0.2:
                 entries[12:] = entries[:4]
             b = Matrix(field, 4, 4, entries)
-            singular = rank(b) < 4
+            singular = gaussian_rank(b) < 4
             seen[singular] += 1
             if singular:
                 with pytest.raises(Singular, match="right multiplier is not invertible"):

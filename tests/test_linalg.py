@@ -1,8 +1,9 @@
 """Exact matrix operations: rank, solve, products, prefix stacks, null vectors.
 
-solve and matvec run on the field's row kernels; solve_gaussian and
-naive_matvec below are their independent references, built on per-element
-Field calls.
+rank, solve, left_null_vector and matvec run on the field's row kernels;
+gaussian_rank, solve_gaussian, gaussian_left_null_vector and naive_matvec
+below are their independent references, built on per-element Field calls.
+The verify, decode and transform tests check against them too.
 """
 
 import itertools
@@ -17,7 +18,6 @@ from udm.errors import DimensionMismatch, Inconsistent, ParseError, RankDeficien
 from udm.gf import Field
 from udm.linalg import (
     Matrix,
-    _forward_eliminate,
     anti_identity,
     identity,
     kron,
@@ -76,6 +76,73 @@ def random_matrix(rng, field, rows, cols):
     return Matrix(field, rows, cols, [rng.randrange(field.q) for _ in range(rows * cols)])
 
 
+def gaussian_eliminate(rows, ncols, field):
+    """In-place row echelon over the first ncols columns, first-nonzero
+    pivoting top-down; returns the pivot columns.
+
+    Pivot rows come out normalized to a leading 1. Row operations act on full
+    rows, so trailing augmented columns are carried along.
+    """
+    inv, mul, sub = field.inv, field.mul, field.sub
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    width = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = rows[r][c]
+        if piv != 1:
+            k = inv(piv)
+            rows[r] = [mul(k, v) for v in rows[r]]
+        prow = rows[r]
+        for i in range(r + 1, nrows):
+            f = rows[i][c]
+            if f:
+                ri = rows[i]
+                rows[i] = [sub(ri[j], mul(f, prow[j])) for j in range(width)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def gaussian_rank(a):
+    """The rank of a by Gaussian elimination, the reference for rank and
+    for every rank that verify reports."""
+    return len(gaussian_eliminate(a.to_lists(), a.cols, a.field))
+
+
+def gaussian_left_null_vector(b):
+    """The reference for left_null_vector: eliminate the transpose of b,
+    set its highest-index free variable to 1, every other free variable
+    to 0, and back-substitute."""
+    field = b.field
+    m = b.rows
+    rows = [[b.at(i, j) for i in range(m)] for j in range(b.cols)]
+    pivots = gaussian_eliminate(rows, m, field)
+    free = [c for c in range(m) if c not in pivots]
+    x = [0] * m
+    x[free[-1]] = 1
+    add, mul, neg = field.add, field.mul, field.neg
+    for idx in reversed(range(len(pivots))):
+        pc = pivots[idx]
+        row = rows[idx]
+        acc = 0
+        for c in range(pc + 1, m):
+            if row[c] and x[c]:
+                acc = add(acc, mul(row[c], x[c]))
+        x[pc] = neg(acc)
+    return tuple(x)
+
+
 def solve_gaussian(a, y):
     """Gaussian elimination of the augmented rows [a | y], the reference
     for solve and decode: pivots over the first n columns, rank deficiency
@@ -85,7 +152,7 @@ def solve_gaussian(a, y):
     n = a.cols
     field = a.field
     rows = [list(a.row(i)) + [y[i]] for i in range(a.rows)]
-    pivots = _forward_eliminate(rows, n, field)
+    pivots = gaussian_eliminate(rows, n, field)
     if len(pivots) < n:
         raise RankDeficient(f"coefficient matrix has rank {len(pivots)} < {n}")
     for i in range(n, a.rows):
@@ -131,6 +198,12 @@ ORACLE_FIELDS = [
 # The other edges of the byte-row range: the largest prime it covers and
 # the next one, GF(81), and GF(2^8) against GF(2^9) and GF(2^16).
 BYTE_ROW_EDGES = [Field(p, s) for p, s in [(127, 1), (131, 1), (3, 4), (2, 8), (2, 9), (2, 16)]]
+# Every element encoding of insert_row, on both sides of the byte-row range:
+# GF(131), GF(27), GF(81), GF(2^9) and GF(2^16) keep the per-element rows.
+ROW_ENCODINGS = [
+    (2, 1), (7, 1), (127, 1), (131, 1), (2, 3), (2, 4), (2, 8), (2, 9), (2, 16), (3, 2), (5, 2),
+    (7, 2), (3, 3), (3, 4),
+]
 
 
 # -- identity and reversal ---------------------------------------------------------
@@ -607,3 +680,37 @@ def test_left_null_space_is_one_dimensional_for_full_rank():
 def test_left_null_vector_requires_tall_shape():
     with pytest.raises(DimensionMismatch):
         left_null_vector(identity(F3, 3))
+
+
+def rows_with_dependencies(rng, field, nrows, ncols):
+    """nrows random rows of width ncols, some of them zero, copies or
+    scaled copies of earlier ones."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if rows and kind < 0.4:
+            c = 1 if kind < 0.2 else rng.randrange(1, field.q)
+            rows.append([field.mul(c, v) for v in rng.choice(rows)])
+        elif kind < 0.5:
+            rows.append([0] * ncols)
+        else:
+            rows.append([rng.randrange(field.q) if rng.random() < 0.7 else 0 for _ in range(ncols)])
+    return rows
+
+
+@pytest.mark.parametrize("p, s", ROW_ENCODINGS)
+def test_rank_and_left_null_vector_match_gaussian_elimination(p, s):
+    field = Field(p, s)
+    rng = random.Random(p * 1000 + s)
+    for _ in range(80):
+        r, c = rng.randint(0, 8), rng.randint(0, 7)
+        a = Matrix(field, r, c, sum(rows_with_dependencies(rng, field, r, c), []))
+        assert rank(a) == gaussian_rank(a)
+    # Null vectors for n = 0 and 1 and up; with two refused rows or more,
+    # the one to set to 1 is the last.
+    deficient = 0
+    for n in [0, 1] * 5 + [rng.randint(2, 6) for _ in range(60)]:
+        b = Matrix(field, n + 1, n, sum(rows_with_dependencies(rng, field, n + 1, n), []))
+        deficient += gaussian_rank(b) < n
+        assert left_null_vector(b) == gaussian_left_null_vector(b)
+    assert deficient >= 10
