@@ -162,9 +162,9 @@ def _interpolate(family: UdmFamily, obs: ChannelOutput) -> tuple[int, ...]:
     top coefficients (the point at infinity) and channel l >= 2 the
     derivatives at alpha**(l - 2). The first n symbols, taken channel by
     channel, determine u by hermite(), channel 1's as top; every later one
-    is re-encoded from u with the field's dot_rows and must match. n = 1
-    is the only size at which construct repeats points (when L > q + 1),
-    and then only the first of them is interpolated.
+    is re-encoded from u with the field's columns and dot_columns and must
+    match. n = 1 is the only size at which construct repeats points (when
+    L > q + 1), and then only the first of them is interpolated.
     """
     field, n = family.field, family.n
     need = n
@@ -179,7 +179,7 @@ def _interpolate(family: UdmFamily, obs: ChannelOutput) -> tuple[int, ...]:
         rows += m.entries[k * n : len(prefix) * n]
         redundant += prefix[k:]
     u = hermite(field, n, top, points)
-    if field.dot_rows(rows, u) != redundant:
+    if field.dot_columns(field.columns((rows,), n), u) != redundant:
         raise Inconsistent("redundant rows contradict the solution")
     return tuple(u)
 

@@ -268,13 +268,14 @@ def _reversal_rows(family: UdmFamily) -> list[list[tuple]] | None:
     J the row reversal; None when M is singular. M is invertible iff the n
     rows of [M | J] all take pivots among the first n columns, and their
     back-substitution gives T. Row i of M T is the unit vector of column
-    n - 1 - i."""
-    field, n, m = family.field, family.n, family.matrices[-1]
+    n - 1 - i. The other matrices, stacked, take one product with T."""
+    field, L, n, m = family.field, family.L, family.n, family.matrices[-1]
     aug, rev = [None] * (2 * n), anti_identity(field, n)
     if any(field.insert_row(aug, m.row(i) + rev.row(i)) >= n for i in range(n)):
         return None
     t = Matrix._unchecked(field, n, n, tuple(field.back_substitute(aug, n, n)))
-    return [[a.row(i) for i in range(n)] for a in (matmul(a, t) for a in family.matrices[:-1])]
+    at = matmul(stack_prefixes(family.matrices, (n,) * (L - 1) + (0,)), t)
+    return [[at.row(l * n + i) for i in range(n)] for l in range(L - 1)]
 
 
 def _walk_exact(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
@@ -489,14 +490,12 @@ def reverse_pairs(family: UdmFamily) -> UdmFamily:
     """
     field = family.field
     n = family.n
-    neg, mul_add = field.neg, field.mul_add
+    neg, columns, dot_columns = field.neg, field.columns, field.dot_columns
     mats = [m.to_lists() for m in family.matrices]
 
     def combo(coeffs, rows):
-        out = [0] * n
-        for c, row in zip(coeffs, rows):
-            mul_add(out, c, row, 0)
-        return out
+        # The rows are the columns of their transpose.
+        return dot_columns(columns(list(zip(*rows)), len(rows)), coeffs)
 
     for base in range(0, family.L - 1, 2):
         a0, a1 = mats[base], mats[base + 1]

@@ -207,9 +207,12 @@ def _smallest_irreducible(p: int, s: int) -> list[int]:
 class Field:
     """The finite field GF(p**s), acting on canonically encoded int elements.
 
-    add, neg, sub, mul, inv and pow, and the row and polynomial kernels, are
-    plain functions bound per field by _encoding for the field's element
-    encoding; pow(a, 0) == 1 for every a, including zero.
+    add, neg, sub, mul, inv and pow, and the five row and polynomial
+    kernels insert_row, back_substitute, columns, dot_columns and
+    from_newton, are plain functions bound per field by _encoding for the
+    field's element encoding; pow(a, 0) == 1 for every a, including zero.
+    Every product of a matrix with a vector or a matrix is columns once
+    and dot_columns per vector.
     """
 
     __slots__ = (
@@ -231,12 +234,9 @@ class Field:
         "pow",
         "insert_row",
         "back_substitute",
-        "dot_rows",
         "columns",
         "dot_columns",
         "from_newton",
-        "mul_add",
-        "matmul",
     )
 
     def __init__(self, p: int, s: int = 1):
@@ -264,8 +264,8 @@ class Field:
             self._build_tables()
         ops = _encoding(p, s, self._alpha, self._exp, self._log, self._zech)
         self.add, self.neg, self.sub, self.mul, self.inv, self.pow = ops[:6]
-        self.insert_row, self.back_substitute, self.dot_rows = ops[6:9]
-        self.columns, self.dot_columns, self.from_newton, self.mul_add, self.matmul = ops[9:]
+        self.insert_row, self.back_substitute, self.columns, self.dot_columns = ops[6:10]
+        self.from_newton = ops[10]
 
     # -- construction helpers ------------------------------------------------
 
@@ -465,9 +465,9 @@ def _zero_power(e: int) -> int:
 def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     """The arithmetic of GF(p**s), bound once for its element encoding, as
     plain functions: (add, neg, sub, mul, inv, pow, insert_row,
-    back_substitute, dot_rows, columns, dot_columns, from_newton, mul_add,
-    matmul). alpha is the field's primitive element, and exp, log and zech
-    are its tables (None for a prime field, zech None for p = 2).
+    back_substitute, columns, dot_columns, from_newton). alpha is the
+    field's primitive element, and exp, log and zech are its tables (None
+    for a prime field, zech None for p = 2).
 
     The scalar ops act on canonical elements; inv(0) and pow(0, e) for
     e < 0 raise DivisionByZero, and pow(a, 0) == 1 for every a.
@@ -491,31 +491,24 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     per row. With k of them, both kernels work in row form, adding one
     scaled row of x per nonzero coefficient.
 
-    columns(blocks, width) packs blocks, a sequence of flat sequences of
-    rows `width` long, stacked in order, into the kernels' column format;
-    dot_columns(cols, v), for v as long as the rows and not empty, returns
-    the list of the dot products of v with each row of the stack. So a
-    caller that multiplies one matrix by many vectors packs it once.
-    dot_rows(entries, v) is dot_columns(columns((entries,), len(v)), v),
-    defined once from the selected columns and dot_columns.
+    columns(blocks, width) stacks blocks, a sequence of flat sequences of
+    rows `width` long, in order, and cuts the stack into its `width`
+    columns, rows[j::width]; dot_columns(cols, v), for v `width` long and
+    not empty, returns the stack times v, the sum of v[j] times column j,
+    as a list. So a caller that multiplies one matrix by many vectors
+    packs it once, and a caller that combines rows passes them as the
+    columns of their transpose.
 
     A polynomial is a list of canonical elements, constant term first.
     from_newton(c, nodes, lead), for c as long as nodes, returns the
     len(nodes) + 1 coefficients of lead * N_d + sum(c[i] * N_i) for d =
     len(nodes), where N_i is the product of (X - nodes[j]) over j < i: by
     Horner's rule, one step acc * (X - nodes[i]) + c[i] per node from the
-    last. mul_add(acc, c, v, j) adds c * v[i] to acc[j + i] for every i,
-    in place; acc must reach j + len(v).
-
-    matmul(a, b, k) returns the flat entries of the product of an r x k
-    matrix and a k x c one, both given as flat sequences of canonical
-    elements, k >= 1 and b not empty: row i is the sum of a[i, t] times row
-    t of b.
+    last.
 
     The encoding is chosen once, here. A field whose elements pack into
     one byte with room for a digit-wise sum, GF(2^s) for s <= 8, the odd
-    primes up to 127, GF(9), GF(25) and GF(49), takes insert_row,
-    back_substitute, columns, dot_columns, from_newton, mul_add and matmul
+    primes up to 127, GF(9), GF(25) and GF(49), takes the five kernels
     from _byte_rows: a row is one byte per element, held as a big-endian
     int, a sum of rows is one XOR, or one int add and one bytes.translate,
     and a scaled row one bytes.translate, so each kernel makes a few
@@ -528,10 +521,11 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     pivot column of the row scaled to a leading 1, and each encoding defines
     its scalar ops and the pieces the shared kernels are built from:
     pivot(t, i), that scaling of t[i:]; reduce(t, i, b), the step t - t[i]
-    * b on the tail; stored(v) and value(y), to and from the stored format;
-    dot(xs, b), the sum of xs[j] * b[j] for canonical xs and stored b over
-    the shorter of the two; and mul_add, on which matmul and from_newton
-    are built. Each keeps its own per-element loop:
+    * b on the tail; value(y), a stored entry's canonical element; dot(xs,
+    b), the sum of xs[j] * b[j] for canonical xs and stored b over the
+    shorter of the two; and mul_add(acc, c, v), which adds c * v[i] to
+    acc[i] for every i < len(v), in place. Each keeps its own per-element
+    loop:
     - prime fields: the residues themselves, reduced with % p;
     - characteristic 2: stored rows hold logarithms, sums are XORs;
     - odd characteristic, s > 1: stored rows hold logarithms, sums go
@@ -543,9 +537,8 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     c goes to such a logarithm once per mul_add call.
     An all-zero tail, as from a unit row of an identity or reversal
     matrix, is stored empty, and reducing by it only drops the pivot entry.
-    Here columns returns the blocks as they are, and dot_columns takes v
-    into the stored format once per call and runs dot on each row, so each
-    of its products, like each in back_substitute, is one such index.
+    Here columns cuts lists, and dot_columns runs mul_add once per nonzero
+    v[j], as the byte rows add one translated column.
 
     The functions hold the field's tables, never the field itself, so a
     Field is in no reference cycle and is freed as soon as it is dropped.
@@ -581,19 +574,15 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
             f = t[i]
             return [(x - f * y) % p for x, y in zip(t[i + 1 :], b)]
 
-        def stored(v):
-            return v
-
         def value(y):
             return y
 
         def dot(xs, b):
             return sum(map(_int_mul, xs, b)) % p
 
-        def mul_add(acc, c, v, j):
+        def mul_add(acc, c, v):
             if c:
-                e = j + len(v)
-                acc[j:e] = [(x + c * y) % p for x, y in zip(acc[j:e], v)]
+                acc[: len(v)] = [(x + c * y) % p for x, y in zip(acc, v)]
 
     else:
 
@@ -611,9 +600,6 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
         def pivot(t, i):
             l0 = log[t[i]]
             return [(log[x] - l0) % m - m if x else 0 for x in t[i + 1 :]]
-
-        def stored(v):
-            return [log[x] - m if x else 0 for x in v]
 
         def value(y):
             return exp[y] if y else 0
@@ -635,10 +621,10 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
                         acc ^= exp[log[x] + y]
                 return acc
 
-            def mul_add(acc, c, v, j):
+            def mul_add(acc, c, v):
                 if c:
-                    lc, e = log[c] - m, j + len(v)
-                    acc[j:e] = [x ^ exp[log[y] + lc] if y else x for x, y in zip(acc[j:e], v)]
+                    lc = log[c] - m
+                    acc[: len(v)] = [x ^ exp[log[y] + lc] if y else x for x, y in zip(acc, v)]
 
         else:
             half = m // 2  # alpha**half == -1
@@ -671,12 +657,10 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
                         acc = add_power(acc, log[x] + y)
                 return acc
 
-            def mul_add(acc, c, v, j):
+            def mul_add(acc, c, v):
                 if c:
-                    lc, e = log[c] - m, j + len(v)
-                    acc[j:e] = [
-                        add_power(x, log[y] + lc) if y else x for x, y in zip(acc[j:e], v)
-                    ]
+                    lc = log[c] - m
+                    acc[: len(v)] = [add_power(x, log[y] + lc) if y else x for x, y in zip(acc, v)]
 
     def insert_row(basis, row):
         t, c = row, 0
@@ -712,56 +696,42 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
             row = [value(y) for y in b[n - c - 1 :]] if b else [0] * k
             for xj, y in zip(x[c + 1 :], b):
                 if y:
-                    mul_add(row, neg(value(y)), xj, 0)
+                    mul_add(row, neg(value(y)), xj)
             x[c] = row
         return [v for row in x for v in row]
 
     def columns(blocks, width):
-        return blocks
+        rows = [x for b in blocks for x in b]
+        return [rows[j::width] for j in range(width)]
 
     def dot_columns(cols, v):
-        sv, w = stored(v), len(v)
-        return [dot(b[i : i + w], sv) for b in cols for i in range(0, len(b), w)]
+        acc = [0] * len(cols[0])
+        for col, vj in zip(cols, v):
+            mul_add(acc, vj, col)
+        return acc
 
     def from_newton(c, nodes, lead):
         acc = [lead]
         for ci, b in zip(reversed(c), reversed(nodes)):
             acc, prev = [ci] + acc, acc
-            mul_add(acc, neg(b), prev, 0)
+            mul_add(acc, neg(b), prev)
         return acc
-
-    def matmul(a, b, k):
-        c = len(b) // k
-        brows = [b[i : i + c] for i in range(0, len(b), c)]
-        out = []
-        for i in range(0, len(a), k):
-            row = [0] * c
-            for v, brow in zip(a[i : i + k], brows):
-                mul_add(row, v, brow, 0)
-            out += row
-        return out
 
     w = 1 if p == 2 else (2 * p - 2).bit_length()
     if s * w <= 8:
         exp = exp or [pow(alpha, k, p) for k in range(m)]
-        kernels = _byte_rows(p, s, w, exp)
-        insert_row, back_substitute, columns, dot_columns = kernels[:4]
-        from_newton, mul_add, matmul = kernels[4:]
-
-    def dot_rows(entries, v):
-        return dot_columns(columns((entries,), len(v)), v)
-
+        insert_row, back_substitute, columns, dot_columns, from_newton = _byte_rows(p, s, w, exp)
     return (
-        add, neg, sub, mul, inv, power, insert_row, back_substitute, dot_rows, columns,
-        dot_columns, from_newton, mul_add, matmul,
+        add, neg, sub, mul, inv, power, insert_row, back_substitute, columns, dot_columns,
+        from_newton,
     )
 
 
 def _byte_rows(p, s, w, exp):
-    """insert_row, back_substitute, columns, dot_columns, from_newton,
-    mul_add and matmul of _encoding for a field whose elements pack into
-    one byte with room for a digit-wise sum, from its exp table; each acts
-    on a whole row or column with a few C-level calls.
+    """insert_row, back_substitute, columns, dot_columns and from_newton
+    of _encoding for a field whose elements pack into one byte with room
+    for a digit-wise sum, from its exp table; each acts on a whole row or
+    column with a few C-level calls.
 
     An element is packed as its base-p digits, w bits apart, s * w <= 8:
     w = 1 for p = 2, and w = (2p - 2).bit_length() for odd p, so that the
@@ -786,11 +756,10 @@ def _byte_rows(p, s, w, exp):
     each column as a strided slice, so dot_columns adds one translated
     column per nonzero v[j]. back_substitute with one right-hand side works
     the columns of the stored rows the same way; with k of them it adds
-    one translated k-byte row of x per nonzero coefficient, as matmul adds
-    one translated row of b per nonzero entry of a. from_newton holds its
-    polynomial as one int, constant term in the low byte, so a Horner step
-    acc * (X - b) + c is one shift, one translate through the table of -b
-    and one add.
+    one translated k-byte row of x per nonzero coefficient. from_newton
+    holds its polynomial as one int, constant term in the low byte, so a
+    Horner step acc * (X - b) + c is one shift, one translate through the
+    table of -b and one add.
 
     That covers GF(2^s) for s <= 8, every odd prime p <= 127, and GF(9),
     GF(25) and GF(49), the fields with s * w <= 8. translate maps a byte to
@@ -902,29 +871,7 @@ def _byte_rows(p, s, w, exp):
             acc = t
         return unpacked(acc.to_bytes(d + 1, "big")[::-1])
 
-    def mul_add(acc, c, v, j):
-        if c:
-            e = j + len(v)
-            t = from_bytes(packed(v).translate(scale[c]), "big")
-            t = add(from_bytes(packed(acc[j:e]), "big"), t)
-            acc[j:e] = unpacked(t.to_bytes(e - j, "big"))
-
-    def matmul(a, b, k):
-        # Each row of b is packed once; row i of the product is the sum of
-        # a[i, t] times row t of b.
-        c = len(b) // k
-        rows = packed(b)
-        brows = [rows[i : i + c] for i in range(0, len(rows), c)]
-        out = []
-        for i in range(0, len(a), k):
-            acc = 0
-            for ait, brow in zip(a[i : i + k], brows):
-                if ait:
-                    acc = add(acc, from_bytes(brow.translate(scale[ait]), "big"))
-            out.append(acc.to_bytes(c, "big"))
-        return unpacked(b"".join(out))
-
-    return insert_row, back_substitute, columns, dot_columns, from_newton, mul_add, matmul
+    return insert_row, back_substitute, columns, dot_columns, from_newton
 
 
 def field_string(field: Field) -> str:

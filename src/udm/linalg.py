@@ -7,17 +7,18 @@ reduced row taking the slot of its first nonzero column; there is no
 magnitude to prefer over an exact field, and the fixed rule keeps every
 witness and null vector reproducible.
 
-rank, solve, left_null_vector, matvec and matmul, the verify, decode and
-transform paths and the encode reference, run on the field's row kernels
-(Field.insert_row, back_substitute, dot_rows and matmul), whose stored-row
-format stays inside gf; codec.encode packs a family's columns once with
-Field.columns and multiplies by dot_columns, the kernel under dot_rows.
-Over every field whose elements pack into one byte (GF(2^s) for s <= 8,
-odd primes up to 127, GF(9), GF(25) and GF(49)) those kernels act on whole
-byte rows, so rank and solve are O(n^2) C-level row steps rather than
-O(n^3) Python steps per element, and matmul packs each row of b once and
-adds one scaled row per nonzero entry of a. The tests check rank, solve and
-left_null_vector against per-element Gaussian elimination of their own.
+rank, solve and left_null_vector, the verify and decode paths, run on the
+field's elimination kernels, Field.insert_row and back_substitute, whose
+stored-row format stays inside gf. matvec and matmul, the transform paths
+and the encode reference, run on its product kernels: Field.columns packs
+a matrix once and Field.dot_columns multiplies it by a vector, as
+codec.encode does with a family's stacked matrices. Over every field
+whose elements pack into one byte (GF(2^s) for s <= 8, odd primes up to
+127, GF(9), GF(25) and GF(49)) those kernels act on whole byte rows, so
+rank and solve are O(n^2) C-level row steps rather than O(n^3) Python
+steps per element, and matmul adds one scaled row of b per nonzero entry
+of a. The tests check rank, solve and left_null_vector against
+per-element Gaussian elimination of their own.
 """
 
 from __future__ import annotations
@@ -108,25 +109,30 @@ def anti_identity(field: Field, n: int) -> Matrix:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """a @ b through the field's matmul kernel, handed the flat entries."""
+    """a @ b: b's rows packed once as the columns of its transpose, then
+    one dot_columns per row of a."""
     if a.field != b.field:
         raise DimensionMismatch("matrices over different fields")
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     if not a.cols or not b.cols:
         return Matrix._unchecked(a.field, a.rows, b.cols, (0,) * (a.rows * b.cols))
-    out = a.field.matmul(a.entries, b.entries, a.cols)
-    return Matrix._unchecked(a.field, a.rows, b.cols, tuple(out))
+    field, k, c = a.field, a.cols, b.cols
+    cols = field.columns([b.entries[j::c] for j in range(c)], k)
+    out = []
+    for i in range(0, len(a.entries), k):
+        out += field.dot_columns(cols, a.entries[i : i + k])
+    return Matrix._unchecked(field, a.rows, c, tuple(out))
 
 
 def matvec(a: Matrix, v: Sequence[int]) -> tuple[int, ...]:
-    """a @ v, one dot product of v with each row through the field's
-    dot_rows kernel, handed the flat entries."""
+    """a @ v, by the field's dot_columns on a's columns."""
     if len(v) != a.cols:
         raise DimensionMismatch(f"vector of length {len(v)} against {a.rows}x{a.cols}")
     if not v:
         return (0,) * a.rows
-    return tuple(a.field.dot_rows(a.entries, v))
+    field = a.field
+    return tuple(field.dot_columns(field.columns((a.entries,), len(v)), v))
 
 
 def rank(a: Matrix) -> int:

@@ -404,6 +404,23 @@ def test_reverse_pairs_known_family():
     assert out.matrices[3] == matmul(j, out.matrices[2])
 
 
+@pytest.mark.parametrize("p, s", [(131, 1), (3, 3), (2, 9), (7, 1), (2, 8)])
+def test_reverse_pairs_on_both_row_formats(p, s):
+    # GF(131), GF(27) and GF(2^9) combine rows per element, GF(7) and
+    # GF(256) as byte rows. A random right factor makes every pair mixed.
+    field = Field(p, s)
+    rng = random.Random(p * 10 + s)
+    while True:
+        b = Matrix(field, 4, 4, [rng.randrange(field.q) for _ in range(16)])
+        if gaussian_rank(b) == 4:
+            break
+    out = reverse_pairs(right_multiply(construct(field, 4, 4), b))
+    j = anti_identity(field, 4)
+    assert verify(out).passed
+    assert out.matrices[1] == matmul(j, out.matrices[0])
+    assert out.matrices[3] == matmul(j, out.matrices[2])
+
+
 def test_reverse_pairs_leaves_odd_tail_untouched():
     fam = prefix(known_family(), 3)
     out = reverse_pairs(fam)

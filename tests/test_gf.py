@@ -416,7 +416,7 @@ def test_the_field_order_alone_selects_the_byte_row_kernels():
         field = Field(p, s)
         kernels = (
             field.insert_row, field.back_substitute, field.columns, field.dot_columns,
-            field.from_newton, field.mul_add, field.matmul,
+            field.from_newton,
         )
         owner = "_byte_rows." if (p, s) in BYTE_ROW_FIELDS else "_encoding."
         assert all(f.__qualname__.startswith(owner) for f in kernels), (p, s)

@@ -57,13 +57,6 @@ def naive_newton(field, c, nodes, lead):
     return out
 
 
-def naive_mul_add(field, acc, c, v, j):
-    out = list(acc)
-    for i, y in enumerate(v):
-        out[j + i] = field.add(out[j + i], field.mul(c, y))
-    return out
-
-
 def stacked_solve(family, obs):
     """decode's result through the stacked system and linalg.solve."""
     a = stack_prefixes(family.matrices, obs.ks)
@@ -114,20 +107,6 @@ def test_from_newton_matches_naive_expansion(field):
         want = naive_newton(field, c, nodes, lead)
         assert field.from_newton(c, nodes, lead) == want, (c, nodes, lead)
         assert (c, nodes) == before
-
-
-@pytest.mark.parametrize("field", ROW_KERNEL_FIELDS, ids=repr)
-def test_mul_add_matches_field_calls(field):
-    rng = random.Random(field.q + 1)
-    q = field.q
-    for _ in range(60):
-        v = [rng.choice([0, 1, q - 1, rng.randrange(q)]) for _ in range(rng.randint(0, 8))]
-        j = rng.randint(0, 3)
-        acc = [rng.randrange(q) for _ in range(j + len(v) + rng.randint(0, 3))]
-        c = rng.choice([0, 1, q - 1, rng.randrange(q)])
-        want = naive_mul_add(field, acc, c, v, j)
-        field.mul_add(acc, c, v, j)
-        assert acc == want
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)

@@ -256,6 +256,27 @@ def test_matmul_columns_match_the_naive_loop(field):
             assert tuple(product.at(i, j) for i in range(r)) == column
 
 
+@pytest.mark.parametrize("p, s", ROW_ENCODINGS)
+def test_columns_and_dot_columns_multiply_the_stack(p, s):
+    # columns stacks its blocks and dot_columns returns the stack times v,
+    # in both row formats: 1-3 blocks of rows 1-6 wide, some blocks empty,
+    # and v with zeros, all zero among them.
+    field = Field(p, s)
+    q = field.q
+    rng = random.Random(p * 100 + s)
+    for _ in range(40):
+        width = rng.randint(1, 6)
+        sizes = [width * rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        pick = [0, 0, 1, q - 1]
+        blocks = [tuple(rng.choice(pick + [rng.randrange(q)]) for _ in range(k)) for k in sizes]
+        stack = Matrix(field, sum(sizes) // width, width, [x for b in blocks for x in b])
+        cols = field.columns(blocks, width)
+        assert len(cols) == width
+        # The packed columns serve every vector.
+        for v in ([0] * width, [rng.choice([0, rng.randrange(q)]) for _ in range(width)]):
+            assert tuple(field.dot_columns(cols, v)) == naive_matvec(field, stack, v)
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         matmul(identity(F3, 2), identity(F3, 3))
