@@ -123,15 +123,11 @@ def parse_family(text: str) -> UdmFamily:
 # -- observation and vector formats -------------------------------------------
 
 
-def render_observation(obs: ChannelOutput, erased_upto: int | None = None) -> str:
-    """One line per channel: 'k=<int>: s0 s1 ...'. With erased_upto set to
-    the block length, erased positions are shown as '?' for inspection."""
+def render_observation(obs: ChannelOutput) -> str:
+    """One line per channel: 'k=<int>: s0 s1 ...'."""
     lines = []
     for k, prefix in zip(obs.ks, obs.prefixes):
-        syms = [str(v) for v in prefix]
-        if erased_upto is not None:
-            syms.extend("?" * (erased_upto - k))
-        body = " ".join(syms)
+        body = " ".join(str(v) for v in prefix)
         lines.append(f"k={k}: {body}" if body else f"k={k}:")
     return "\n".join(lines) + "\n"
 

@@ -233,34 +233,49 @@ def enumerate_superset_tuples(L: int, n: int):
 def verify(family: UdmFamily, superset: bool = False) -> VerifyReport:
     """Check the full-rank condition for every admissible erasure tuple.
 
-    By default only tuples with sum exactly n are checked, which is
-    sufficient. With superset=True every tuple with sum >= n is checked
-    directly. The first failing tuple, in enumeration order, becomes the
-    witness.
+    By default the tuples with sum exactly n are checked, which is
+    sufficient. With superset=True the report is the one that checking
+    every tuple with sum >= n, in enumeration order, would give. The first
+    failing tuple becomes the witness.
 
-    Both walks start from _reversal_rows: the first tuple of either order,
-    (0, ..., 0, n), passes iff the last matrix M is invertible, and then
-    every other matrix is right-multiplied once by T with M T = J, the row
-    reversal, which changes no rank and makes the last channel's first r
-    rows the last r unit vectors. So the last channel's rows are never
-    inserted: a stack holding r of them has rank n iff its other rows
-    fill the first n - r slots of an echelon basis. That basis is carried
-    along a depth-first walk of the prefixes over the other channels, in
-    enumeration order; each step undoes the rows of the channels it
-    resets and inserts one row of the channel it grows. Exact sums: each
-    later tuple costs one insertion and one compare. Superset: a prefix
-    of rank below n settles all of its tuples by its first empty slot,
-    and one whose rows reach rank n at channel j passes, with every
-    larger k_j, and its tuples are counted without being built. The
-    witness is rebuilt from the original matrices with stack_prefixes and
-    rank, so reports are the same as from checking every tuple on its own.
+    One walk, _walk, serves both modes, because the first failing superset
+    tuple is the first failing exact one. Rows added to a stack never lower
+    its rank, so a failing tuple with sum above n lies above failing tuples
+    with sum n, each lexicographically earlier; and both orders are
+    lexicographic. Superset mode only recounts tuples_checked, in closed
+    form, with _superset_position. The witness is rebuilt from the original
+    matrices with stack_prefixes and rank, so reports are the same as from
+    checking every tuple on its own.
     """
-    walk = _walk_superset if superset else _walk_exact
-    checked, ks = walk(family)
+    checked, ks = _walk(family)
+    if superset:
+        checked = _superset_position(family.L, family.n, ks)
     if ks is None:
         return VerifyReport(True, checked, None)
     stacked = stack_prefixes(family.matrices, ks)
     return VerifyReport(False, checked, Witness(ks, stacked, rank(stacked)))
+
+
+def _superset_position(L: int, n: int, ks: tuple[int, ...] | None) -> int:
+    """The 1-based position of ks among the tuples of [0, n]^L with sum at
+    least n, in itertools.product order; their count when ks is None.
+
+    The tuples before ks agree with it on channels 0..i-1 and hold v < k_i
+    on channel i. Their m = L - 1 - i later channels take all (n + 1)**m
+    values but the C(t - 1 + m, m) with sum below t = n - (k_0 + ... +
+    k_{i-1} + v), none when t <= 0: entries of those are below t <= n, so
+    they are all m-tuples of naturals with sum at most t - 1. Likewise the
+    count is (n + 1)**L less the C(n - 1 + L, L) tuples with sum below n.
+    """
+    if ks is None:
+        return (n + 1) ** L - math.comb(n - 1 + L, L)
+    position, rest = 1, n
+    for i, k in enumerate(ks):
+        m = L - 1 - i
+        for t in range(rest, rest - k, -1):
+            position += (n + 1) ** m - (math.comb(t - 1 + m, m) if t > 0 else 0)
+        rest -= k
+    return position
 
 
 def _reversal_rows(family: UdmFamily) -> list[list[tuple]] | None:
@@ -278,13 +293,17 @@ def _reversal_rows(family: UdmFamily) -> list[list[tuple]] | None:
     return [[at.row(l * n + i) for i in range(n)] for l in range(L - 1)]
 
 
-def _walk_exact(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
-    """(tuples checked, first failing tuple or None) over the exact sums.
+def _walk(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
+    """(tuples checked, first failing tuple or None) over the exact sums,
+    in enumeration order.
 
     The first tuple, (0, ..., 0, n), passes iff _reversal_rows finds the
-    last matrix invertible. After it, a tuple whose last channel holds r
-    rows passes iff its other n - r rows, in _reversal_rows's coordinates,
-    reduce to pivots in exactly the columns 0..n-r-1.
+    last matrix invertible; every other matrix is then right-multiplied
+    once by T with M T = J, the row reversal, which changes no rank and
+    makes the last channel's first r rows the last r unit vectors. So the
+    last channel's rows are never inserted: a later tuple whose last
+    channel holds r rows passes iff its other n - r rows, in those
+    coordinates, reduce to pivots in exactly the columns 0..n-r-1.
 
     Invariant: at each later tuple, with f = n - 1 - r, slots 0..f-1 of
     the basis hold the tuple's other rows, in stacking order, except the
@@ -327,55 +346,6 @@ def _walk_exact(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
             basis[f:] = empty[f:]
         if insert_row(basis, rows[j][ks[j] - 1]) != f:
             return checked, tuple(ks)
-
-
-def _walk_superset(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
-    """(tuples checked, first failing tuple or None) over [0, n]^L with sum
-    at least n, in itertools.product order.
-
-    The first such tuple, (0, ..., 0, n), passes iff _reversal_rows finds
-    the last matrix invertible. Then the prefixes (k_0, ..., k_{L-2}) are
-    visited in product order, their rows in one echelon basis with the
-    (channel, slot) of every filled slot in insertion order in `trail`.
-    The tuples of a prefix of sum s hold r >= n - s rows of the last
-    channel, and pass iff r >= n - g, g the first empty slot. A visited
-    prefix of rank below n has s <= n: with one row fewer it is an earlier
-    prefix of rank below n, which, were its sum at least n, failed at
-    r = 0. So its s + 1 tuples pass iff g >= s, and otherwise the first of
-    them, r = n - s, is the witness. A prefix whose rows reach
-    rank n at channel j passes, with every larger k_j: its
-    (n + 1 - k_j) * (n + 1)**(L - 1 - j) tuples are counted at once and
-    the walk jumps to k_j = n.
-    """
-    n, last = family.n, family.L - 1
-    rows = _reversal_rows(family)
-    if rows is None:
-        return 1, (0,) * last + (n,)
-    insert_row = family.field.insert_row
-    ks, basis, trail = [0] * last, [None] * n, []
-    total = checked = 0
-    while True:
-        if len(trail) < n:
-            if basis.index(None) < total:
-                return checked + 1, (*ks, n - total)
-            checked += total + 1
-        else:
-            checked += (n + 1 - ks[j]) * (n + 1) ** (last - j)
-            total += n - ks[j] + n * (last - 1 - j)
-            ks[j:] = [n] * (last - j)
-        j = last - 1
-        while j >= 0 and ks[j] == n:
-            j -= 1
-        if j < 0:
-            return checked, None
-        while trail and trail[-1][0] > j:
-            basis[trail.pop()[1]] = None
-        total += 1 - n * (last - 1 - j)
-        ks[j] += 1
-        ks[j + 1 :] = [0] * (last - 1 - j)
-        c = insert_row(basis, rows[j][ks[j] - 1])
-        if c >= 0:
-            trail.append((j, c))
 
 
 def _is_lower_triangular(c: Matrix) -> bool:

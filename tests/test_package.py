@@ -253,3 +253,17 @@ def test_every_int_byte_conversion_names_its_byte_order():
                     sized = node.args or "length" in keywords
                     assert sized, f"{path.name}:{node.lineno} has no explicit length"
     assert calls >= 10
+
+
+def test_no_runtime_check_is_an_assert():
+    # python -O strips assert statements, so a check made with one would
+    # vanish; runtime checks raise a UdmError instead.
+    paths = sorted((SRC / "udm").glob("*.py"))
+    assert len(paths) >= 9
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in src/udm: {found}"

@@ -19,6 +19,7 @@ from udm.families import (
     UdmFamily,
     VerifyReport,
     Witness,
+    _superset_position,
     construct,
     count_exact_tuples,
     enumerate_exact_tuples,
@@ -81,6 +82,22 @@ def with_entries(family, changes):
         entries[l][i * n + j] = v
     mats = tuple(Matrix(family.field, n, n, e) for e in entries)
     return UdmFamily(family.field, family.L, n, mats)
+
+
+def perturbed(family, rng, dependent_row):
+    """A copy of family with one to three seeded entries changed and, with
+    dependent_row, one row a multiple of another."""
+    field, L, n = family.field, family.L, family.n
+    changes = {
+        (rng.randrange(L), rng.randrange(n), rng.randrange(n)): rng.randrange(field.q)
+        for _ in range(rng.randint(1, 3))
+    }
+    if dependent_row:
+        (l, i), (l2, i2) = rng.sample([(l, i) for l in range(L) for i in range(n)], 2)
+        c = rng.randrange(1, field.q)
+        for j in range(n):
+            changes[l, i, j] = field.mul(c, family.matrices[l2].at(i2, j))
+    return with_entries(family, changes)
 
 
 def test_every_construct_family_matches_the_reference():
@@ -202,17 +219,9 @@ def test_perturbed_boundary_field_families_match_the_reference(p, s):
         for n in range(1, 6):
             fam = construct(field, L, n)
             for trial in range(4):
-                changes = {
-                    (rng.randrange(L), rng.randrange(n), rng.randrange(n)): rng.randrange(field.q)
-                    for _ in range(rng.randint(1, 3))
-                }
-                if trial % 2:
-                    (l, i), (l2, i2) = rng.sample([(l, i) for l in range(L) for i in range(n)], 2)
-                    c = rng.randrange(1, field.q)
-                    for j in range(n):
-                        changes[l, i, j] = field.mul(c, fam.matrices[l2].at(i2, j))
+                broken = perturbed(fam, rng, dependent_row=trial % 2)
                 for superset in modes(fam):
-                    failing += not assert_same_report(with_entries(fam, changes), superset).passed
+                    failing += not assert_same_report(broken, superset).passed
     assert failing > 30
 
 
@@ -311,9 +320,9 @@ def test_property_every_witness_is_rank_deficient(data):
 
 
 def superset_closed_form_families(field, rng):
-    """(kind, family) pairs aimed at the superset walk's closed form for the
-    last channel: a singular last matrix, a dependent row that leaves the
-    prefix (n, 0, ..., 0) of sum n rank-deficient, L = 1, n = 1 and a dense
+    """(kind, family) pairs aimed at superset mode's closed-form count: a
+    singular last matrix, a dependent row that leaves the prefix
+    (n, 0, ..., 0) of sum n rank-deficient, L = 1, n = 1 and a dense
     right_multiply family."""
     for L, n in itertools.product(range(2, 5), range(1, 5)):
         if (n + 1) ** L > MAX_SUPERSET_TUPLES:
@@ -349,9 +358,9 @@ def superset_closed_form_families(field, rng):
 @pytest.mark.parametrize("p, s", [(7, 1), (131, 1), (2, 9)])
 def test_superset_closed_form_matches_the_reference(p, s):
     # GF(7) takes the byte-row kernels, GF(131) and GF(2^9) the per-element
-    # ones. Each prefix of the first L - 1 channels settles every tuple it
-    # starts by its first empty slot; the per-tuple reference stacks and
-    # ranks every tuple of the original matrices.
+    # ones. Superset mode walks the exact sums and counts its tuples in
+    # closed form; the per-tuple reference stacks and ranks every tuple of
+    # the original matrices.
     field = Field(p, s)
     rng = random.Random(p * 10 + s)
     seen = set()
@@ -372,12 +381,67 @@ def test_superset_closed_form_matches_the_reference(p, s):
     assert seen == {"dense", "singular last", "sum reaches n", "L = 1", "n = 1"}
 
 
+def tuples_by_sum(m, n):
+    """ways[t]: the tuples in [0, n]^m with sum t."""
+    ways = [1]
+    for _ in range(m):
+        ways = [sum(ways[max(0, t - n) : t + 1]) for t in range(len(ways) + n)]
+    return ways
+
+
 def superset_count(L, n):
     """Tuples in [0, n]^L with sum at least n, counted by their sums."""
-    ways = [1]  # ways[t]: tuples over the channels so far with sum t
-    for _ in range(L):
-        ways = [sum(ways[max(0, t - n) : t + 1]) for t in range(len(ways) + n)]
-    return sum(ways[n:])
+    return sum(tuples_by_sum(L, n)[n:])
+
+
+def superset_position_by_sums(L, n, ks):
+    """The 1-based position of ks among the tuples of [0, n]^L with sum at
+    least n, in product order: 1 plus, for each channel i and v < k_i, the
+    tuples that start ks[:i] + (v,) and reach sum n, counted by sums."""
+    position, done = 1, 0
+    for i, k in enumerate(ks):
+        ways = tuples_by_sum(L - 1 - i, n)
+        for v in range(k):
+            position += sum(ways[max(0, n - done - v) :])
+        done += k
+    return position
+
+
+def test_superset_position_is_the_product_index():
+    # Every tuple of the superset enumeration, including sums above n,
+    # which a witness never has; with no tuple, the count.
+    for L in range(1, 5):
+        for n in range(5):
+            index = 0
+            for index, ks in enumerate(enumerate_superset_tuples(L, n), 1):
+                assert _superset_position(L, n, ks) == index, (L, n, ks)
+                assert superset_position_by_sums(L, n, ks) == index, (L, n, ks)
+            assert _superset_position(L, n, None) == superset_count(L, n) == index
+
+
+@pytest.mark.parametrize("p, s, L, n", [(7, 1, 8, 6), (2, 4, 17, 3), (2, 9, 6, 5)])
+def test_superset_witness_is_the_exact_witness_beyond_the_reference(p, s, L, n):
+    # (n + 1)**L is above what the per-tuple reference can stack. Perturbed
+    # families, half of them with one row a multiple of another: a failing
+    # superset report has the exact report's witness, at the position that
+    # counting tuples by sums gives.
+    assert (n + 1) ** L > MAX_SUPERSET_TUPLES
+    field = Field(p, s)
+    fam = construct(field, L, n)
+    rng = random.Random(p * 100 + L * 10 + n)
+    positions = set()
+    for trial in range(16):
+        broken = perturbed(fam, rng, dependent_row=trial % 2)
+        exact, superset = verify(broken), verify(broken, superset=True)
+        assert superset.passed == exact.passed
+        if exact.passed:
+            assert superset.tuples_checked == superset_count(L, n)
+            continue
+        assert superset.witness == exact.witness
+        ks = exact.witness.ks
+        assert superset.tuples_checked == superset_position_by_sums(L, n, ks)
+        positions.add(superset.tuples_checked)
+    assert len(positions) >= 4
 
 
 @pytest.mark.parametrize(
