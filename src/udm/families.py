@@ -31,6 +31,7 @@ from .linalg import (
     kron,
     left_null_vector,
     matmul,
+    matmul_each,
     rank,
     stack_prefixes,
 )
@@ -375,8 +376,7 @@ def right_multiply(family: UdmFamily, b: Matrix) -> UdmFamily:
         raise BadArgument(f"multiplier must be {n}x{n}")
     if rank(b) < n:
         raise Singular("right multiplier is not invertible")
-    mats = tuple(matmul(m, b) for m in family.matrices)
-    return family._replace(matrices=mats, alpha=None)
+    return family._replace(matrices=matmul_each(family.matrices, b), alpha=None)
 
 
 def tensor_power(family: UdmFamily, m: int) -> UdmFamily:

@@ -86,126 +86,14 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _digits(value: int, p: int, width: int) -> list[int]:
-    out = []
-    for _ in range(width):
-        value, d = divmod(value, p)
-        out.append(d)
-    return out
-
-
-def _undigits(digits: list[int], p: int) -> int:
-    acc = 0
-    for d in reversed(digits):
-        acc = acc * p + d
-    return acc
-
-
-# Polynomials over GF(p) as little-endian coefficient lists, trailing zeros
-# stripped ([] is the zero polynomial). Used for modulus selection and for
-# the powers tested while searching for a primitive element, which come
-# before the log tables exist.
-
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
-    """Remainder of a modulo monic f."""
-    a = [c % p for c in a]
-    df = len(f) - 1
-    while len(a) > df:
-        c = a[-1]
-        if c:
-            k = len(a) - 1 - df
-            for i in range(df):
-                a[k + i] = (a[k + i] - c * f[i]) % p
-        a.pop()
-    return _ptrim(a)
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a = _ptrim(list(a))
-    b = _ptrim(list(b))
-    while b:
-        inv_lc = pow(b[-1], p - 2, p)
-        monic = [(c * inv_lc) % p for c in b]
-        a, b = monic, _pmod(a, monic, p)
-    return a
-
-
-def _pmulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    """a * b modulo monic f; the product is reduced mod p only by _pmod."""
-    out = [0] * (len(a) + len(b))
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _pmod(out, f, p)
-
-
-def _ppow(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    """a**e modulo monic f."""
-    result = [1]
-    base = _pmod(a, f, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, f, p)
-        base = _pmulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin's criterion for a monic polynomial f over GF(p)."""
-    s = len(f) - 1
-    if s == 1:
-        return True
-    if f[0] == 0:
-        return False
-    if _ppow([0, 1], p**s, f, p) != [0, 1]:
-        return False
-    for r in _prime_factors(s):
-        g = _ppow([0, 1], p ** (s // r), f, p)
-        while len(g) < 2:
-            g.append(0)
-        g[1] = (g[1] - 1) % p
-        g = _ptrim(g)
-        if not g:
-            return False
-        if len(_pgcd(f, g, p)) > 1:
-            return False
-    return True
-
-
-def _has_nonzero_root(f: list[int], p: int) -> bool:
-    """Whether f has a nonzero root in GF(p), by Horner's rule at each."""
-    for a in range(1, p):
-        acc = 0
-        for c in reversed(f):
-            acc = (acc * a + c) % p
-        if not acc:
-            return True
-    return False
-
-
-def _smallest_irreducible(p: int, s: int) -> list[int]:
-    # A root in GF(p), 0 when the constant term is 0, is a linear factor,
-    # so those candidates are dropped before Rabin's test; for s > 1 that
-    # never drops an irreducible one, and the first irreducible one is the
-    # same.
-    for code in range(p**s):
-        f = _digits(code, p, s) + [1]
-        if f[0] and not _has_nonzero_root(f, p) and _is_irreducible(f, p):
-            return f
-    raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
 class Field:
     """The finite field GF(p**s), acting on canonically encoded int elements.
+
+    A prime field needs only its smallest primitive root. For s > 1,
+    udm.extension, imported on first use, finds the modulus by Rabin's test
+    and the primitive element by powers, both on polynomials packed one int
+    each (Kronecker substitution), and builds the exp, log and Zech tables,
+    exp a block of powers at a time past its first 1023.
 
     add, neg, sub, mul, inv and pow, and the five row and polynomial
     kernels insert_row, back_substitute, columns, dot_columns and
@@ -224,8 +112,6 @@ class Field:
         "_exp",
         "_log",
         "_zech",
-        "_fact",
-        "_inv_fact",
         "add",
         "neg",
         "sub",
@@ -253,183 +139,24 @@ class Field:
         self.p = p
         self.s = s
         self.q = q
-        self.modulus = None if s == 1 else _smallest_irreducible(p, s)
-        self._exp = None
-        self._log = None
-        self._zech = None
-        self._fact = None
-        self._inv_fact = None
-        self._alpha = self._find_primitive()
-        if s > 1:
-            self._build_tables()
+        if s == 1:
+            cofactors = [(p - 1) // r for r in _prime_factors(p - 1)]
+            self.modulus = self._exp = self._log = self._zech = None
+            self._alpha = next(a for a in range(1, p) if all(pow(a, m, p) != 1 for m in cofactors))
+        else:
+            from .extension import extension_tables
+
+            self.modulus, self._alpha, self._exp, self._log, self._zech = extension_tables(p, s)
         ops = _encoding(p, s, self._alpha, self._exp, self._log, self._zech)
         self.add, self.neg, self.sub, self.mul, self.inv, self.pow = ops[:6]
         self.insert_row, self.back_substitute, self.columns, self.dot_columns = ops[6:10]
         self.from_newton = ops[10]
 
-    # -- construction helpers ------------------------------------------------
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        p, s = self.p, self.s
-        if s == 1:
-            return pow(a, e, p)
-        return _undigits(_ppow(_digits(a, p, s), e, self.modulus, p), p)
-
-    def _find_primitive(self) -> int:
-        cofactors = [(self.q - 1) // r for r in _prime_factors(self.q - 1)]
-        # For s > 1 the elements below p form the prime subfield, of order
-        # p - 1 < q - 1, which holds no primitive element.
-        for a in range(1 if self.s == 1 else self.p, self.q):
-            if all(self._raw_pow(a, m) != 1 for m in cofactors):
-                return a
-        raise AssertionError("no primitive element found")  # unreachable
-
-    def _build_tables(self):
-        """exp[k] = alpha**k, its inverse log, and for odd p the Zech table."""
-        p, q = self.p, self.q
-        exp = self._exp_table()
-        log = [0] * q
-        for k, v in enumerate(exp):
-            log[v] = k
-        self._exp = exp
-        self._log = log
-        if p != 2:
-            # Zech logarithms: zech[k] = log(1 + alpha**k), None where
-            # 1 + alpha**k = 0, i.e. at k = (q - 1) / 2. Adding 1 changes
-            # only the lowest base-p digit, which wraps from p - 1 to 0, so
-            # log_plus_one[v] = log(v + 1) is log shifted, with every p-th
-            # entry taken from the start of its digit block.
-            log_plus_one = log[1:]
-            log_plus_one.append(0)
-            log_plus_one[p - 1 :: p] = log[::p]
-            zech = [log_plus_one[v] for v in exp]
-            zech[(q - 1) // 2] = None
-            self._zech = zech
-
-    def _exp_table(self) -> list[int]:
-        """exp[k] = alpha**k for k < q - 1.
-
-        Multiplying by alpha is GF(p)-linear on digit vectors, so the image
-        of an element is the digit-wise sum of the images of its low s // 2
-        digits and of its high ones. Two half tables hold those images for
-        every low and every high digit vector (p**(s // 2) and
-        p**(s - s // 2) of them: 243 each for GF(3^10), at most 1369 for
-        q <= 2**16), spanned from the images alpha * x**j of the unit
-        vectors, and each power is the previous one's image, two lookups
-        and one digit-wise add:
-        - p = 2: encodings are the bit vectors and the add is an XOR;
-        - odd p: vectors are packed w = p.bit_length() + 1 bits per digit,
-          so a digit sum up to 2p - 2 stays in its slot; adding
-          2**(w-1) - p to every digit sets the top bit of exactly the
-          digits >= p, and subtracting p there reduces them all at once.
-          The power is carried packed. A table entry holds the packed image
-          above bit cb and the canonical encoding of its half below, so the
-          sum of two entries gives both the power's encoding and its
-          unreduced image; the table is indexed by the packed half.
-        """
-        p, s, q = self.p, self.s, self.q
-        h = s // 2
-        if p == 2:
-            w, add = 1, xor
-        else:
-            w = p.bit_length() + 1
-            ones = sum(1 << (w * j) for j in range(s))
-            carry, top = ((1 << (w - 1)) - p) * ones, (1 << (w - 1)) * ones
-
-            def add(a, b):
-                v = a + b
-                return v - (((v + carry) & top) >> (w - 1)) * p
-
-        def span(basis):
-            """Sums of multiples of basis, ordered by the canonical encoding
-            of the coefficient vector."""
-            out = [0]
-            for b in basis:
-                mults = [0]
-                for _ in range(p - 1):
-                    mults.append(add(mults[-1], b))
-                out = [add(x, m) for m in mults for x in out]
-            return out
-
-        alpha = _digits(self._alpha, p, s)
-        images = [
-            sum(d << (w * i) for i, d in enumerate(_pmod([0] * j + alpha, self.modulus, p)))
-            for j in range(s)
-        ]
-        exp = [0] * (q - 1)
-        if p == 2:
-            low, high, mask = span(images[:h]), span(images[h:]), (1 << h) - 1
-            v = 1
-            for k in range(q - 1):
-                exp[k] = v
-                v = low[v & mask] ^ high[v >> h]
-        else:
-            units = [1 << (w * j) for j in range(s)]
-            cb, shift = q.bit_length(), w * h
-            low = [0] * (1 << shift)
-            for i, v, c in zip(span(units[:h]), span(images[:h]), range(p**h)):
-                low[i] = (v << cb) + c
-            high = [0] * (1 << (w * (s - h)))
-            for i, v, c in zip(span(units[h:]), span(images[h:]), range(0, q, p**h)):
-                high[i >> shift] = (v << cb) + c
-            mask, cmask = (1 << shift) - 1, (1 << cb) - 1
-            v = 1
-            for k in range(q - 1):
-                u = low[v & mask] + high[v >> shift]
-                exp[k] = u & cmask
-                v = u >> cb
-                v -= (((v + carry) & top) >> (w - 1)) * p
-        return exp
-
     # -- field-specific queries ----------------------------------------------
-
-    def nat_map(self, z: int) -> int:
-        """Image of an arbitrary integer in the prime subfield."""
-        return z % self.p
 
     def primitive_element(self) -> int:
         """The smallest-encoded element of multiplicative order q - 1."""
         return self._alpha
-
-    def binom(self, a: int, b: int) -> int:
-        """Binomial coefficient of two arbitrary integers, reduced into GF(p).
-
-        Computed by Lucas' theorem as the product over base-p digits of
-        C(a_h, b_h) mod p, each from factorial and inverse-factorial tables
-        mod p (p entries each, built on first use); no big-integer values
-        are ever formed. Negative upper index is folded to the non-negative
-        case through C(a, b) = (-1)**b * C(b - a - 1, b).
-        """
-        if b < 0:
-            return 0
-        if b == 0:
-            return 1
-        p = self.p
-        if a < 0:
-            v = self.binom(b - a - 1, b)
-            return v if b % 2 == 0 else (p - v) % p
-        if b > a:
-            return 0
-        if p == 2:
-            return int(a & b == b)  # Lucas in base 2: b's bits lie within a's
-        if self._fact is None:
-            fact = [1] * p
-            for i in range(1, p):
-                fact[i] = fact[i - 1] * i % p
-            inv_fact = [1] * p
-            inv_fact[p - 1] = p - 1  # (p - 1)! = -1 mod p (Wilson)
-            for i in range(p - 1, 1, -1):
-                inv_fact[i - 1] = inv_fact[i] * i % p
-            self._fact, self._inv_fact = fact, inv_fact
-        fact, inv_fact = self._fact, self._inv_fact
-        acc = 1
-        while b:
-            a, a_h = divmod(a, p)
-            b, b_h = divmod(b, p)
-            if b_h > a_h:
-                return 0
-            acc = acc * fact[a_h] * inv_fact[b_h] * inv_fact[a_h - b_h] % p
-        return acc
 
     def elements(self) -> range:
         return range(self.q)

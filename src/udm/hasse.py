@@ -11,12 +11,65 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from functools import lru_cache
 
 from .errors import BadArgument, BadPoint
 from .gf import Field
 
 #: Multiplicity reported for any point of the zero polynomial.
 INFINITE = math.inf
+
+
+def nat_map(field: Field, z: int) -> int:
+    """Image of an arbitrary integer in the prime subfield of field."""
+    return z % field.p
+
+
+@lru_cache(maxsize=8)
+def _factorials(p: int) -> tuple[list[int], list[int]]:
+    """k! mod p and its inverse for k < p."""
+    fact = [1] * p
+    for i in range(1, p):
+        fact[i] = fact[i - 1] * i % p
+    inv_fact = [1] * p
+    inv_fact[p - 1] = p - 1  # (p - 1)! = -1 mod p (Wilson)
+    for i in range(p - 1, 1, -1):
+        inv_fact[i - 1] = inv_fact[i] * i % p
+    return fact, inv_fact
+
+
+def binom(field: Field, a: int, b: int) -> int:
+    """Binomial coefficient of two arbitrary integers, reduced into the
+    prime subfield of field, GF(p).
+
+    Computed by Lucas' theorem as the product over base-p digits of
+    C(a_h, b_h) mod p, each from factorial and inverse-factorial tables
+    mod p (p entries each, built on first use and kept for the last 8
+    primes); no big-integer values are ever formed. Negative upper index
+    is folded to the non-negative case through C(a, b) = (-1)**b *
+    C(b - a - 1, b).
+    """
+    if b < 0:
+        return 0
+    if b == 0:
+        return 1
+    p = field.p
+    if a < 0:
+        v = binom(field, b - a - 1, b)
+        return v if b % 2 == 0 else (p - v) % p
+    if b > a:
+        return 0
+    if p == 2:
+        return int(a & b == b)  # Lucas in base 2: b's bits lie within a's
+    fact, inv_fact = _factorials(p)
+    acc = 1
+    while b:
+        a, a_h = divmod(a, p)
+        b, b_h = divmod(b, p)
+        if b_h > a_h:
+            return 0
+        acc = acc * fact[a_h] * inv_fact[b_h] * inv_fact[a_h - b_h] % p
+    return acc
 
 
 class Polynomial:
@@ -111,7 +164,7 @@ def hasse_derivative(f: Polynomial, i: int) -> Polynomial:
     field = f.field
     out = []
     for k in range(i, len(f.coeffs)):
-        out.append(field.mul(field.binom(k, i), f.coeffs[k]))
+        out.append(field.mul(binom(field, k, i), f.coeffs[k]))
     return Polynomial(field, out)
 
 
@@ -167,7 +220,7 @@ def hasse_monomial_bivariate(
     if b == 1:
         if not 0 <= a < field.q:
             raise BadPoint(f"{a} is not an element of GF({field.q})")
-        c = field.binom(t, i)
+        c = binom(field, t, i)
         if c == 0:
             return 0
         return field.mul(c, field.pow(a, t - i))

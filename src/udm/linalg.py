@@ -111,18 +111,28 @@ def anti_identity(field: Field, n: int) -> Matrix:
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """a @ b: b's rows packed once as the columns of its transpose, then
     one dot_columns per row of a."""
-    if a.field != b.field:
-        raise DimensionMismatch("matrices over different fields")
-    if a.cols != b.rows:
-        raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    if not a.cols or not b.cols:
-        return Matrix._unchecked(a.field, a.rows, b.cols, (0,) * (a.rows * b.cols))
-    field, k, c = a.field, a.cols, b.cols
+    return matmul_each((a,), b)[0]
+
+
+def matmul_each(mats: Sequence[Matrix], b: Matrix) -> tuple[Matrix, ...]:
+    """The products m @ b for each m in mats, as matmul computes them, with
+    b packed once for all of them."""
+    field, k, c = b.field, b.rows, b.cols
+    for a in mats:
+        if a.field != field:
+            raise DimensionMismatch("matrices over different fields")
+        if a.cols != k:
+            raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {k}x{c}")
+    if not k or not c:
+        return tuple(Matrix._unchecked(field, a.rows, c, (0,) * (a.rows * c)) for a in mats)
     cols = field.columns([b.entries[j::c] for j in range(c)], k)
     out = []
-    for i in range(0, len(a.entries), k):
-        out += field.dot_columns(cols, a.entries[i : i + k])
-    return Matrix._unchecked(field, a.rows, c, tuple(out))
+    for a in mats:
+        rows = []
+        for i in range(0, len(a.entries), k):
+            rows += field.dot_columns(cols, a.entries[i : i + k])
+        out.append(Matrix._unchecked(field, a.rows, c, tuple(rows)))
+    return tuple(out)
 
 
 def matvec(a: Matrix, v: Sequence[int]) -> tuple[int, ...]:

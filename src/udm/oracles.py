@@ -78,7 +78,7 @@ def lucas_entry(field: Field, L: int, n: int, l: int, i: int, t: int) -> int:
     for h in range(m):
         ii, i_h = divmod(ii, p)
         tt, t_h = divmod(tt, p)
-        c = field.binom(t_h, i_h)
+        c = hasse.binom(field, t_h, i_h)
         if c == 0:
             return 0
         acc = field.mul(acc, c)
@@ -92,7 +92,7 @@ def delta_matrix(field: Field, n: int, t: int) -> Matrix:
     identity, which inverts the binomial matrix column by column."""
     if not 0 <= t < n:
         raise BadArgument(f"index {t} out of range [0, {n})")
-    neg1 = field.nat_map(-1)
+    neg1 = hasse.nat_map(field, -1)
     entries = [0] * (n * n)
     for d in range(n):
         entries[d * n + d] = 1

@@ -27,6 +27,7 @@ from udm.families import (
 from udm.gf import Field
 from udm.hasse import (
     Polynomial,
+    binom,
     evaluate,
     from_linear_factors,
     hasse_derivative,
@@ -261,7 +262,7 @@ def test_criterion_11_derivative_property_suite():
                 for i2 in range(4):
                     comp_lhs = hasse_derivative(hasse_derivative(f, i2), i1)
                     comp_rhs = poly_scale(
-                        hasse_derivative(f, i1 + i2), field.binom(i1 + i2, i1)
+                        hasse_derivative(f, i1 + i2), binom(field, i1 + i2, i1)
                     )
                     assert comp_lhs == comp_rhs
 

@@ -354,6 +354,24 @@ def test_right_multiply_rejects_singular():
         assert min(seen.values()) >= 5, (field, seen)
 
 
+@pytest.mark.parametrize("p,s,L,n", [(2, 8, 20, 12), (7, 1, 8, 6), (2, 16, 6, 7), (3, 3, 5, 9), (5, 1, 4, 1)])
+def test_right_multiply_is_one_product_per_matrix(p, s, L, n):
+    # right_multiply multiplies the stacked (L * n) x n family by b at once;
+    # each slice of that product is A_l @ b, over byte-row fields (GF(256),
+    # GF(7)) and per-element ones (GF(2^16), GF(27)), and for n = 1.
+    field = Field(p, s)
+    rng = random.Random(L * 100 + n)
+    fam = construct(field, L, n)
+    while True:
+        b = Matrix(field, n, n, [rng.randrange(field.q) for _ in range(n * n)])
+        if gaussian_rank(b) == n:
+            break
+    out = right_multiply(fam, b)
+    assert out.matrices == tuple(matmul(m, b) for m in fam.matrices)
+    assert all(m.rows == m.cols == n and type(m.entries) is tuple for m in out.matrices)
+    assert out.alpha is None
+
+
 def test_right_multiply_preserves_verification():
     fam = known_family()
     rng = random.Random(19)

@@ -1,4 +1,5 @@
-"""Field arithmetic, canonical encodings, and binomial coefficients."""
+"""Field arithmetic, canonical encodings, and the binomial coefficients and
+natural map of udm.hasse."""
 
 import gc
 import hashlib
@@ -8,9 +9,10 @@ import random
 
 import pytest
 
-from udm import gf
+from udm import extension
 from udm.errors import BadExponent, DivisionByZero, NotPrime, NotPrimePower, ParseError
 from udm.gf import Field, factor_prime_power, field_of_order, field_string, parse_field_string
+from udm.hasse import binom, nat_map
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2)]
 SAMPLED_FIELDS = [(7, 1), (2, 3), (3, 2), (2, 4)]
@@ -125,16 +127,61 @@ def test_root_filter_is_exact_below_degree_four(p):
         for code in range(p**s):
             f = [(code // p**i) % p for i in range(s)] + [1]
             expected = is_irreducible_bruteforce(f, p)
-            assert (f[0] != 0 and not gf._has_nonzero_root(f, p)) == expected, f
+            assert (f[0] != 0 and not extension._has_nonzero_root(f, p)) == expected, f
 
 
 @pytest.mark.parametrize("p,s", [(2, 8), (2, 16), (3, 5), (3, 10), (5, 4), (7, 3), (251, 2)])
 def test_root_filter_keeps_the_modulus(p, s):
     # Rabin's test alone, on every candidate in order, picks the same one.
     code = 0
-    while not gf._is_irreducible(gf._digits(code, p, s) + [1], p):
+    while not extension._is_irreducible(extension._digits(code, p, s) + [1], p):
         code += 1
-    assert gf._smallest_irreducible(p, s) == gf._digits(code, p, s) + [1]
+    assert extension._smallest_irreducible(p, s)[0] == extension._digits(code, p, s) + [1]
+
+
+def strip(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+# The largest p for s = 2, 3, 4 and 5, GF(3^10) and GF(2^16): the widest
+# product slots of extension._kronecker for each degree.
+KRONECKER_EDGES = [(2, 16), (3, 10), (7, 5), (13, 4), (37, 3), (251, 2)]
+
+
+@pytest.mark.parametrize("p,s", KRONECKER_EDGES)
+def test_kronecker_products_match_schoolbook_products(p, s):
+    f = extension._smallest_irreducible(p, s)[0]
+    pack, mul, unpack = extension._kronecker(f, p)
+    rng = random.Random(p * 100 + s)
+    # All coefficients p - 1 fill every product slot to its bound, and a
+    # lone top coefficient sends the whole product through the fold.
+    operands = [[p - 1] * s, [0] * (s - 1) + [p - 1], [1] + [0] * (s - 1), [0] * s]
+    operands += [[p - 1] * (s - 1) + [1], [rng.randrange(p) for _ in range(s)]]
+    operands += [[rng.choice((0, 1, p - 1)) for _ in range(s)] for _ in range(30)]
+    for a in operands:
+        assert unpack(pack(a)) == strip(a)
+        for b in operands[:10]:
+            expected = strip(poly_rem(poly_mul_mod_p(a, b, p), f, p))
+            assert unpack(mul(pack(a), pack(b))) == expected, (a, b)
+
+
+@pytest.mark.parametrize("p,s", KRONECKER_EDGES)
+def test_kronecker_powers_match_repeated_products(p, s):
+    f = extension._smallest_irreducible(p, s)[0]
+    pack, mul, unpack = extension._kronecker(f, p)
+    rng = random.Random(p + s)
+    x = pack([0, 1])
+    assert extension._ppow(x, p**s, mul) == x  # Frobenius fixes GF(p^s)
+    for _ in range(3):
+        a = [rng.randrange(p) for _ in range(s - 1)] + [rng.randrange(1, p)]
+        assert extension._ppow(pack(a), p**s - 1, mul) == pack([1])
+        acc = [1]
+        for e in range(12):
+            assert unpack(extension._ppow(pack(a), e, mul)) == strip(acc)
+            acc = poly_rem(poly_mul_mod_p(acc, a, p), f, p)
 
 
 @pytest.mark.parametrize("p,s", [(2, 3), (3, 2), (2, 4), (5, 2)])
@@ -245,9 +292,9 @@ def test_pow_conventions():
 
 
 def test_nat_map_examples():
-    assert Field(3).nat_map(4) == 1
-    assert Field(3).nat_map(-1) == 2
-    assert Field(2, 2).nat_map(2) == 0
+    assert nat_map(Field(3), 4) == 1
+    assert nat_map(Field(3), -1) == 2
+    assert nat_map(Field(2, 2), 2) == 0
 
 
 def test_nat_map_is_a_ring_homomorphism():
@@ -257,8 +304,8 @@ def test_nat_map_is_a_ring_homomorphism():
         for _ in range(100):
             x = rng.randrange(-500, 500)
             y = rng.randrange(-500, 500)
-            assert f.nat_map(x + y) == f.add(f.nat_map(x), f.nat_map(y))
-            assert f.nat_map(x * y) == f.mul(f.nat_map(x), f.nat_map(y))
+            assert nat_map(f, x + y) == f.add(nat_map(f, x), nat_map(f, y))
+            assert nat_map(f, x * y) == f.mul(nat_map(f, x), nat_map(f, y))
 
 
 # -- primitive elements ----------------------------------------------------------------
@@ -288,11 +335,11 @@ def test_primitive_element_order_and_minimality(p, s):
 
 def test_binom_examples():
     f = Field(3)
-    assert f.binom(2, 1) == 2
-    assert f.binom(3, -1) == 0
-    assert f.binom(4, 2) == 0  # C(4,2) = 6 vanishes mod 3
-    assert f.binom(0, 0) == 1
-    assert f.binom(2, 3) == 0
+    assert binom(f, 2, 1) == 2
+    assert binom(f, 3, -1) == 0
+    assert binom(f, 4, 2) == 0  # C(4,2) = 6 vanishes mod 3
+    assert binom(f, 0, 0) == 1
+    assert binom(f, 2, 3) == 0
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -300,7 +347,7 @@ def test_binom_matches_big_integer_oracle(p):
     f = Field(p)
     for a in range(65):
         for b in range(a + 1):
-            assert f.binom(a, b) == math.comb(a, b) % p
+            assert binom(f, a, b) == math.comb(a, b) % p
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -315,7 +362,7 @@ def test_binom_negative_upper_index(p):
         for j in range(b):
             num *= a - j
         expected = num // math.factorial(b) % p
-        assert f.binom(a, b) == expected
+        assert binom(f, a, b) == expected
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -325,26 +372,26 @@ def test_binom_large_upper_index_is_a_lucas_product(p):
     a, b = 2**40 + 5, 2**20 + 1
     if p == 2:
         # a has bits 40, 2, 0; bit 20 of b is not among them.
-        assert f.binom(a, b) == 0
-        assert f.binom(a, 2**40 + 1) == 1  # C(1,1) C(1,0) C(1,1)
-        assert f.binom(a, 2) == 0  # C(0,1) at bit 1
+        assert binom(f, a, b) == 0
+        assert binom(f, a, 2**40 + 1) == 1  # C(1,1) C(1,0) C(1,1)
+        assert binom(f, a, 2) == 0  # C(0,1) at bit 1
     else:
         # Base-3 digits, least significant first.
         a3 = [0, 1, 2, 2, 2, 2, 2, 1, 2, 2, 0, 0, 2, 1, 2, 0, 0, 0, 0, 1, 0, 0, 2, 2, 0, 1]
         b3 = [2, 1, 0, 1, 0, 1, 1, 2, 0, 2, 2, 2, 1]
         assert undigits(a3, 3) == a and undigits(b3, 3) == b
-        assert f.binom(a, b) == 0  # C(0,2) at digit 0
+        assert binom(f, a, b) == 0  # C(0,2) at digit 0
         # C(1,1) C(2,1) C(1,1) at digits 1, 2, 25; C(a_h, 0) = 1 elsewhere.
-        assert f.binom(a, 3**25 + 3**2 + 3) == 2
+        assert binom(f, a, 3**25 + 3**2 + 3) == 2
         # One more factor C(2,1) at digit 3: 2 * 2 = 1 mod 3.
-        assert f.binom(a, 3**25 + 3**3 + 3**2 + 3) == 1
+        assert binom(f, a, 3**25 + 3**3 + 3**2 + 3) == 1
 
 
 def test_binom_lands_in_the_prime_subfield():
     f = Field(3, 2)
     for a in range(10):
         for b in range(10):
-            assert f.binom(a, b) < 3
+            assert binom(f, a, b) < 3
 
 
 # -- serialization ------------------------------------------------------------------------
@@ -440,16 +487,26 @@ EXTENSION_FIELDS_UP_TO_1024 = [
 ]
 
 
-# Odd-characteristic extension fields above the exhaustive range, up to the
-# 2**16 cap; for p = 127, 131 and 251 a digit sum 2p - 2 nearly fills the
-# packed digit the table build uses.
-ODD_EXTENSION_FIELDS_ABOVE_1024 = [
+# Extension fields above the exhaustive range, up to the 2**16 cap: the odd
+# ones and GF(2^11) to GF(2^15); for p = 127, 131 and 251 a digit sum 2p - 2
+# nearly fills the packed digit the table build uses.
+EXTENSION_FIELDS_ABOVE_1024 = [
     (p, s)
     for p in range(3, 256)
     if all(p % d for d in range(2, p))
     for s in range(2, 11)
     if 1024 < p**s <= 1 << 16
-]
+] + [(2, s) for s in range(11, 16)]
+
+# q - 1 just below, at and just above extension._EXP_BLOCK, the powers the
+# table build computes one at a time; two blocks and one more power; and a
+# last block cut short, q - 1 being no multiple of the block.
+BLOCK_EDGE_FIELDS = [(31, 2), (2, 10), (11, 3), (37, 2), (2, 11), (3, 7)]
+
+# sha256 over every extension field with q <= 2**16, in order of p and
+# then s, of repr((p, s, modulus, alpha, exp, log, zech)), pinned from the
+# tables built one power at a time, before the block build.
+ALL_TABLES_DIGEST = "15ca542804dfec3f6d87e67dd352b898d880224869f5c220568f7bd460ea51de"
 
 # sha256 of repr((_exp, _log, _zech)), pinned from the tables built one
 # Horner step per power over alpha's digits, before the half-table build.
@@ -487,9 +544,9 @@ def check_tables_by_polynomial_products(f, samples):
             assert f._zech[k] == (log[one_plus] if one_plus else None)
 
 
-@pytest.mark.parametrize("p,s", EXTENSION_FIELDS_UP_TO_1024)
-def test_exp_table_is_the_repeated_raw_product(p, s):
-    f = Field(p, s)
+def check_exp_by_repeated_products(f):
+    """Every power in exp, one schoolbook product by alpha after another."""
+    p, s = f.p, f.s
     alpha = digits(f.primitive_element(), p, s)
     cur = 1
     for k in range(f.q - 1):
@@ -498,12 +555,49 @@ def test_exp_table_is_the_repeated_raw_product(p, s):
     assert cur == 1
 
 
+@pytest.mark.parametrize("p,s", EXTENSION_FIELDS_UP_TO_1024)
+def test_exp_table_is_the_repeated_raw_product(p, s):
+    check_exp_by_repeated_products(Field(p, s))
+
+
+def test_block_edge_fields_straddle_the_block():
+    block = extension._EXP_BLOCK
+    assert [p**s - 1 - block for p, s in BLOCK_EDGE_FIELDS] == [-63, 0, 307, 345, 1024, 1163]
+
+
+@pytest.mark.parametrize("p,s", BLOCK_EDGE_FIELDS)
+def test_exp_table_across_the_block_edge(p, s):
+    check_exp_by_repeated_products(Field(p, s))
+
+
+def test_the_field_order_alone_selects_the_block_build(monkeypatch):
+    # Blocks follow the first _EXP_BLOCK powers when q - 1 is larger, unless
+    # two digits can sum past a byte: the primes from 131 up.
+    built = []
+    real = extension._exp_blocks
+    monkeypatch.setattr(extension, "_exp_blocks", lambda p, s, *rest: built.append((p, s)) or real(p, s, *rest))
+    for p, s in [(2, 10), (2, 11), (31, 2), (11, 3), (127, 2), (131, 2), (251, 2), (7, 5)]:
+        Field(p, s)
+    assert built == [(2, 11), (11, 3), (127, 2), (7, 5)]
+
+
+def test_every_extension_field_matches_the_pinned_digest():
+    h = hashlib.sha256()
+    fields = [(p, s) for p in range(2, 256) if all(p % d for d in range(2, p)) for s in range(2, 17)]
+    fields = [(p, s) for p, s in fields if p**s <= 1 << 16]
+    assert len(fields) == 93
+    for p, s in fields:
+        f = Field(p, s)
+        h.update(repr((p, s, f.modulus, f.primitive_element(), f._exp, f._log, f._zech)).encode())
+    assert h.hexdigest() == ALL_TABLES_DIGEST
+
+
 @pytest.mark.parametrize("p,s", [(2, 16), (3, 10)])
 def test_big_field_tables_against_polynomial_products(big_fields, p, s):
     check_tables_by_polynomial_products(big_fields[(p, s)], 2000)
 
 
-@pytest.mark.parametrize("p,s", ODD_EXTENSION_FIELDS_ABOVE_1024)
+@pytest.mark.parametrize("p,s", EXTENSION_FIELDS_ABOVE_1024)
 def test_mid_size_field_tables_against_polynomial_products(p, s):
     check_tables_by_polynomial_products(Field(p, s), 200)
 

@@ -101,6 +101,17 @@ def test_generate_and_verify_load_no_codec_oracle_or_dataclasses(tmp_path):
     )
     assert {"udm.cli", "udm.families", "udm.gf", "udm.linalg", "udm.errors"} <= loaded
     assert not loaded & set(HEAVY)
+    assert "udm.extension" not in loaded  # GF(3) is a prime field
+
+
+def test_only_an_extension_field_loads_the_extension_module(tmp_path):
+    loaded = loaded_by(
+        "from udm.cli import main\n"
+        "assert main(['generate', '--q', '4', '--L', '4', '--n', '3', '--out', 'f.udm']) == 0",
+        tmp_path,
+    )
+    assert "udm.extension" in loaded
+    assert not loaded & set(HEAVY)
 
 
 def test_codec_loads_codec_but_not_hasse(tmp_path):
