@@ -29,7 +29,14 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import families, gf
-from .errors import Inconsistent, InsufficientSymbols, ParseError, RankDeficient, UdmError
+from .errors import (
+    BudgetExceeded,
+    Inconsistent,
+    InsufficientSymbols,
+    ParseError,
+    RankDeficient,
+    UdmError,
+)
 from .families import UdmFamily
 from .linalg import Matrix
 
@@ -226,10 +233,30 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _print_report(report: families.VerifyReport, n: int) -> int:
-    """PASS with the tuple count, or FAIL with the witness and its stack."""
+def _count_text(count: int) -> str:
+    """count in decimal up to 4096 bits, as udm oracle prints its counts.
+    Only a superset count gets larger, and str() refuses such an int."""
+    if count.bit_length() <= 4096:
+        return str(count)
+    return f"at least 2^{count.bit_length() - 1}"
+
+
+def _verify(family: UdmFamily, superset: bool = False, budget: int | None = None) -> int:
+    """families.verify, after stating its tuple count on stderr; refused
+    with BudgetExceeded before the walk when the family has more exact-sum
+    tuples than budget, which superset mode walks too. Prints PASS with
+    the tuple count, or FAIL with the witness and its stack."""
+    L, n = family.L, family.n
+    exact = families.count_exact_tuples(L, n)
+    total = families._superset_position(L, n, None) if superset else exact
+    print(f"verify: {_count_text(total)} tuples", file=sys.stderr)
+    if budget is not None and exact > budget:
+        raise BudgetExceeded(
+            f"{_count_text(exact)} exact-sum tuples exceed the budget of {budget}"
+        )
+    report = families.verify(family, superset=superset)
     if report.passed:
-        print(f"PASS ({report.tuples_checked} tuples)")
+        print(f"PASS ({_count_text(report.tuples_checked)} tuples)")
         return 0
     w = report.witness
     print(f"FAIL: tuple {w.ks} stacks to rank {w.rank} < {n}")
@@ -251,7 +278,7 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     fam = parse_family(_read_text(args.infile))
-    return _print_report(families.verify(fam, superset=args.superset), fam.n)
+    return _verify(fam, args.superset, args.budget)
 
 
 def cmd_transform(args) -> int:
@@ -278,7 +305,7 @@ def cmd_transform(args) -> int:
         raise ParseError(f"unknown op {args.op!r}")
     _write_text(args.out, render_family(out))
     if args.then_verify:
-        return _print_report(families.verify(out), out.n)
+        return _verify(out)
     return 0
 
 
@@ -358,6 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--superset",
         action="store_true",
         help="also check every tuple with more than n surviving symbols",
+    )
+    ver.add_argument(
+        "--budget",
+        type=int,
+        metavar="N",
+        help="exit 2 before the walk when the family has more than N tuples with "
+        "sum exactly n; --superset walks only those too, so it is held to the same count",
     )
     ver.set_defaults(func=cmd_verify)
 

@@ -118,12 +118,13 @@ def decode(family: UdmFamily, obs: ChannelOutput) -> tuple[int, ...]:
     Inconsistent. Two paths give the same vectors and the same errors:
 
     - A family for which families.is_generator holds, construct's output,
-      is decoded by Hermite interpolation (_interpolate), at most n^2 / 2
-      divided-difference steps and two from_newton calls: row i of its
-      matrix l applied to u is the i-th Hasse derivative of u(X) =
-      sum(u_t X^t) at one point of the projective line. No matrix is
-      stacked. Such a family is universally decodable, so it is never
-      rank deficient.
+      is decoded by Hermite interpolation (_interpolate): one to_newton
+      call, at most n^2 / 2 divided-difference steps that call no Python
+      function outside the odd-characteristic extension fields, and two
+      from_newton calls. Row i of its matrix l applied to u is the i-th
+      Hasse derivative of u(X) = sum(u_t X^t) at one point of the
+      projective line. No matrix is stacked. Such a family is universally
+      decodable, so it is never rank deficient.
     - Every other family, whatever alpha it claims, and every transform
       output among them: the matching matrix prefixes are stacked and
       solved with linalg.solve, one echelon row insertion per surviving
@@ -192,30 +193,19 @@ def hermite(
     derivatives 0..k-1 at each (beta, w) of points, k = len(w), are w. The
     betas must be distinct and len(top) plus the k's must make n.
 
-    Confluent Newton interpolation. The points expand into d = n - len(top)
-    nodes z, each beta k times in a row, and level k of the in-place table
-    makes c[i] the divided difference over z_{i-k}..z_i: w[k] where those
-    nodes coincide, else (c[i] - c[i - 1]) / (z_i - z_{i-k}), the inverse
-    from one table over pairs of betas. R = sum(c[i] * N_i), N_i the
-    product of (X - z_j) over j < i, meets every point, and so does u = R +
-    M * T for M = N_d. R has degree below d, so top fixes T by a unit
-    triangular solve in M's top coefficients, and u is one Newton expansion
-    on the nodes extended by len(top) zeros.
+    Confluent Newton interpolation. The field's to_newton kernel expands
+    the points into d = n - len(top) nodes z, each beta k times in a row,
+    and fills the divided-difference table, one list comprehension per
+    level, whose entries call no Python function outside the
+    odd-characteristic extension fields. R = sum(c[i] * N_i), N_i the
+    product of (X - z_j) over j < i, meets every point, and so does u = R
+    + M * T for M = N_d. R has degree below d, so top fixes T by a unit
+    triangular solve in M's top coefficients, and u is one Newton
+    expansion on the nodes extended by len(top) zeros.
     """
     sub, mul = field.sub, field.mul
-    betas = [beta for beta, _ in points]
-    ws = [w for _, w in points]
-    invd = [[field.inv(sub(a, b)) for b in betas[:g]] for g, a in enumerate(betas)]
-    group = [g for g, w in enumerate(ws) for _ in w]
-    nodes = [betas[g] for g in group]
-    c = [ws[g][0] for g in group]
     d = n - len(top)
-    for k in range(1, d):
-        # Level k from level k - 1: node i pairs with node i - k.
-        c[k:] = [
-            ws[g][k] if g == h else mul(sub(ci, cj), invd[g][h])
-            for g, h, ci, cj in zip(group[k:], group, c[k:], c[k - 1 :])
-        ]
+    c, nodes = field.to_newton(points, d)
     if top:
         # top[j] is T[j] + sum(M[d - s] * T[j - s]) over 1 <= s <= d, T
         # highest first: M is monic of degree d, and s > d would reach

@@ -95,9 +95,9 @@ class Field:
     each (Kronecker substitution), and builds the exp, log and Zech tables,
     exp a block of powers at a time past its first 1023.
 
-    add, neg, sub, mul, inv and pow, and the five row and polynomial
-    kernels insert_row, back_substitute, columns, dot_columns and
-    from_newton, are plain functions bound per field by _encoding for the
+    add, neg, sub, mul, inv and pow, and the six row and polynomial
+    kernels insert_row, back_substitute, columns, dot_columns, from_newton
+    and to_newton, are plain functions bound per field by _encoding for the
     field's element encoding; pow(a, 0) == 1 for every a, including zero.
     Every product of a matrix with a vector or a matrix is columns once
     and dot_columns per vector.
@@ -123,6 +123,7 @@ class Field:
         "columns",
         "dot_columns",
         "from_newton",
+        "to_newton",
     )
 
     def __init__(self, p: int, s: int = 1):
@@ -150,7 +151,7 @@ class Field:
         ops = _encoding(p, s, self._alpha, self._exp, self._log, self._zech)
         self.add, self.neg, self.sub, self.mul, self.inv, self.pow = ops[:6]
         self.insert_row, self.back_substitute, self.columns, self.dot_columns = ops[6:10]
-        self.from_newton = ops[10]
+        self.from_newton, self.to_newton = ops[10:]
 
     # -- field-specific queries ----------------------------------------------
 
@@ -192,9 +193,9 @@ def _zero_power(e: int) -> int:
 def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     """The arithmetic of GF(p**s), bound once for its element encoding, as
     plain functions: (add, neg, sub, mul, inv, pow, insert_row,
-    back_substitute, columns, dot_columns, from_newton). alpha is the
-    field's primitive element, and exp, log and zech are its tables (None
-    for a prime field, zech None for p = 2).
+    back_substitute, columns, dot_columns, from_newton, to_newton). alpha
+    is the field's primitive element, and exp, log and zech are its tables
+    (None for a prime field, zech None for p = 2).
 
     The scalar ops act on canonical elements; inv(0) and pow(0, e) for
     e < 0 raise DivisionByZero, and pow(a, 0) == 1 for every a.
@@ -231,11 +232,27 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     len(nodes) + 1 coefficients of lead * N_d + sum(c[i] * N_i) for d =
     len(nodes), where N_i is the product of (X - nodes[j]) over j < i: by
     Horner's rule, one step acc * (X - nodes[i]) + c[i] per node from the
-    last.
+    last. to_newton(points, d) is its dual, confluent Newton interpolation:
+    points is a sequence of (beta, w), the w's d elements in all, and it
+    returns (c, nodes) such that sum(c[i] * N_i) has Hasse derivatives w at
+    each beta; two points with one beta raise DivisionByZero. The d nodes
+    z are each beta len(w) times in a row, and level k of the in-place
+    table makes c[i] the divided difference over z_{i-k}..z_i: w[k] where
+    those nodes coincide, else (c[i] - c[i - 1]) / (z_i - z_{i-k}). Each
+    level is one list comprehension, and only its quotient, taken with a
+    factor r tabulated once per pair of betas a, b, varies by encoding:
+    - the primes up to 127: r[(c_i - c_{i-1}) % p], r the byte-row table
+      of x -> x / (a - b);
+    - GF(2^s), 1 < s <= 8: r[c_i ^ c_{i-1}], likewise for a ^ b;
+    - the primes from 131 up: (c_i - c_{i-1}) * r % p, r = 1 / (a - b);
+    - every other field: exp[log[c_i - c_{i-1}] + r] for a nonzero
+      difference, r = -log[a - b] in (-m, 0], so that the index wraps.
+      The difference is an XOR in characteristic 2, and in odd
+      characteristic one call of sub, its Zech step.
 
     The encoding is chosen once, here. A field whose elements pack into
     one byte with room for a digit-wise sum, GF(2^s) for s <= 8, the odd
-    primes up to 127, GF(9), GF(25) and GF(49), takes the five kernels
+    primes up to 127, GF(9), GF(25) and GF(49), takes the first five kernels
     from _byte_rows: a row is one byte per element, held as a big-endian
     int, a sum of rows is one XOR, or one int add and one bytes.translate,
     and a scaled row one bytes.translate, so each kernel makes a few
@@ -311,6 +328,14 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
             if c:
                 acc[: len(v)] = [(x + c * y) % p for x, y in zip(acc, v)]
 
+        over = inv
+
+        def level(ws, k, r, steps):
+            return [ws[g][k] if g == h else (ci - cj) * r[g][h] % p for g, h, ci, cj in steps]
+
+        def byte_level(ws, k, r, steps):
+            return [ws[g][k] if g == h else r[g][h][(ci - cj) % p] for g, h, ci, cj in steps]
+
     else:
 
         def mul(a, b):
@@ -330,6 +355,15 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
 
         def value(y):
             return exp[y] if y else 0
+
+        def over(x):
+            return -log[x]
+
+        def level(ws, k, r, steps):
+            return [
+                ws[g][k] if g == h else exp[log[x] + r[g][h]] if (x := sub(ci, cj)) else 0
+                for g, h, ci, cj in steps
+            ]
 
         if p == 2:
             add = sub = xor
@@ -352,6 +386,9 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
                 if c:
                     lc = log[c] - m
                     acc[: len(v)] = [x ^ exp[log[y] + lc] if y else x for x, y in zip(acc, v)]
+
+            def byte_level(ws, k, r, steps):
+                return [ws[g][k] if g == h else r[g][h][ci ^ cj] for g, h, ci, cj in steps]
 
         else:
             half = m // 2  # alpha**half == -1
@@ -444,21 +481,39 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
             mul_add(acc, neg(b), prev)
         return acc
 
+    def to_newton(points, d):
+        betas = [a for a, _ in points]
+        if len(set(betas)) < len(betas):
+            raise DivisionByZero("two points share a beta")
+        ws = [w for _, w in points]
+        group = [g for g, w in enumerate(ws) for _ in w]
+        r = [[over(sub(a, b)) for b in betas[:g]] for g, a in enumerate(betas)]
+        c = [ws[g][0] for g in group]
+        for k in range(1, d):
+            # Level k from level k - 1: node i pairs with node i - k, which
+            # holds the same beta when both are in one group.
+            c[k:] = level(ws, k, r, zip(group[k:], group, c[k:], c[k - 1 :]))
+        return c, [betas[g] for g in group]
+
     w = 1 if p == 2 else (2 * p - 2).bit_length()
     if s * w <= 8:
         exp = exp or [pow(alpha, k, p) for k in range(m)]
-        insert_row, back_substitute, columns, dot_columns, from_newton = _byte_rows(p, s, w, exp)
+        *kernels, divide = _byte_rows(p, s, w, exp)
+        insert_row, back_substitute, columns, dot_columns, from_newton = kernels
+        if s == 1 or p == 2:
+            # The packed byte is the canonical element.
+            over, level = divide.__getitem__, byte_level
     return (
         add, neg, sub, mul, inv, power, insert_row, back_substitute, columns, dot_columns,
-        from_newton,
+        from_newton, to_newton,
     )
 
 
 def _byte_rows(p, s, w, exp):
     """insert_row, back_substitute, columns, dot_columns and from_newton
     of _encoding for a field whose elements pack into one byte with room
-    for a digit-wise sum, from its exp table; each acts on a whole row or
-    column with a few C-level calls.
+    for a digit-wise sum, from its exp table, each acting on a whole row or
+    column with a few C-level calls; and inv, its tables of x -> x / b.
 
     An element is packed as its base-p digits, w bits apart, s * w <= 8:
     w = 1 for p = 2, and w = (2p - 2).bit_length() for odd p, so that the
@@ -478,7 +533,9 @@ def _byte_rows(p, s, w, exp):
     tables cost q - 1 translates and no field multiplications. scale[c]
     is the table of a canonical c; neg[b] and inv[b] are those of -b and
     1 / b for a packed b, the same tables at other powers of alpha. A
-    stored row is the full-width bytes row scaled to a leading 1.
+    stored row is the full-width bytes row scaled to a leading 1;
+    insert_row adds a row with its own XOR, or int add and translate, in
+    place of a call of add.
     columns joins the packed blocks into one bytes object and cuts out
     each column as a strided slice, so dot_columns adds one translated
     column per nonzero v[j]. back_substitute with one right-hand side works
@@ -540,17 +597,23 @@ def _byte_rows(p, s, w, exp):
             return from_bytes(v.to_bytes(v.bit_length() + 7 >> 3, "big").translate(red), "big")
 
     def insert_row(basis, row):
-        n = len(row)
+        top = len(row) - 1
         t = from_bytes(packed(row), "big")
         while t:
-            # The leading element is the top byte, which starts at bit sh.
-            sh = t.bit_length() - 1 & -8
-            lead, c = t >> sh, n - 1 - (sh >> 3)
+            # The leading element is the top byte, byte e from the low end;
+            # the stored row of its column has its top there too, so the
+            # sum fits e + 1 bytes.
+            e = t.bit_length() - 1 >> 3
+            lead, c = t >> 8 * e, top - e
             b = basis[c]
             if b is None:
-                basis[c] = t.to_bytes(n, "big").translate(inv[lead])
+                basis[c] = t.to_bytes(top + 1, "big").translate(inv[lead])
                 return c
-            t = add(t, from_bytes(b.translate(neg[lead]), "big"))
+            if p == 2:
+                t ^= from_bytes(b.translate(neg[lead]), "big")
+            else:
+                t += from_bytes(b.translate(neg[lead]), "big")
+                t = from_bytes(t.to_bytes(e + 1, "big").translate(red), "big")
         return -1
 
     def back_substitute(basis, n, k=1):
@@ -598,7 +661,7 @@ def _byte_rows(p, s, w, exp):
             acc = t
         return unpacked(acc.to_bytes(d + 1, "big")[::-1])
 
-    return insert_row, back_substitute, columns, dot_columns, from_newton
+    return insert_row, back_substitute, columns, dot_columns, from_newton, inv
 
 
 def field_string(field: Field) -> str:

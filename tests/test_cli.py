@@ -291,12 +291,47 @@ def test_generate_rejects_non_prime_power(capsys):
 
 def test_verify_pass(known_path, capsys):
     assert main(["verify", "--in", str(known_path)]) == 0
-    assert capsys.readouterr().out == "PASS (20 tuples)\n"
+    assert capsys.readouterr() == ("PASS (20 tuples)\n", "verify: 20 tuples\n")
 
 
 def test_verify_superset(known_path, capsys):
     assert main(["verify", "--in", str(known_path), "--superset"]) == 0
-    assert capsys.readouterr().out == "PASS (241 tuples)\n"
+    assert capsys.readouterr() == ("PASS (241 tuples)\n", "verify: 241 tuples\n")
+
+
+def test_verify_budget_refuses_before_the_walk(known_path, tmp_path, capsys):
+    # The exact-sum count is held to the budget in both modes: the known
+    # family has 20 of them and 241 tuples with sum at least n.
+    for extra in ([], ["--superset"]):
+        assert main(["verify", "--in", str(known_path), "--budget", "20", *extra]) == 0
+        assert capsys.readouterr().out.startswith("PASS")
+        assert main(["verify", "--in", str(known_path), "--budget", "19", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "error: 20 exact-sum tuples exceed the budget of 19"
+        )
+    # A walk of C(260, 4) tuples would take hours; the refusal is at once.
+    path = tmp_path / "wide.udm"
+    assert main(["generate", "--q", "256", "--L", "257", "--n", "4", "--out", str(path)]) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["verify", "--in", str(path), "--budget", "1000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "verify: 186043585 tuples"
+    assert err[1].startswith("error: 186043585 exact-sum tuples exceed the budget")
+
+
+def test_verify_prints_a_huge_superset_count_as_a_power(tmp_path, capsys):
+    # 2**20000 - 1 tuples have more digits than int to str converts.
+    path = tmp_path / "long.udm"
+    assert main(["generate", "--q", "2", "--L", "20000", "--n", "1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path), "--superset"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "PASS (at least 2^19999 tuples)\n"
+    assert captured.err == "verify: at least 2^19999 tuples\n"
 
 
 def test_verify_failure_prints_witness(tmp_path, capsys):
@@ -343,9 +378,11 @@ def test_verify_and_then_verify_print_the_same_failure(tmp_path, capsys):
     capsys.readouterr()
     assert main(["transform", "--in", str(base), "--op", "tensor", "--m", "2",
                  "--out", str(squared), "--then-verify"]) == 1
-    then_verify = capsys.readouterr().out
+    then_verify = capsys.readouterr()
     assert main(["verify", "--in", str(squared)]) == 1
-    assert capsys.readouterr().out == then_verify
+    assert capsys.readouterr() == then_verify
+    assert then_verify.err == "verify: 55 tuples\n"
+    then_verify = then_verify.out
     lines = then_verify.splitlines()
     assert lines[0] == "FAIL: tuple (2, 2, 5) stacks to rank 8 < 9"
     assert len(lines) == 1 + 9  # the witness stack has n = 9 rows
@@ -361,7 +398,7 @@ def test_transform_tensor_then_verify(known_path, tmp_path, capsys):
          "--out", str(out), "--then-verify"]
     )
     assert rc == 0
-    assert capsys.readouterr().out == "PASS (220 tuples)\n"
+    assert capsys.readouterr() == ("PASS (220 tuples)\n", "verify: 220 tuples\n")
     fam = parse_family(out.read_text())
     assert fam.n == 9
 

@@ -468,6 +468,7 @@ def test_the_field_order_alone_selects_the_byte_row_kernels():
         owner = "_byte_rows." if (p, s) in BYTE_ROW_FIELDS else "_encoding."
         assert all(f.__qualname__.startswith(owner) for f in kernels), (p, s)
         assert field.mul.__qualname__.startswith("_encoding.")
+        assert field.to_newton.__qualname__.startswith("_encoding.")
 
 
 def test_field_of_order_checks_the_cap_before_factoring():

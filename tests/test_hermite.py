@@ -14,7 +14,7 @@ import udm.codec
 import udm.families
 from udm import hasse
 from udm.codec import ChannelOutput, decode, encode, erase, hermite, simulate
-from udm.errors import Inconsistent, InsufficientSymbols, RankDeficient
+from udm.errors import DivisionByZero, Inconsistent, InsufficientSymbols, RankDeficient
 from udm.families import (
     UdmFamily,
     construct,
@@ -109,7 +109,57 @@ def test_from_newton_matches_naive_expansion(field):
         assert (c, nodes) == before
 
 
-@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def naive_divided_differences(field, points, d):
+    """to_newton's (c, nodes) with one Field.mul, Field.sub and Field.inv
+    per entry, level by level."""
+    sub, mul = field.sub, field.mul
+    betas = [beta for beta, _ in points]
+    ws = [w for _, w in points]
+    group = [g for g, w in enumerate(ws) for _ in w]
+    c = [ws[g][0] for g in group]
+    for k in range(1, d):
+        c[k:] = [
+            ws[g][k] if g == h else mul(sub(ci, cj), field.inv(sub(betas[g], betas[h])))
+            for g, h, ci, cj in zip(group[k:], group, c[k:], c[k - 1 :])
+        ]
+    return c, [betas[g] for g in group]
+
+
+@pytest.mark.parametrize("field", ROW_KERNEL_FIELDS + [Field(5, 2), Field(3, 10)], ids=repr)
+def test_to_newton_matches_per_entry_levels(field):
+    rng = random.Random(field.q + 5)
+    q = field.q
+    nz = rng.randrange(1, q)
+    shapes = [
+        [],  # d = 0
+        [0],  # d = 1
+        [nz],
+        [0, nz, 1],  # beta = 0 beside others, one point each
+        [nz] * 6,  # one point holds all d symbols: no pair table
+        [0] * 5,
+        [1, 0],  # betas 1 apart: the log of their difference is 0
+        [nz, field.add(nz, 1), 0],
+    ]
+    for _ in range(30):
+        # Repeated nodes: up to four symbols per point.
+        betas = rng.sample(range(q), rng.randint(1, min(q, 6)))
+        shapes.append([b for b in betas for _ in range(rng.randint(1, 4))])
+    for shape in shapes:
+        points = []
+        for b in shape:
+            if points and points[-1][0] == b:
+                points[-1][1].append(rng.randrange(q))
+            else:
+                points.append((b, [rng.randrange(q)]))
+        d = len(shape)
+        want = naive_divided_differences(field, points, d)
+        assert field.to_newton(points, d) == want, points
+    # Two points with one beta: the per-entry levels divide by zero.
+    with pytest.raises(DivisionByZero):
+        field.to_newton([(nz, [1]), (0, [2]), (nz, [3])], 3)
+
+
+@pytest.mark.parametrize("field", ROW_KERNEL_FIELDS, ids=repr)
 def test_hermite_recovers_random_polynomials(field):
     # Distinct points, each with up to three derivatives, and the top
     # coefficients, against the Hasse derivatives of a known polynomial.
