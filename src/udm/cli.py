@@ -234,9 +234,10 @@ def _fail(msg: str, code: int) -> int:
 
 
 def _count_text(count: int) -> str:
-    """count in decimal up to 4096 bits, as udm oracle prints its counts.
-    Only a superset count gets larger, and str() refuses such an int."""
-    if count.bit_length() <= 4096:
+    """count in decimal up to families.MAX_COUNT_BITS bits, else as a
+    power. Only a superset count gets larger, and str() refuses such an
+    int."""
+    if count.bit_length() <= families.MAX_COUNT_BITS:
         return str(count)
     return f"at least 2^{count.bit_length() - 1}"
 

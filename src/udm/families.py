@@ -124,6 +124,11 @@ class VerifyReport(NamedTuple):
     witness: Witness | None
 
 
+# The largest count udm prints in decimal, as oracles.refute_bound forms
+# and reports it and as udm verify reports its tuples; a larger one is
+# printed as a power.
+MAX_COUNT_BITS = 4096
+
 # The most entries, L * n**2, of a family that construct, tensor_power or
 # oracles.refute_bound will build: about 4.2 million, some 34 MB of tuple
 # slots.

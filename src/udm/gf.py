@@ -241,10 +241,9 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     those nodes coincide, else (c[i] - c[i - 1]) / (z_i - z_{i-k}). Each
     level is one list comprehension, and only its quotient, taken with a
     factor r tabulated once per pair of betas a, b, varies by encoding:
-    - the primes up to 127: r[(c_i - c_{i-1}) % p], r the byte-row table
-      of x -> x / (a - b);
-    - GF(2^s), 1 < s <= 8: r[c_i ^ c_{i-1}], likewise for a ^ b;
-    - the primes from 131 up: (c_i - c_{i-1}) * r % p, r = 1 / (a - b);
+    - GF(2^s), s <= 8: r[c_i ^ c_{i-1}], r the byte-row table of
+      x -> x / (a ^ b);
+    - the primes: (c_i - c_{i-1}) * r % p, r = 1 / (a - b);
     - every other field: exp[log[c_i - c_{i-1}] + r] for a nonzero
       difference, r = -log[a - b] in (-m, 0], so that the index wraps.
       The difference is an XOR in characteristic 2, and in odd
@@ -333,9 +332,6 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
         def level(ws, k, r, steps):
             return [ws[g][k] if g == h else (ci - cj) * r[g][h] % p for g, h, ci, cj in steps]
 
-        def byte_level(ws, k, r, steps):
-            return [ws[g][k] if g == h else r[g][h][(ci - cj) % p] for g, h, ci, cj in steps]
-
     else:
 
         def mul(a, b):
@@ -386,9 +382,6 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
                 if c:
                     lc = log[c] - m
                     acc[: len(v)] = [x ^ exp[log[y] + lc] if y else x for x, y in zip(acc, v)]
-
-            def byte_level(ws, k, r, steps):
-                return [ws[g][k] if g == h else r[g][h][ci ^ cj] for g, h, ci, cj in steps]
 
         else:
             half = m // 2  # alpha**half == -1
@@ -500,9 +493,13 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
         exp = exp or [pow(alpha, k, p) for k in range(m)]
         *kernels, divide = _byte_rows(p, s, w, exp)
         insert_row, back_substitute, columns, dot_columns, from_newton = kernels
-        if s == 1 or p == 2:
-            # The packed byte is the canonical element.
-            over, level = divide.__getitem__, byte_level
+        if p == 2:
+            # The packed byte is the canonical element, so a quotient by
+            # a ^ b is one index into the byte-row table of 1 / (a ^ b).
+            over = divide.__getitem__
+
+            def level(ws, k, r, steps):
+                return [ws[g][k] if g == h else r[g][h][ci ^ cj] for g, h, ci, cj in steps]
     return (
         add, neg, sub, mul, inv, power, insert_row, back_substitute, columns, dot_columns,
         from_newton, to_newton,

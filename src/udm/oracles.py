@@ -15,13 +15,16 @@ from typing import NamedTuple
 
 from . import gf, hasse
 from .errors import BadArgument, BudgetExceeded, ParseError
-from .families import UdmFamily, check_construct, check_family_size, construct, verify
+from .families import (
+    MAX_COUNT_BITS,
+    UdmFamily,
+    check_construct,
+    check_family_size,
+    construct,
+    verify,
+)
 from .gf import Field
 from .linalg import Matrix, anti_identity, identity, matmul
-
-# The largest count refute_bound forms and run_check prints in decimal; a
-# larger one is printed as a power.
-MAX_COUNT_BITS = 4096
 
 # The most steps each check of run_check may take, counted as check_cost
 # counts them; at its bound each check takes about three seconds (2-core

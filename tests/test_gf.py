@@ -468,13 +468,6 @@ def test_the_field_order_alone_selects_the_byte_row_kernels():
         owner = "_byte_rows." if (p, s) in BYTE_ROW_FIELDS else "_encoding."
         assert all(f.__qualname__.startswith(owner) for f in kernels), (p, s)
         assert field.mul.__qualname__.startswith("_encoding.")
-        # to_newton is written once; its level form indexes the byte-row
-        # tables where the packed byte is the canonical element.
-        newton = field.to_newton
-        cells = dict(zip(newton.__code__.co_freevars, newton.__closure__))
-        byte_form = (p, s) in BYTE_ROW_FIELDS and (s == 1 or p == 2)
-        assert newton.__qualname__.startswith("_encoding.")
-        assert cells["level"].cell_contents.__name__ == ("byte_level" if byte_form else "level")
 
 
 def test_field_of_order_checks_the_cap_before_factoring():

@@ -125,7 +125,7 @@ def naive_divided_differences(field, points, d):
     return c, [betas[g] for g in group]
 
 
-@pytest.mark.parametrize("field", ROW_KERNEL_FIELDS + [Field(5, 2), Field(3, 10)], ids=repr)
+@pytest.mark.parametrize("field", ROW_KERNEL_FIELDS + [Field(3, 10)], ids=repr)
 def test_to_newton_matches_per_entry_levels(field):
     rng = random.Random(field.q + 5)
     q = field.q
