@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from time import perf_counter
 from typing import TYPE_CHECKING
 
 from . import families, gf
@@ -243,10 +244,11 @@ def _count_text(count: int) -> str:
 
 
 def _verify(family: UdmFamily, superset: bool = False, budget: int | None = None) -> int:
-    """families.verify, after stating its tuple count on stderr; refused
-    with BudgetExceeded before the walk when the family has more exact-sum
-    tuples than budget, which superset mode walks too. Prints PASS with
-    the tuple count, or FAIL with the witness and its stack."""
+    """families.verify, after stating its tuple count on stderr and
+    followed there by its elapsed seconds; refused with BudgetExceeded
+    before the walk when the family has more exact-sum tuples than budget,
+    which superset mode walks too. Prints PASS with the tuple count, or
+    FAIL with the witness and its stack."""
     L, n = family.L, family.n
     exact = families.count_exact_tuples(L, n)
     total = families._superset_position(L, n, None) if superset else exact
@@ -255,7 +257,9 @@ def _verify(family: UdmFamily, superset: bool = False, budget: int | None = None
         raise BudgetExceeded(
             f"{_count_text(exact)} exact-sum tuples exceed the budget of {budget}"
         )
+    start = perf_counter()
     report = families.verify(family, superset=superset)
+    print(f"verify: {perf_counter() - start:.3g} s elapsed", file=sys.stderr)
     if report.passed:
         print(f"PASS ({_count_text(report.tuples_checked)} tuples)")
         return 0

@@ -83,8 +83,10 @@ def encode(family: UdmFamily, u: Sequence[int]) -> list[tuple[int, ...]]:
     The L matrices, stacked, are one L*n x n system: its columns are packed
     once per family by the field's columns kernel, on the first encode, and
     kept on the family. Each encode is then one dot_columns pass over them,
-    over a byte-row field one translate and one add of a whole column per
-    nonzero symbol of u, split into the L blocks.
+    split into the L blocks. Over GF(2^s), s <= 8, that is s - 1 shift
+    steps of the whole stack and one XOR of a whole column per set bit of
+    a symbol of u; over the other byte-row fields one translate and one add
+    of a whole column per nonzero symbol.
     """
     n, field = family.n, family.field
     if len(u) != n:
@@ -164,8 +166,9 @@ def _interpolate(family: UdmFamily, obs: ChannelOutput) -> tuple[int, ...]:
     derivatives at alpha**(l - 2). The first n symbols, taken channel by
     channel, determine u by hermite(), channel 1's as top; every later one
     is re-encoded from u with the field's columns and dot_columns and must
-    match. n = 1 is the only size at which construct repeats points (when
-    L > q + 1), and then only the first of them is interpolated.
+    match; with no later symbol nothing is packed. n = 1 is the only size
+    at which construct repeats points (when L > q + 1), and then only the
+    first of them is interpolated.
     """
     field, n = family.field, family.n
     need = n
@@ -180,7 +183,7 @@ def _interpolate(family: UdmFamily, obs: ChannelOutput) -> tuple[int, ...]:
         rows += m.entries[k * n : len(prefix) * n]
         redundant += prefix[k:]
     u = hermite(field, n, top, points)
-    if field.dot_columns(field.columns((rows,), n), u) != redundant:
+    if redundant and field.dot_columns(field.columns((rows,), n), u) != redundant:
         raise Inconsistent("redundant rows contradict the solution")
     return tuple(u)
 

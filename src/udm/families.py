@@ -67,9 +67,10 @@ class UdmFamily:
                 raise BadArgument("matrix over a different field than the family")
         # _generator is is_generator's answer once known: set by construct
         # and on first use. _columns is field.columns of the matrices'
-        # entries, set by codec.encode on first use: L * n**2 bytes over a
-        # byte-row field, the entry tuples themselves otherwise. Neither is
-        # copied by _replace, and only _generator is pickled.
+        # entries, set by codec.encode on first use: n columns of L * n
+        # bytes each over a byte-row field (ints in characteristic 2, bytes
+        # otherwise), n lists of L * n elements otherwise. Neither is copied
+        # by _replace, and only _generator is pickled.
         for name, value in zip(self.__slots__, (field, L, n, matrices, alpha, None, None)):
             object.__setattr__(self, name, value)
 

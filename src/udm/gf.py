@@ -14,6 +14,8 @@ element encodings and on serialized matrices.
 from __future__ import annotations
 
 import re
+from functools import reduce as _fold
+from itertools import compress
 from operator import mul as _int_mul, xor
 
 from .errors import BadExponent, DivisionByZero, NotPrime, NotPrimePower, ParseError
@@ -220,12 +222,12 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     scaled row of x per nonzero coefficient.
 
     columns(blocks, width) stacks blocks, a sequence of flat sequences of
-    rows `width` long, in order, and cuts the stack into its `width`
-    columns, rows[j::width]; dot_columns(cols, v), for v `width` long and
-    not empty, returns the stack times v, the sum of v[j] times column j,
-    as a list. So a caller that multiplies one matrix by many vectors
-    packs it once, and a caller that combines rows passes them as the
-    columns of their transpose.
+    rows `width` long, in order, and packs the stack's `width` columns in
+    a form that only dot_columns reads; dot_columns(cols, v), for v
+    `width` long and not empty, returns the stack times v, the sum of v[j]
+    times column j, as a list. So a caller that multiplies one matrix by
+    many vectors packs it once, and a caller that combines rows passes them
+    as the columns of their transpose.
 
     A polynomial is a list of canonical elements, constant term first.
     from_newton(c, nodes, lead), for c as long as nodes, returns the
@@ -280,8 +282,9 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     c goes to such a logarithm once per mul_add call.
     An all-zero tail, as from a unit row of an identity or reversal
     matrix, is stored empty, and reducing by it only drops the pivot entry.
-    Here columns cuts lists, and dot_columns runs mul_add once per nonzero
-    v[j], as the byte rows add one translated column.
+    Here columns cuts lists, rows[j::width]. A prime field's dot_columns
+    takes each entry as one C-level sum of unreduced products, reduced
+    once; every other field's runs mul_add once per nonzero v[j].
 
     The functions hold the field's tables, never the field itself, so a
     Field is in no reference cycle and is freed as soon as it is dropped.
@@ -461,11 +464,19 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
         rows = [x for b in blocks for x in b]
         return [rows[j::width] for j in range(width)]
 
-    def dot_columns(cols, v):
-        acc = [0] * len(cols[0])
-        for col, vj in zip(cols, v):
-            mul_add(acc, vj, col)
-        return acc
+    if s == 1:
+
+        def dot_columns(cols, v):
+            # Each entry is one unreduced sum of products, reduced once.
+            return [sum(map(_int_mul, v, row)) % p for row in zip(*cols)]
+
+    else:
+
+        def dot_columns(cols, v):
+            acc = [0] * len(cols[0])
+            for col, vj in zip(cols, v):
+                mul_add(acc, vj, col)
+            return acc
 
     def from_newton(c, nodes, lead):
         acc = [lead]
@@ -509,8 +520,9 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
 def _byte_rows(p, s, w, exp):
     """insert_row, back_substitute, columns, dot_columns and from_newton
     of _encoding for a field whose elements pack into one byte with room
-    for a digit-wise sum, from its exp table, each acting on a whole row or
-    column with a few C-level calls; and inv, its tables of x -> x / b.
+    for a digit-wise sum, from its exp table, each acting on a whole row,
+    column or bit plane with a few C-level calls; and inv, its tables of
+    x -> x / b.
 
     An element is packed as its base-p digits, w bits apart, s * w <= 8:
     w = 1 for p = 2, and w = (2p - 2).bit_length() for odd p, so that the
@@ -534,13 +546,24 @@ def _byte_rows(p, s, w, exp):
     insert_row adds a row with its own XOR, or int add and translate, in
     place of a call of add.
     columns joins the packed blocks into one bytes object and cuts out
-    each column as a strided slice, so dot_columns adds one translated
-    column per nonzero v[j]. back_substitute with one right-hand side works
-    the columns of the stored rows the same way; with k of them it adds
-    one translated k-byte row of x per nonzero coefficient. from_newton
-    holds its polynomial as one int, constant term in the low byte, so a
-    Horner step acc * (X - b) + c is one shift, one translate through the
-    table of -b and one add.
+    each column as a strided slice. In odd characteristic dot_columns adds
+    one translated column per nonzero v[j]. In characteristic 2, c * y is
+    GF(2)-linear in c, so the sum of v[j] * col_j is the sum over bits b of
+    x**b times the XOR of the columns whose v[j] has bit b set. There
+    columns holds each column as one int, with the stack's height and two
+    masks, ones (a 1 in every byte) and low (the low s - 1 bits of every
+    byte), and dot_columns runs Horner's rule over the bit planes from the
+    top: acc * x for every byte at once, (acc & low) << 1 ^ (acc >> s - 1
+    & ones) * modlow with modlow = x**s reduced, then one XOR per column
+    whose v[j] has the plane's bit. A product is s - 1 shift steps and
+    about n * s / 2 int XORs, where a translate and a from_bytes per
+    column cost more than the XOR; the columns pay one from_bytes each,
+    once, when packed. back_substitute with one right-hand side adds one
+    translated column of the stored rows per nonzero entry of x; with k of
+    them it adds one translated k-byte row of x per nonzero coefficient.
+    from_newton holds its polynomial as one int, constant term in the low
+    byte, so a Horner step acc * (X - b) + c is one shift, one translate
+    through the table of -b and one add.
 
     That covers GF(2^s) for s <= 8, every odd prime p <= 127, and GF(9),
     GF(25) and GF(49), the fields with s * w <= 8. translate maps a byte to
@@ -637,16 +660,41 @@ def _byte_rows(p, s, w, exp):
             x[c] = acc.to_bytes(k, "big")
         return unpacked(b"".join(x))
 
-    def columns(blocks, width):
-        rows = b"".join(map(packed, blocks))
-        return [rows[j::width] for j in range(width)]
+    if p == 2:
+        # planes[i] maps a packed byte to its bit top - i.
+        top = s - 1
+        planes = [bytes(x >> b & 1 for x in range(256)) for b in range(top, -1, -1)]
+        modlow = scale[2][1 << top] if s > 1 else 0  # x**s, reduced
 
-    def dot_columns(cols, v):
-        acc = 0
-        for col, vj in zip(cols, v):
-            if vj:
-                acc = add(acc, from_bytes(col.translate(scale[vj]), "big"))
-        return unpacked(acc.to_bytes(len(cols[0]), "big"))
+        def columns(blocks, width):
+            rows = b"".join(map(packed, blocks))
+            size = len(rows) // width
+            ones = from_bytes(b"\1" * size, "big")
+            cols = [from_bytes(rows[j::width], "big") for j in range(width)]
+            return cols, size, ones, ones * ((1 << top) - 1)
+
+        def dot_columns(packed_cols, v):
+            cols, size, ones, low = packed_cols
+            vb, acc = bytes(v), 0
+            for plane in planes:
+                # acc * x, every byte at once, then the columns whose
+                # coefficient has this bit.
+                acc = (acc & low) << 1 ^ (acc >> top & ones) * modlow
+                acc ^= _fold(xor, compress(cols, vb.translate(plane)), 0)
+            return list(acc.to_bytes(size, "big"))
+
+    else:
+
+        def columns(blocks, width):
+            rows = b"".join(map(packed, blocks))
+            return [rows[j::width] for j in range(width)]
+
+        def dot_columns(cols, v):
+            acc = 0
+            for col, vj in zip(cols, v):
+                if vj:
+                    acc = add(acc, from_bytes(col.translate(scale[vj]), "big"))
+            return unpacked(acc.to_bytes(len(cols[0]), "big"))
 
     def from_newton(c, nodes, lead):
         pc, acc, d = packed(c), pack[lead], len(nodes)

@@ -12,18 +12,21 @@ field's elimination kernels, Field.insert_row and back_substitute, whose
 stored-row format stays inside gf. matvec and matmul, the transform paths
 and the encode reference, run on its product kernels: Field.columns packs
 a matrix once and Field.dot_columns multiplies it by a vector, as
-codec.encode does with a family's stacked matrices. Over every field
-whose elements pack into one byte (GF(2^s) for s <= 8, odd primes up to
-127, GF(9), GF(25) and GF(49)) those kernels act on whole byte rows, so
-rank and solve are O(n^2) C-level row steps rather than O(n^3) Python
-steps per element, and matmul adds one scaled row of b per nonzero entry
-of a. The tests check rank, solve and left_null_vector against
-per-element Gaussian elimination of their own.
+codec.encode does with a family's stacked matrices, and matmul packs its
+left factor and multiplies it by each column of the right one. Over every
+field whose elements pack into one byte (GF(2^s) for s <= 8, odd primes
+up to 127, GF(9), GF(25) and GF(49)) those kernels act on whole byte rows
+and columns, so rank and solve are O(n^2) C-level row steps rather than
+O(n^3) Python steps per element, and a product's cost per column falls
+as the columns grow. The tests check rank, solve and left_null_vector
+against per-element Gaussian elimination of their own.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
+from itertools import chain
 
 from .errors import DimensionMismatch, Inconsistent, RankDeficient
 from .gf import Field
@@ -109,14 +112,17 @@ def anti_identity(field: Field, n: int) -> Matrix:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """a @ b: b's rows packed once as the columns of its transpose, then
-    one dot_columns per row of a."""
+    """a @ b: a's columns packed once, then one dot_columns per column of
+    b."""
     return matmul_each((a,), b)[0]
 
 
 def matmul_each(mats: Sequence[Matrix], b: Matrix) -> tuple[Matrix, ...]:
-    """The products m @ b for each m in mats, as matmul computes them, with
-    b packed once for all of them."""
+    """The products m @ b for each m in mats, as one product of their
+    stack: its columns packed once, one dot_columns per column of b over
+    the whole stack, and the stacked product cut back into the products.
+    Over short columns most of a GF(2^s) dot_columns call is a fixed cost
+    per bit plane, so one call over the stack replaces len(mats) of them."""
     field, k, c = b.field, b.rows, b.cols
     for a in mats:
         if a.field != field:
@@ -125,13 +131,15 @@ def matmul_each(mats: Sequence[Matrix], b: Matrix) -> tuple[Matrix, ...]:
             raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {k}x{c}")
     if not k or not c:
         return tuple(Matrix._unchecked(field, a.rows, c, (0,) * (a.rows * c)) for a in mats)
-    cols = field.columns([b.entries[j::c] for j in range(c)], k)
-    out = []
+    # Column j of the stacked product, held compact until it is cut.
+    cols = field.columns([a.entries for a in mats], k)
+    prods = [array("I", field.dot_columns(cols, b.entries[j::c])) for j in range(c)]
+    out, lo = [], 0
     for a in mats:
-        rows = []
-        for i in range(0, len(a.entries), k):
-            rows += field.dot_columns(cols, a.entries[i : i + k])
+        hi = lo + a.rows
+        rows = chain.from_iterable(zip(*[col[lo:hi] for col in prods]))
         out.append(Matrix._unchecked(field, a.rows, c, tuple(rows)))
+        lo = hi
     return tuple(out)
 
 

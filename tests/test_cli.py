@@ -289,14 +289,27 @@ def test_generate_rejects_non_prime_power(capsys):
 # -- verify ------------------------------------------------------------------------------
 
 
+def assert_verify_stderr(err, count):
+    # The count line before the walk is exact; the line after it gives
+    # the walk's elapsed seconds, which vary.
+    lines = err.splitlines()
+    assert lines[0] == f"verify: {count} tuples"
+    assert re.fullmatch(r"verify: [0-9.e+-]+ s elapsed", lines[1])
+    assert len(lines) == 2
+
+
 def test_verify_pass(known_path, capsys):
     assert main(["verify", "--in", str(known_path)]) == 0
-    assert capsys.readouterr() == ("PASS (20 tuples)\n", "verify: 20 tuples\n")
+    out, err = capsys.readouterr()
+    assert out == "PASS (20 tuples)\n"
+    assert_verify_stderr(err, 20)
 
 
 def test_verify_superset(known_path, capsys):
     assert main(["verify", "--in", str(known_path), "--superset"]) == 0
-    assert capsys.readouterr() == ("PASS (241 tuples)\n", "verify: 241 tuples\n")
+    out, err = capsys.readouterr()
+    assert out == "PASS (241 tuples)\n"
+    assert_verify_stderr(err, 241)
 
 
 def test_verify_budget_refuses_before_the_walk(known_path, tmp_path, capsys):
@@ -331,7 +344,7 @@ def test_verify_prints_a_huge_superset_count_as_a_power(tmp_path, capsys):
     assert main(["verify", "--in", str(path), "--superset"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "PASS (at least 2^19999 tuples)\n"
-    assert captured.err == "verify: at least 2^19999 tuples\n"
+    assert_verify_stderr(captured.err, "at least 2^19999")
 
 
 def test_verify_failure_prints_witness(tmp_path, capsys):
@@ -378,11 +391,12 @@ def test_verify_and_then_verify_print_the_same_failure(tmp_path, capsys):
     capsys.readouterr()
     assert main(["transform", "--in", str(base), "--op", "tensor", "--m", "2",
                  "--out", str(squared), "--then-verify"]) == 1
-    then_verify = capsys.readouterr()
+    then_verify, err = capsys.readouterr()
+    assert_verify_stderr(err, 55)
     assert main(["verify", "--in", str(squared)]) == 1
-    assert capsys.readouterr() == then_verify
-    assert then_verify.err == "verify: 55 tuples\n"
-    then_verify = then_verify.out
+    out, err = capsys.readouterr()
+    assert out == then_verify
+    assert_verify_stderr(err, 55)
     lines = then_verify.splitlines()
     assert lines[0] == "FAIL: tuple (2, 2, 5) stacks to rank 8 < 9"
     assert len(lines) == 1 + 9  # the witness stack has n = 9 rows
@@ -398,7 +412,9 @@ def test_transform_tensor_then_verify(known_path, tmp_path, capsys):
          "--out", str(out), "--then-verify"]
     )
     assert rc == 0
-    assert capsys.readouterr() == ("PASS (220 tuples)\n", "verify: 220 tuples\n")
+    stdout, err = capsys.readouterr()
+    assert stdout == "PASS (220 tuples)\n"
+    assert_verify_stderr(err, 220)
     fam = parse_family(out.read_text())
     assert fam.n == 9
 

@@ -23,6 +23,7 @@ from udm.linalg import (
     kron,
     left_null_vector,
     matmul,
+    matmul_each,
     matvec,
     rank,
     solve,
@@ -256,11 +257,32 @@ def test_matmul_columns_match_the_naive_loop(field):
             assert tuple(product.at(i, j) for i in range(r)) == column
 
 
+@pytest.mark.parametrize("field", [Field(2, 8), Field(5, 2), Field(131), Field(3, 3)], ids=repr)
+def test_matmul_each_matches_the_naive_loop(field):
+    # Byte rows of both characteristics and two per-element fields: left
+    # operands of different heights, 0 among them, with k = 0 and c = 0,
+    # give the naive products, and each is the one matmul gives alone.
+    rng = random.Random(field.q + 5)
+    assert matmul_each((), identity(field, 3)) == ()
+    for k, c in ((0, 3), (3, 0), (0, 0), (1, 1), (4, 3), (6, 6), (8, 5)):
+        for heights in ((2, 0, 5, 1), (0,), (0, 0), (40, 3, 40)):
+            mats = [random_matrix(rng, field, r, k) for r in heights]
+            b = random_matrix(rng, field, k, c)
+            got = matmul_each(mats, b)
+            assert len(got) == len(mats)
+            for a, m in zip(mats, got):
+                columns = [naive_matvec(field, a, b.entries[j::c]) for j in range(c)]
+                want = [columns[j][i] for i in range(a.rows) for j in range(c)]
+                assert m == Matrix(field, a.rows, c, want)
+                assert m == matmul(a, b)
+
+
 @pytest.mark.parametrize("p, s", ROW_ENCODINGS)
 def test_columns_and_dot_columns_multiply_the_stack(p, s):
     # columns stacks its blocks and dot_columns returns the stack times v,
-    # in both row formats: 1-3 blocks of rows 1-6 wide, some blocks empty,
-    # and v with zeros, all zero among them.
+    # whatever form the packed columns take: 1-3 blocks of rows 1-6 wide,
+    # some blocks empty, and v with zeros, all zero among them. A unit
+    # vector picks out its column of the stack.
     field = Field(p, s)
     q = field.q
     rng = random.Random(p * 100 + s)
@@ -271,10 +293,46 @@ def test_columns_and_dot_columns_multiply_the_stack(p, s):
         blocks = [tuple(rng.choice(pick + [rng.randrange(q)]) for _ in range(k)) for k in sizes]
         stack = Matrix(field, sum(sizes) // width, width, [x for b in blocks for x in b])
         cols = field.columns(blocks, width)
-        assert len(cols) == width
+        for j in range(width):
+            unit = [0] * width
+            unit[j] = 1
+            assert field.dot_columns(cols, unit) == list(stack.entries[j::width])
         # The packed columns serve every vector.
         for v in ([0] * width, [rng.choice([0, rng.randrange(q)]) for _ in range(width)]):
             assert tuple(field.dot_columns(cols, v)) == naive_matvec(field, stack, v)
+
+
+@pytest.mark.parametrize("s", range(1, 9))
+def test_dot_columns_over_long_columns_in_characteristic_2(s):
+    # Columns of 300-400 bytes and nonzero symbols, q - 1 among them, so
+    # that every bit of a symbol is set somewhere and the shifted products
+    # need reducing by the modulus in many entries.
+    field = Field(2, s)
+    q = field.q
+    rng = random.Random(s)
+    for _ in range(3):
+        width = rng.randint(1, 9)
+        stack = random_matrix(rng, field, rng.randint(300, 400), width)
+        cols = field.columns((stack.entries,), width)
+        v = [q - 1] + [rng.randrange(1, q) for _ in range(width - 1)]
+        rng.shuffle(v)
+        assert tuple(field.dot_columns(cols, v)) == naive_matvec(field, stack, v)
+
+
+@pytest.mark.parametrize("p, s", ROW_ENCODINGS)
+def test_dot_columns_of_terms_that_cancel_is_zero(p, s):
+    # Columns a, b and k * a + b with v = (k, 1, -1): no term is a zero
+    # column, and the sum is zero in every one of 300 entries.
+    field = Field(p, s)
+    q, mul, add = field.q, field.mul, field.add
+    rng = random.Random(q + s)
+    k = rng.randrange(1, q)
+    rows = []
+    for _ in range(300):
+        a, b = rng.randrange(1, q), rng.randrange(q)
+        rows += (a, b, add(mul(k, a), b))
+    cols = field.columns((rows,), 3)
+    assert field.dot_columns(cols, (k, 1, field.neg(1))) == [0] * 300
 
 
 def test_dimension_mismatch():
