@@ -23,9 +23,7 @@ from .errors import (
 )
 from .families import UdmFamily, is_generator
 from .gf import Field
-# matvec is no longer called here; the benchmark's tracer wraps the name
-# codec.matvec, so it stays importable from this module.
-from .linalg import matvec, solve, stack_prefixes  # noqa: F401
+from .linalg import Matrix, matvec, solve, stack_prefixes
 
 
 class ChannelOutput:
@@ -165,14 +163,14 @@ def _interpolate(family: UdmFamily, obs: ChannelOutput) -> tuple[int, ...]:
     top coefficients (the point at infinity) and channel l >= 2 the
     derivatives at alpha**(l - 2). The first n symbols, taken channel by
     channel, determine u by hermite(), channel 1's as top; every later one
-    is re-encoded from u with the field's columns and dot_columns and must
-    match; with no later symbol nothing is packed. n = 1 is the only size
-    at which construct repeats points (when L > q + 1), and then only the
-    first of them is interpolated.
+    is re-encoded from u by linalg.matvec on its rows and must match; with
+    no later symbol nothing is packed. n = 1 is the only size at which
+    construct repeats points (when L > q + 1), and then only the first of
+    them is interpolated.
     """
     field, n = family.field, family.n
     need = n
-    top, points, rows, redundant = (), [], [], []
+    top, points, rows, redundant = (), [], (), ()
     for l, (m, prefix) in enumerate(zip(family.matrices, obs.prefixes)):
         k = min(len(prefix), need)
         need -= k
@@ -182,33 +180,33 @@ def _interpolate(family: UdmFamily, obs: ChannelOutput) -> tuple[int, ...]:
             points.append((field.pow(family.alpha, l - 2) if l else 0, prefix[:k]))
         rows += m.entries[k * n : len(prefix) * n]
         redundant += prefix[k:]
-    u = hermite(field, n, top, points)
-    if redundant and field.dot_columns(field.columns((rows,), n), u) != redundant:
+    u = hermite(field, top, points)
+    if redundant and matvec(Matrix._unchecked(field, len(redundant), n, rows), u) != redundant:
         raise Inconsistent("redundant rows contradict the solution")
     return tuple(u)
 
 
 def hermite(
-    field: Field, n: int, top: Sequence[int], points: Sequence[tuple[int, Sequence[int]]]
+    field: Field, top: Sequence[int], points: Sequence[tuple[int, Sequence[int]]]
 ) -> list[int]:
     """The coefficients, constant term first, of the u(X) of degree below n
     whose top len(top) coefficients are top, highest first, and whose Hasse
-    derivatives 0..k-1 at each (beta, w) of points, k = len(w), are w. The
-    betas must be distinct and len(top) plus the k's must make n.
+    derivatives 0..k-1 at each (beta, w) of points, k = len(w), are w; n is
+    len(top) plus the d symbols of the w's. The betas must be distinct.
 
     Confluent Newton interpolation. The field's to_newton kernel expands
-    the points into d = n - len(top) nodes z, each beta k times in a row,
-    and fills the divided-difference table, one list comprehension per
-    level, whose entries call no Python function outside the
-    odd-characteristic extension fields. R = sum(c[i] * N_i), N_i the
-    product of (X - z_j) over j < i, meets every point, and so does u = R
-    + M * T for M = N_d. R has degree below d, so top fixes T by a unit
-    triangular solve in M's top coefficients, and u is one Newton
-    expansion on the nodes extended by len(top) zeros.
+    the points into d nodes z, each beta k times in a row, and fills the
+    divided-difference table, one list comprehension per level, whose
+    entries call no Python function outside the odd-characteristic
+    extension fields. R = sum(c[i] * N_i), N_i the product of (X - z_j)
+    over j < i, meets every point, and so does u = R + M * T for M = N_d.
+    R has degree below d, so top fixes T by a unit triangular solve in M's
+    top coefficients, and u is one Newton expansion on the nodes extended
+    by len(top) zeros.
     """
     sub, mul = field.sub, field.mul
-    d = n - len(top)
-    c, nodes = field.to_newton(points, d)
+    c, nodes = field.to_newton(points)
+    d = len(c)
     if top:
         # top[j] is T[j] + sum(M[d - s] * T[j - s]) over 1 <= s <= d, T
         # highest first: M is monic of degree d, and s > d would reach

@@ -295,7 +295,7 @@ def _reversal_rows(family: UdmFamily) -> list[list[tuple]] | None:
     aug, rev = [None] * (2 * n), anti_identity(field, n)
     if any(field.insert_row(aug, m.row(i) + rev.row(i)) >= n for i in range(n)):
         return None
-    t = Matrix._unchecked(field, n, n, tuple(field.back_substitute(aug, n, n)))
+    t = Matrix._unchecked(field, n, n, tuple(field.back_substitute(aug, n)))
     at = matmul(stack_prefixes(family.matrices, (n,) * (L - 1) + (0,)), t)
     return [[at.row(l * n + i) for i in range(n)] for l in range(L - 1)]
 

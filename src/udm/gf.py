@@ -211,15 +211,15 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     so a caller undoes insertions in any order by clearing the columns they
     returned.
 
-    back_substitute(basis, n, k=1) solves the unit upper triangular system
+    back_substitute(basis, n) solves the unit upper triangular system
     held in slots 0..n-1 of a basis of rows n + k wide, whose last k
     columns are right-hand sides; every one of those slots must be filled.
-    It returns the n x k solution x as a flat row-major list of canonical
-    elements: row c of x is rhs[c] - sum(b[c][j] * x[j] for c < j < n),
-    so column t solves right-hand side t, and for k = 1 the list is the one
-    solution. One right-hand side, as solve passes, takes one dot product
-    per row. With k of them, both kernels work in row form, adding one
-    scaled row of x per nonzero coefficient.
+    A basis has one slot per column, so k = len(basis) - n. It returns the
+    n x k solution x as a flat row-major list of canonical elements: row c
+    of x is rhs[c] - sum(b[c][j] * x[j] for c < j < n), so column t solves
+    right-hand side t, and for k = 1, as solve passes, the list is the one
+    solution. The per-element kernel solves each right-hand side in turn,
+    one dot product per row: x_t[c] = rhs_t(b) - dot(x_t[c+1:], b).
 
     columns(blocks, width) stacks blocks, a sequence of flat sequences of
     rows `width` long, in order, and packs the stack's `width` columns in
@@ -234,7 +234,7 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     len(nodes) + 1 coefficients of lead * N_d + sum(c[i] * N_i) for d =
     len(nodes), where N_i is the product of (X - nodes[j]) over j < i: by
     Horner's rule, one step acc * (X - nodes[i]) + c[i] per node from the
-    last. to_newton(points, d) is its dual, confluent Newton interpolation:
+    last. to_newton(points) is its dual, confluent Newton interpolation:
     points is a sequence of (beta, w), the w's d elements in all, and it
     returns (c, nodes) such that sum(c[i] * N_i) has Hasse derivatives w at
     each beta; two points with one beta raise DivisionByZero. The d nodes
@@ -439,26 +439,19 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
             t = reduce(t, i, b) if b else t[i + 1 :]
             c += 1
 
-    def back_substitute(basis, n, k=1):
-        if k == 1:
-            x = [0] * n
+    def back_substitute(basis, n):
+        k = len(basis) - n
+        x = [0] * (n * k)
+        for r in range(-k, 0):
+            # Right-hand side k + r is entry r of a stored tail, and dot's
+            # zip stops at xt's end, before the first of them.
+            xt = [0] * n
             for c in range(n - 1, -1, -1):
                 b = basis[c]
                 if b:
-                    # zip stops at x's end, before b's right-hand-side entry.
-                    x[c] = sub(value(b[-1]), dot(x[c + 1 :], b))
-            return x
-        # Row form: row c of x is its right-hand sides, the tail of b from
-        # column n on, less b[j] times each later row j.
-        x = [None] * n
-        for c in range(n - 1, -1, -1):
-            b = basis[c]
-            row = [value(y) for y in b[n - c - 1 :]] if b else [0] * k
-            for xj, y in zip(x[c + 1 :], b):
-                if y:
-                    mul_add(row, neg(value(y)), xj)
-            x[c] = row
-        return [v for row in x for v in row]
+                    xt[c] = sub(value(b[r]), dot(xt[c + 1 :], b))
+            x[k + r :: k] = xt
+        return x
 
     def columns(blocks, width):
         rows = [x for b in blocks for x in b]
@@ -485,7 +478,7 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
             mul_add(acc, neg(b), prev)
         return acc
 
-    def to_newton(points, d):
+    def to_newton(points):
         betas = [a for a, _ in points]
         if len(set(betas)) < len(betas):
             raise DivisionByZero("two points share a beta")
@@ -493,7 +486,7 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
         group = [g for g, w in enumerate(ws) for _ in w]
         r = [[over(sub(a, b)) for b in betas[:g]] for g, a in enumerate(betas)]
         c = [ws[g][0] for g in group]
-        for k in range(1, d):
+        for k in range(1, len(group)):
             # Level k from level k - 1: node i pairs with node i - k, which
             # holds the same beta when both are in one group.
             c[k:] = level(ws, k, r, zip(group[k:], group, c[k:], c[k - 1 :]))
@@ -558,9 +551,11 @@ def _byte_rows(p, s, w, exp):
     whose v[j] has the plane's bit. A product is s - 1 shift steps and
     about n * s / 2 int XORs, where a translate and a from_bytes per
     column cost more than the XOR; the columns pay one from_bytes each,
-    once, when packed. back_substitute with one right-hand side adds one
-    translated column of the stored rows per nonzero entry of x; with k of
-    them it adds one translated k-byte row of x per nonzero coefficient.
+    once, when packed. back_substitute chooses its form by the k it reads:
+    for k = 1, solve's, it adds one translated column of the stored rows
+    per nonzero entry of x; for k > 1, verify's k = n, it adds one
+    translated k-byte row of x per nonzero coefficient, where the column
+    form would cut and translate every column once per right-hand side.
     from_newton holds its polynomial as one int, constant term in the low
     byte, so a Horner step acc * (X - b) + c is one shift, one translate
     through the table of -b and one add.
@@ -636,7 +631,8 @@ def _byte_rows(p, s, w, exp):
                 t = from_bytes(t.to_bytes(e + 1, "big").translate(red), "big")
         return -1
 
-    def back_substitute(basis, n, k=1):
+    def back_substitute(basis, n):
+        k = len(basis) - n
         if k == 1:
             # acc starts as column n and loses x[c] * column c once x[c] is
             # known, so entry c of acc is x[c] when column c comes up.

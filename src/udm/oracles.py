@@ -152,14 +152,12 @@ def refute_bound(field: Field, n: int, L: int, budget: int = 10_000_000) -> Sear
                 f"{q}^{n * n * slots} raw candidates exceed the budget of {budget}"
             )
     base = (identity(field, n), anti_identity(field, n))[:L]
-    if slots == 0:
-        fam = UdmFamily(field, L, n, base)
-        if verify(fam).passed:
-            return SearchReport(True, fam, total, 1)
-        return SearchReport(False, None, total, 1)
+    # With no slot there is no candidate, and product(repeat=0) below
+    # yields the one empty pick: base alone is verified.
+    combos = itertools.product(range(q), repeat=n * n) if slots else ()
     candidates = (
         (Matrix._unchecked(field, n, n, combo), field.mul(combo[n - 2], field.inv(combo[n - 1])))
-        for combo in itertools.product(range(q), repeat=n * n)
+        for combo in combos
         if all(combo[:n])
     )
     # One slot takes the candidates as they come, so the search stops making

@@ -594,6 +594,16 @@ def test_oracle_bound_finds_at_the_limit(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("L", ["1", "2"])
+def test_oracle_bound_with_no_slot_verifies_the_base(capsys, L):
+    # L <= 2 leaves no matrix to search: the base alone, I or (I, J), is
+    # the one raw candidate, and it is verified.
+    assert main(["oracle", "bound", "--q", "3", "--L", L, "--n", "3"]) == 0
+    out = capsys.readouterr().out
+    assert f"found ({L},3,3) family after verifying 1 of 1 raw candidates" in out
+    assert "PASS" in out
+
+
 def test_oracle_bound_budget_exceeded(capsys):
     assert main(["oracle", "bound", "--q", "3", "--n", "3"]) == 2
     assert "budget" in capsys.readouterr().err

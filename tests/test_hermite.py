@@ -153,10 +153,10 @@ def test_to_newton_matches_per_entry_levels(field):
                 points.append((b, [rng.randrange(q)]))
         d = len(shape)
         want = naive_divided_differences(field, points, d)
-        assert field.to_newton(points, d) == want, points
+        assert field.to_newton(points) == want, points
     # Two points with one beta: the per-entry levels divide by zero.
     with pytest.raises(DivisionByZero):
-        field.to_newton([(nz, [1]), (0, [2]), (nz, [3])], 3)
+        field.to_newton([(nz, [1]), (0, [2]), (nz, [3])])
 
 
 @pytest.mark.parametrize("field", ROW_KERNEL_FIELDS, ids=repr)
@@ -172,7 +172,7 @@ def test_hermite_recovers_random_polynomials(field):
         u = [rng.randrange(q) for _ in range(n)]
         top = u[::-1][: n - sum(ks)]
         points = [(b, hasse_taylor(field, u, b, k)) for b, k in zip(betas, ks)]
-        assert hermite(field, n, top, points) == u
+        assert hermite(field, top, points) == u
 
 
 def hermite_case(field, u, top_count, betas, ks):
@@ -208,7 +208,7 @@ def test_hermite_edge_shapes(field):
         for _ in range(10):
             u = [rng.randrange(q) for _ in range(n)]
             top, points = hermite_case(field, u, top_count, betas, ks)
-            assert hermite(field, n, top, points) == u, (n, top_count, betas, ks)
+            assert hermite(field, top, points) == u, (n, top_count, betas, ks)
 
 
 # -- decode against solve and the Gaussian reference --------------------------------------

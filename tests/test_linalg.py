@@ -517,9 +517,9 @@ BACK_SUBSTITUTE_FIELDS = [Field(p, s) for p, s in [(7, 1), (5, 2), (3, 3), (131,
 @pytest.mark.parametrize("field", BACK_SUBSTITUTE_FIELDS, ids=repr)
 def test_back_substitute_solves_k_right_hand_sides_at_once(field):
     # The n rows of [a | y_0 ... y_{k-1}] for an invertible a, inserted into
-    # one basis: column t of back_substitute(basis, n, k) is solve(a, y_t),
-    # which equals the Gaussian reference. Zero right-hand sides and unit
-    # rows, whose stored tails may be empty, are among them.
+    # one basis of n + k slots: column t of back_substitute(basis, n) is
+    # solve(a, y_t), which equals the Gaussian reference. Zero right-hand
+    # sides and unit rows, whose stored tails may be empty, are among them.
     rng = random.Random(field.q * 17 + field.s)
     for trial in range(60):
         n, k = rng.randint(1, 6), rng.randint(1, 5)
@@ -537,7 +537,7 @@ def test_back_substitute_solves_k_right_hand_sides_at_once(field):
         basis = [None] * (n + k)
         for i in range(n):
             assert 0 <= field.insert_row(basis, a.row(i) + tuple(y[i] for y in ys)) < n
-        x = field.back_substitute(basis, n, k)
+        x = field.back_substitute(basis, n)
         assert len(x) == n * k
         for t, y in enumerate(ys):
             assert tuple(x[t::k]) == solve(a, y) == solve_gaussian(a, y)
@@ -550,15 +550,15 @@ def test_back_substitute_solves_k_right_hand_sides_at_once(field):
         basis = [None] * (2 * n)
         for i in range(n):
             field.insert_row(basis, a.row(i) + rev.row(i))
-        assert matmul(a, Matrix(field, n, n, field.back_substitute(basis, n, n))) == rev
+        assert matmul(a, Matrix(field, n, n, field.back_substitute(basis, n))) == rev
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS + BYTE_ROW_EDGES, ids=repr)
 def test_back_substitute_on_dense_bases_matches_the_reference(field):
     # Dense invertible a and dense right-hand sides, k in {1, 2, n}: k = 1
-    # takes the byte-row kernel's column form, k > 1 the row form of both
-    # kernels, and every column of x is the Gaussian solution computed with
-    # per-element Field calls.
+    # takes the byte-row kernel's column form, k > 1 its row form, and
+    # every column of x is the Gaussian solution computed with per-element
+    # Field calls.
     rng = random.Random(field.q * 7 + field.s)
     for n in (1, 2, 5, 12, 24):
         a = random_matrix(rng, field, n, n)
@@ -569,7 +569,7 @@ def test_back_substitute_on_dense_bases_matches_the_reference(field):
             basis = [None] * (n + k)
             for i in range(n):
                 field.insert_row(basis, a.row(i) + tuple(y[i] for y in ys))
-            x = field.back_substitute(basis, n, k)
+            x = field.back_substitute(basis, n)
             assert [tuple(x[t::k]) for t in range(k)] == [solve_gaussian(a, y) for y in ys]
 
 
