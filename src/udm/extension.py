@@ -1,5 +1,6 @@
 """GF(p**s) for s > 1: the modulus, the primitive element, and the exp,
-log and Zech tables that udm.gf's encodings read.
+log and log1p tables that udm.gf's encodings read, each an array('H') of
+2 bytes an entry.
 
 udm.gf imports this module only when it builds a field with s > 1, so a
 process that uses prime fields alone never compiles or loads it. The
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import struct
 import sys
+from array import array
 from operator import add as _int_add, xor
 
 from .gf import _prime_factors
@@ -21,33 +23,36 @@ from .gf import _prime_factors
 # block of as many is the previous block times alpha**_EXP_BLOCK.
 _EXP_BLOCK = 1023
 
-# Where the low byte of an element sits in a native 16-bit word, which is
-# how memoryview.cast("H") reads the exp table back.
+# Where the low byte of an element sits in a native 16-bit word, the item
+# of the array("H") tables.
 _LOW = 0 if sys.byteorder == "little" else 1
 
 
 def extension_tables(p: int, s: int):
-    """(modulus, alpha, exp, log, zech) of GF(p**s), s > 1: exp[k] =
-    alpha**k, log its inverse, and for odd p the Zech logarithms, zech[k] =
-    log(1 + alpha**k), None where 1 + alpha**k = 0, i.e. at k = (q - 1) / 2.
+    """(modulus, alpha, exp, log, log1p) of GF(p**s), s > 1, each table an
+    array('H'): exp[k] = alpha**k for k < q - 1, log its inverse on the
+    q elements (log[0] = 0 marks no logarithm), and for odd p log1p[v] =
+    log(1 + v), log1p[p - 1] = 0 where 1 + v = 0; None for p = 2. So
+    GF(2^16) holds 256 KiB of tables and GF(3^10) 346 KiB.
     """
     q = p**s
     modulus, alpha = _modulus_and_alpha(p, s)
     exp = _exp_table(p, s, modulus, alpha)
-    log = [0] * q
-    for k, v in enumerate(exp):
-        log[v] = k
-    zech = None
+    log = array("H", bytes(2 * q))
+    with memoryview(log) as view:
+        # A memoryview item store skips the argument parsing of the array's
+        # own, about a sixth of this loop.
+        for k, v in enumerate(exp):
+            view[v] = k
+    log1p = None
     if p != 2:
         # Adding 1 changes only the lowest base-p digit, which wraps from
-        # p - 1 to 0, so log_plus_one[v] = log(v + 1) is log shifted, with
-        # every p-th entry taken from the start of its digit block.
-        log_plus_one = log[1:]
-        log_plus_one.append(0)
-        log_plus_one[p - 1 :: p] = log[::p]
-        zech = [log_plus_one[v] for v in exp]
-        zech[(q - 1) // 2] = None
-    return modulus, alpha, exp, log, zech
+        # p - 1 to 0, so log1p is log shifted by one, with every p-th entry
+        # taken from the start of its digit block.
+        log1p = log[1:]
+        log1p.append(0)
+        log1p[p - 1 :: p] = log[::p]
+    return modulus, alpha, exp, log, log1p
 
 
 def _digits(value: int, p: int, width: int) -> list[int]:
@@ -235,8 +240,8 @@ def _modulus_and_alpha(p: int, s: int) -> tuple[list[int], int]:
     raise AssertionError("no primitive element found")  # unreachable
 
 
-def _exp_table(p: int, s: int, f: list[int], alpha: int) -> list[int]:
-    """exp[k] = alpha**k for k < q - 1.
+def _exp_table(p: int, s: int, f: list[int], alpha: int) -> array:
+    """exp[k] = alpha**k for k < q - 1, as an array('H').
 
     Multiplying by alpha is GF(p)-linear on digit vectors, so the image
     of an element is the digit-wise sum of the images of its low s // 2
@@ -257,9 +262,10 @@ def _exp_table(p: int, s: int, f: list[int], alpha: int) -> list[int]:
       unreduced image; the table is indexed by the packed half.
 
     That loop computes only the first _EXP_BLOCK powers when q - 1 is
-    larger, and _exp_blocks the rest, a block at a time, unless the field
-    fails its byte bound: groups * (p - 1) < 256, for the groups =
-    ceil(s / g) bytes of g digits each, p**g <= 256, that hold an element.
+    larger, and _exp_blocks the rest, a block at a time, appended to the
+    array as native 16-bit words, unless the field fails its byte bound:
+    groups * (p - 1) < 256, for the groups = ceil(s / g) bytes of g digits
+    each, p**g <= 256, that hold an element.
     The bound fails exactly for the primes from 131 up, where s = 2, g = 1
     and two digits sum past 255; there the first block is the whole
     table. Both choices depend on (p, s) alone, as _byte_rows' does.
@@ -295,12 +301,13 @@ def _exp_table(p: int, s: int, f: list[int], alpha: int) -> list[int]:
         return out
 
     images = [sum(d << (w * i) for i, d in enumerate(v)) for v in _times_x(_digits(alpha, p, s), f, p)]
-    exp = [0] * first
+    exp = array("H", bytes(2 * first))
+    view = memoryview(exp)
     if p == 2:
         low, high, mask = span(images[:h]), span(images[h:]), (1 << h) - 1
         v = 1
         for k in range(first):
-            exp[k] = v
+            view[k] = v
             v = low[v & mask] ^ high[v >> h]
     else:
         units = [1 << (w * j) for j in range(s)]
@@ -315,13 +322,14 @@ def _exp_table(p: int, s: int, f: list[int], alpha: int) -> list[int]:
         v = 1
         for k in range(first):
             u = low[v & mask] + high[v >> shift]
-            exp[k] = u & cmask
+            view[k] = u & cmask
             v = u >> cb
             v -= (((v + carry) & top) >> (w - 1)) * p
+    view.release()
     if first < m:
         # v is alpha**first, packed w bits per digit.
         c = [v >> w * i & (1 << w) - 1 for i in range(s)]
-        return exp + _exp_blocks(p, s, g, f, exp, c, m - first)
+        exp.frombytes(_exp_blocks(p, s, g, f, exp, c, m - first))
     return exp
 
 
@@ -342,9 +350,10 @@ def _sums(levels, n):
 
 
 def _exp_blocks(p, s, g, f, block, c, count):
-    """The count powers that follow block, a list of powers of alpha, in a
-    field of modulus f: each further block is the previous one times c,
-    the power after block's last, as a digit list.
+    """The count powers that follow block, an array('H') of powers of
+    alpha, as the bytes of native 16-bit words, in a field of modulus f:
+    each further block is the previous one times c, the power after
+    block's last, as a digit list.
 
     Multiplying by c is GF(p)-linear on digit vectors, so it acts on a
     whole block at once through byte planes. Plane i holds group i of every
@@ -358,7 +367,7 @@ def _exp_blocks(p, s, g, f, block, c, count):
     byte bound), and a translate through red[u] reduces each digit mod p
     and places it in its group's canonical byte, so the units of one group
     add without carrying. The new powers, each sum(plane_i * p**(g * i)),
-    come back to a list of ints in one pass over native 16-bit words.
+    are written to their words' low and high bytes, as _LOW places them.
     """
     b, size, groups, from_bytes = len(block), p**g, -(-s // g), int.from_bytes
     w = 1 if p == 2 else (groups * (p - 1)).bit_length()
@@ -377,8 +386,8 @@ def _exp_blocks(p, s, g, f, block, c, count):
         ])
     if p == 2:
         combine, red = xor, [None] * len(cuts)
-        data = struct.pack(f"<{b}H", *block)
-        planes = [data[::2], data[1::2]]
+        data = block.tobytes()
+        planes = [data[_LOW::2], data[1 - _LOW :: 2]]
     else:
         combine, red, planes = _int_add, [], []
         for d0, d1 in cuts:
@@ -413,4 +422,4 @@ def _exp_blocks(p, s, g, f, block, c, count):
             low, high = out[::2], out[1::2]
         data[2 * done + _LOW : 2 * (done + n) : 2] = low
         data[2 * done + 1 - _LOW : 2 * (done + n) : 2] = high
-    return memoryview(data).cast("H").tolist()
+    return data

@@ -94,8 +94,11 @@ class Field:
     A prime field needs only its smallest primitive root. For s > 1,
     udm.extension, imported on first use, finds the modulus by Rabin's test
     and the primitive element by powers, both on polynomials packed one int
-    each (Kronecker substitution), and builds the exp, log and Zech tables,
-    exp a block of powers at a time past its first 1023.
+    each (Kronecker substitution), and builds the exp and log tables and,
+    for odd p, log1p, the logarithm of each element's successor; exp is
+    built a block of powers at a time past its first 1023. Each table is
+    an array('H'), 2 bytes an entry, so no field holds more than 370 KiB
+    of them (GF(251^2)).
 
     add, neg, sub, mul, inv and pow, and the six row and polynomial
     kernels insert_row, back_substitute, columns, dot_columns, from_newton
@@ -113,7 +116,7 @@ class Field:
         "_alpha",
         "_exp",
         "_log",
-        "_zech",
+        "_log1p",
         "add",
         "neg",
         "sub",
@@ -144,13 +147,13 @@ class Field:
         self.q = q
         if s == 1:
             cofactors = [(p - 1) // r for r in _prime_factors(p - 1)]
-            self.modulus = self._exp = self._log = self._zech = None
+            self.modulus = self._exp = self._log = self._log1p = None
             self._alpha = next(a for a in range(1, p) if all(pow(a, m, p) != 1 for m in cofactors))
         else:
             from .extension import extension_tables
 
-            self.modulus, self._alpha, self._exp, self._log, self._zech = extension_tables(p, s)
-        ops = _encoding(p, s, self._alpha, self._exp, self._log, self._zech)
+            self.modulus, self._alpha, self._exp, self._log, self._log1p = extension_tables(p, s)
+        ops = _encoding(p, s, self._alpha, self._exp, self._log, self._log1p)
         self.add, self.neg, self.sub, self.mul, self.inv, self.pow = ops[:6]
         self.insert_row, self.back_substitute, self.columns, self.dot_columns = ops[6:10]
         self.from_newton, self.to_newton = ops[10:]
@@ -192,12 +195,13 @@ def _zero_power(e: int) -> int:
     return 0 if e else 1
 
 
-def _encoding(p: int, s: int, alpha: int, exp, log, zech):
+def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
     """The arithmetic of GF(p**s), bound once for its element encoding, as
     plain functions: (add, neg, sub, mul, inv, pow, insert_row,
     back_substitute, columns, dot_columns, from_newton, to_newton). alpha
-    is the field's primitive element, and exp, log and zech are its tables
-    (None for a prime field, zech None for p = 2).
+    is the field's primitive element, and exp, log and log1p are its
+    array('H') tables (None for a prime field, log1p None for p = 2),
+    which the kernels index as they would lists, negative indices included.
 
     The scalar ops act on canonical elements; inv(0) and pow(0, e) for
     e < 0 raise DivisionByZero, and pow(a, 0) == 1 for every a.
@@ -248,8 +252,11 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     - the primes: (c_i - c_{i-1}) * r % p, r = 1 / (a - b);
     - every other field: exp[log[c_i - c_{i-1}] + r] for a nonzero
       difference, r = -log[a - b] in (-m, 0], so that the index wraps.
-      The difference is an XOR in characteristic 2, and in odd
-      characteristic one call of sub, its Zech step.
+      The difference is an XOR in characteristic 2. In odd
+      characteristic it is inlined: c_i - c_{i-1} = c_i * (1 + v) for v =
+      -c_{i-1} / c_i, zero when v = -1, so the quotient's logarithm is
+      log[c_i] + log1p[v] + r; a zero c_i or c_{i-1} takes its own
+      branch.
 
     The encoding is chosen once, here. A field whose elements pack into
     one byte with room for a digit-wise sum, GF(2^s) for s <= 8, the odd
@@ -274,8 +281,9 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
     - prime fields: the residues themselves, reduced with % p;
     - characteristic 2: stored rows hold logarithms, sums are XORs;
     - odd characteristic, s > 1: stored rows hold logarithms, sums go
-      through Zech logarithms, alpha**a + alpha**b = alpha**(a + zech[b -
-      a]), and -1 = alpha**((q - 1) / 2).
+      through Zech logarithms, alpha**a + alpha**b = alpha**(a + log1p[v])
+      for v = exp[b - a], zero when v = -1, which is p - 1 and
+      alpha**((q - 1) / 2).
     Stored logarithms are kept in [-m, 0) for m = q - 1, with 0 marking a
     zero entry, so that adding a logarithm in [0, m) gives an index in
     [-m, m), where Python's negative indexing wraps the exp table mod m;
@@ -387,15 +395,15 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
                     acc[: len(v)] = [x ^ exp[log[y] + lc] if y else x for x, y in zip(acc, v)]
 
         else:
-            half = m // 2  # alpha**half == -1
+            half, minus_one = m // 2, p - 1  # -1 is alpha**half, encoded p - 1
 
             def add_power(x, lw):
                 """x + alpha**lw for canonical x and lw in [-m, m)."""
                 if not x:
                     return exp[lw]
                 lx = log[x]
-                z = zech[(lw - lx) % m]
-                return 0 if z is None else exp[lx + z - m]
+                v = exp[(lw - lx) % m]
+                return 0 if v == minus_one else exp[lx + log1p[v] - m]
 
             def add(a, b):
                 return add_power(a, log[b]) if b else a
@@ -405,6 +413,21 @@ def _encoding(p: int, s: int, alpha: int, exp, log, zech):
 
             def sub(a, b):
                 return add_power(a, log[b] + half - m) if b else a  # + (-b)
+
+            def level(ws, k, r, steps):
+                # c_i - c_{i-1} = c_i * (1 + v) for v = -c_{i-1} / c_i, as in
+                # add_power, so the quotient's logarithm is lc + log1p[v] + r.
+                return [
+                    ws[g][k] if g == h
+                    else (
+                        0 if (v := exp[(log[cj] + half - (lc := log[ci])) % m]) == minus_one
+                        else exp[(lc + log1p[v] + r[g][h]) % m]
+                    ) if ci and cj
+                    else exp[log[ci] + r[g][h]] if ci
+                    else exp[(log[cj] + half + r[g][h]) % m] if cj
+                    else 0
+                    for g, h, ci, cj in steps
+                ]
 
             def reduce(t, i, b):
                 nf = (log[t[i]] + half) % m  # the logarithm of -t[i]

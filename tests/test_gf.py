@@ -6,6 +6,8 @@ import hashlib
 import math
 import pickle
 import random
+import sys
+from array import array
 
 import pytest
 
@@ -504,12 +506,14 @@ EXTENSION_FIELDS_ABOVE_1024 = [
 BLOCK_EDGE_FIELDS = [(31, 2), (2, 10), (11, 3), (37, 2), (2, 11), (3, 7)]
 
 # sha256 over every extension field with q <= 2**16, in order of p and
-# then s, of repr((p, s, modulus, alpha, exp, log, zech)), pinned from the
-# tables built one power at a time, before the block build.
+# then s, of repr((p, s, modulus, alpha, exp, log, zech)), with the tables
+# as lists (legacy_tables), pinned from the tables built one power at a
+# time, before the block build.
 ALL_TABLES_DIGEST = "15ca542804dfec3f6d87e67dd352b898d880224869f5c220568f7bd460ea51de"
 
-# sha256 of repr((_exp, _log, _zech)), pinned from the tables built one
-# Horner step per power over alpha's digits, before the half-table build.
+# sha256 of repr((exp, log, zech)) of legacy_tables, pinned from the
+# tables built one Horner step per power over alpha's digits, before the
+# half-table build.
 PINNED_TABLE_DIGESTS = {
     (3, 10): "827103e8375298bb269ad93cf0dfb80013ab43e03062d2b32785f0ad8c7606f7",
     (251, 2): "f9209d0d63602f284ec754ccd349d505f1dda94d2e7dbced16c6d1149b13570c",
@@ -522,11 +526,30 @@ def big_fields():
     return {(2, 16): Field(2, 16), (3, 10): Field(3, 10)}
 
 
+def legacy_tables(f):
+    """(exp, log, zech) as the lists the pinned digests were taken from:
+    zech[k] = log(1 + alpha**k), None where that sum is 0, i.e. where
+    alpha**k = -1 = p - 1, and zech None for p = 2."""
+    zech = None if f.p == 2 else [None if v == f.p - 1 else f._log1p[v] for v in f._exp]
+    return list(f._exp), list(f._log), zech
+
+
+@pytest.mark.parametrize("p,s", [(2, 16), (3, 10), (251, 2)])
+def test_tables_are_16_bit_arrays(big_fields, p, s):
+    f = big_fields.get((p, s)) or Field(p, s)
+    tables = [f._exp, f._log] + ([f._log1p] if p != 2 else [])
+    assert [type(t) for t in tables] == [array] * len(tables)
+    assert [t.typecode for t in tables] == ["H"] * len(tables)
+    assert [len(t) for t in tables] == [f.q - 1, f.q, f.q][: len(tables)]
+    assert (f._log1p is None) == (p == 2)
+    assert sum(map(sys.getsizeof, tables)) < 500_000
+
+
 def check_tables_by_polynomial_products(f, samples):
     """exp is a bijection onto the nonzero elements, log its inverse, and
     exp[k+1] = exp[k]*alpha mod modulus by the tests' own polynomial
-    product at `samples` seeded k; for odd p, zech[k] is log(1 + exp[k])
-    computed digit-wise, or None where that sum is 0."""
+    product at `samples` seeded k; for odd p, log1p[exp[k]] is log(1 +
+    exp[k]) computed digit-wise, and exp[k] is p - 1 where that sum is 0."""
     p, s = f.p, f.s
     m = f.q - 1
     exp, log = f._exp, f._log
@@ -541,7 +564,10 @@ def check_tables_by_polynomial_products(f, samples):
         if p != 2:
             d = digits(exp[k], p, s)
             one_plus = undigits([(d[0] + 1) % p] + d[1:], p)
-            assert f._zech[k] == (log[one_plus] if one_plus else None)
+            if one_plus:
+                assert f._log1p[exp[k]] == log[one_plus]
+            else:
+                assert exp[k] == p - 1
 
 
 def check_exp_by_repeated_products(f):
@@ -588,7 +614,7 @@ def test_every_extension_field_matches_the_pinned_digest():
     assert len(fields) == 93
     for p, s in fields:
         f = Field(p, s)
-        h.update(repr((p, s, f.modulus, f.primitive_element(), f._exp, f._log, f._zech)).encode())
+        h.update(repr((p, s, f.modulus, f.primitive_element(), *legacy_tables(f))).encode())
     assert h.hexdigest() == ALL_TABLES_DIGEST
 
 
@@ -605,7 +631,7 @@ def test_mid_size_field_tables_against_polynomial_products(p, s):
 @pytest.mark.parametrize("p,s", sorted(PINNED_TABLE_DIGESTS))
 def test_tables_match_pinned_digests(big_fields, p, s):
     f = big_fields.get((p, s)) or Field(p, s)
-    digest = hashlib.sha256(repr((f._exp, f._log, f._zech)).encode()).hexdigest()
+    digest = hashlib.sha256(repr(legacy_tables(f)).encode()).hexdigest()
     assert digest == PINNED_TABLE_DIGESTS[(p, s)]
 
 

@@ -513,12 +513,16 @@ def plus_one(v, p):
 
 @pytest.mark.parametrize("p, s", [(3, 2), (5, 2), (3, 3), (3, 10)])
 def test_zech_table_matches_field_addition(p, s):
-    # zech[k] is the logarithm of 1 + alpha**k, computed here digit-wise
-    # and looked up by its index in the exp table, never through Field.add.
+    # log1p[v] is the logarithm of 1 + v, computed here digit-wise and
+    # looked up by its index in the exp table, never through Field.add.
+    # The one v with 1 + v = 0 is -1, encoded p - 1 and equal to
+    # alpha**((q - 1) / 2), and its entry is 0.
     field = Field(p, s)
-    exp, zech = field._exp, field._zech
+    q, exp, log1p = field.q, field._exp, field._log1p
     index = {v: k for k, v in enumerate(exp)}
-    ks = range(len(exp)) if field.q < 1000 else random.Random(310).sample(range(len(exp)), 2000)
-    for k in ks:
-        w = plus_one(exp[k], p)
-        assert zech[k] == (None if w == 0 else index[w])
+    vs = range(q) if q < 1000 else random.Random(310).sample(range(q), 2000) + [0, p - 1, q - 1]
+    for v in vs:
+        w = plus_one(v, p)
+        assert (w == 0) == (v == p - 1)
+        assert log1p[v] == (0 if w == 0 else index[w])
+    assert exp[(q - 1) // 2] == p - 1
