@@ -60,9 +60,7 @@ def render_family(family: UdmFamily) -> str:
     if family.alpha is not None:
         lines.append(f"alpha {family.alpha}")
     for l, m in enumerate(family.matrices):
-        lines.append(f"matrix {l}")
-        for i in range(family.n):
-            lines.append(" ".join(str(v) for v in m.row(i)))
+        lines += (f"matrix {l}", format_matrix(m))
     return "\n".join(lines) + "\n"
 
 
@@ -300,14 +298,12 @@ def cmd_transform(args) -> int:
         if args.matrix is None:
             raise ParseError("--op right-mul requires --matrix")
         out = families.right_multiply(fam, parse_matrix_arg(fam.field, args.matrix, fam.n))
-    elif args.op == "left-tri":
+    else:  # left-tri, the last of --op's choices
         if args.matrix is None or args.ell is None:
             raise ParseError("--op left-tri requires --ell and --matrix")
         out = families.left_transform(
             fam, args.ell, parse_matrix_arg(fam.field, args.matrix, fam.n)
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown op {args.op!r}")
     _write_text(args.out, render_family(out))
     if args.then_verify:
         return _verify(out)

@@ -21,18 +21,16 @@ from .errors import (
     InsufficientSymbols,
     RankDeficient,
 )
-from .families import UdmFamily, is_generator
+from .families import UdmFamily, _gaps, _Record, is_generator
 from .gf import Field
 from .linalg import Matrix, matvec, solve, stack_prefixes
 
 
-class ChannelOutput:
-    """Per-channel prefix lengths and the surviving leading symbols.
+class ChannelOutput(_Record):
+    """Per-channel prefix lengths and the surviving leading symbols; an
+    immutable record (families._Record) on (ks, prefixes)."""
 
-    Instances are immutable; they compare, hash, print and pickle on
-    (ks, prefixes)."""
-
-    __slots__ = ("ks", "prefixes")
+    __slots__ = _fields = ("ks", "prefixes")
 
     def __init__(self, ks: tuple[int, ...], prefixes: tuple[tuple[int, ...], ...]):
         ks = tuple(ks)
@@ -44,26 +42,6 @@ class ChannelOutput:
                 raise DimensionMismatch(f"prefix of length {len(p)} declared as k={k}")
         object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "prefixes", prefixes)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable ChannelOutput")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable ChannelOutput")
-
-    def __eq__(self, other):
-        if other.__class__ is not ChannelOutput:
-            return NotImplemented
-        return (self.ks, self.prefixes) == (other.ks, other.prefixes)
-
-    def __hash__(self) -> int:
-        return hash((self.ks, self.prefixes))
-
-    def __repr__(self) -> str:
-        return f"ChannelOutput(ks={self.ks!r}, prefixes={self.prefixes!r})"
-
-    def __reduce__(self):
-        return ChannelOutput, (self.ks, self.prefixes)
 
 
 class SimulationStats(NamedTuple):
@@ -81,10 +59,7 @@ def encode(family: UdmFamily, u: Sequence[int]) -> list[tuple[int, ...]]:
     The L matrices, stacked, are one L*n x n system: its columns are packed
     once per family by the field's columns kernel, on the first encode, and
     kept on the family. Each encode is then one dot_columns pass over them,
-    split into the L blocks. Over GF(2^s), s <= 8, that is s - 1 shift
-    steps of the whole stack and one XOR of a whole column per set bit of
-    a symbol of u; over the other byte-row fields one translate and one add
-    of a whole column per nonzero symbol.
+    split into the L blocks; gf._encoding gives the packed form per field.
     """
     n, field = family.n, family.field
     if len(u) != n:
@@ -128,12 +103,9 @@ def decode(family: UdmFamily, obs: ChannelOutput) -> tuple[int, ...]:
     - Every other family, whatever alpha it claims, and every transform
       output among them: the matching matrix prefixes are stacked and
       solved with linalg.solve, one echelon row insertion per surviving
-      symbol followed by back-substitution, O(n^3) field operations. Over
-      a field whose elements pack into one byte (GF(2^s) for s <= 8, odd
-      primes up to 127, GF(9), GF(25), GF(49)) a row operation is a few
-      C-level calls on a whole byte row (gf._byte_rows), so that is O(n^2)
-      row steps. For a verified family the solve cannot be rank
-      deficient.
+      symbol followed by back-substitution, O(n^3) field operations, on
+      the field's row kernels (gf._encoding). For a verified family the
+      solve cannot be rank deficient.
     """
     n = family.n
     if len(obs.ks) != family.L:
@@ -234,22 +206,15 @@ def uniform_pattern(rng: random.Random, L: int, n: int) -> tuple[int, ...]:
 
 def exact_pattern(rng: random.Random, L: int, n: int) -> tuple[int, ...]:
     """Uniform over all tuples with sum exactly n, via separator positions."""
-    seps = sorted(rng.sample(range(n + L - 1), L - 1))
-    ks = []
-    prev = -1
-    for s in seps:
-        ks.append(s - prev - 1)
-        prev = s
-    ks.append(n + L - 2 - prev)
-    return tuple(ks)
+    return _gaps(sorted(rng.sample(range(n + L - 1), L - 1)), n + L - 1)
 
 
-def geometric_pattern(rng: random.Random, L: int, n: int, r: float = 0.5) -> tuple[int, ...]:
-    """Each prefix survives symbol by symbol with probability r, capped at n."""
+def geometric_pattern(rng: random.Random, L: int, n: int) -> tuple[int, ...]:
+    """Each prefix survives symbol by symbol with probability 1/2, capped at n."""
     ks = []
     for _ in range(L):
         k = 0
-        while k < n and rng.random() < r:
+        while k < n and rng.random() < 0.5:
             k += 1
         ks.append(k)
     return tuple(ks)

@@ -37,7 +37,43 @@ from .linalg import (
 )
 
 
-class UdmFamily:
+class _Record:
+    """An immutable record on the fields a subclass names in _fields: it
+    compares, hashes, prints and pickles on them, plus any __getstate__
+    state; __init__ sets slots with object.__setattr__."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        kind = type(self).__name__
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {kind}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._key(), self.__getstate__()
+
+    def __getstate__(self):
+        return None
+
+
+class UdmFamily(_Record):
     """An ordered list of L square matrices of size n x n over one field.
 
     alpha records the primitive element used by the standard construction;
@@ -45,11 +81,11 @@ class UdmFamily:
     constructed entry pattern behind. A hand-built family can claim any
     alpha, so code that relies on it asks is_generator instead.
 
-    Instances are immutable; they compare, hash, print and pickle on
-    (field, L, n, matrices, alpha).
+    An immutable record (_Record) on (field, L, n, matrices, alpha).
     """
 
     __slots__ = ("field", "L", "n", "matrices", "alpha", "_generator", "_columns")
+    _fields = __slots__[:5]
 
     def __init__(
         self, field: Field, L: int, n: int, matrices: tuple[Matrix, ...], alpha: int | None = None
@@ -67,47 +103,19 @@ class UdmFamily:
                 raise BadArgument("matrix over a different field than the family")
         # _generator is is_generator's answer once known: set by construct
         # and on first use. _columns is field.columns of the matrices'
-        # entries, set by codec.encode on first use: n columns of L * n
-        # bytes each over a byte-row field (ints in characteristic 2, bytes
-        # otherwise), n lists of L * n elements otherwise. Neither is copied
-        # by _replace, and only _generator is pickled.
+        # entries, packed in gf's private format (gf._encoding) by
+        # codec.encode on first use. Neither is copied by _replace, and only
+        # _generator is pickled, as the state.
         for name, value in zip(self.__slots__, (field, L, n, matrices, alpha, None, None)):
             object.__setattr__(self, name, value)
-
-    def _key(self) -> tuple:
-        return (self.field, self.L, self.n, self.matrices, self.alpha)
 
     def _replace(self, **changes) -> UdmFamily:
         """A new family with some fields changed, checked as any other; the
         is_generator answer and the packed columns are not carried over."""
-        fields = dict(
-            field=self.field, L=self.L, n=self.n, matrices=self.matrices, alpha=self.alpha
-        )
-        return UdmFamily(**{**fields, **changes})
+        return UdmFamily(**{**dict(zip(self._fields, self._key())), **changes})
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable UdmFamily")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable UdmFamily")
-
-    def __eq__(self, other):
-        if other.__class__ is not UdmFamily:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"UdmFamily(field={self.field!r}, L={self.L!r}, n={self.n!r}, "
-            f"matrices={self.matrices!r}, alpha={self.alpha!r})"
-        )
-
-    def __reduce__(self):
-        # The is_generator answer travels as the state.
-        return UdmFamily, self._key(), self._generator
+    def __getstate__(self):
+        return self._generator
 
     def __setstate__(self, known: bool):
         object.__setattr__(self, "_generator", known)
@@ -222,13 +230,13 @@ def enumerate_exact_tuples(L: int, n: int):
     """All (k_0, ..., k_{L-1}) with sum n and 0 <= k_l <= n, ascending
     lexicographic with k_0 varying slowest."""
     _check_tuple_sizes(L, n)
-    # Stars and bars: the L - 1 bars among n + L - 1 places, in
-    # lexicographic order, and k_l the gap after bar l - 1.
     end = n + L - 1
-    return (
-        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, end)))
-        for bars in itertools.combinations(range(end), L - 1)
-    )
+    return (_gaps(bars, end) for bars in itertools.combinations(range(end), L - 1))
+
+
+def _gaps(bars, end: int) -> tuple[int, ...]:
+    """Stars and bars: k_l is the gap after bar l - 1, bars ascending in 0..end-1."""
+    return tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, end)))
 
 
 def enumerate_superset_tuples(L: int, n: int):

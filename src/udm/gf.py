@@ -25,34 +25,27 @@ MAX_ORDER = 1 << 16
 _FIELD_STRING_RE = re.compile(r"^q=(\d+)\^(\d+)(?:;mod=([0-9,]+))?$")
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
+def _least_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division that stops there."""
     if n % 2 == 0:
-        return False
+        return 2
     f = 3
     while f * f <= n:
         if n % f == 0:
-            return False
+            return f
         f += 2
-    return True
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _least_factor(n) == n
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, s) with q = p**s and p prime."""
     if q < 2:
         raise NotPrimePower(f"{q} is not a prime power")
-    p = q
-    for d in range(2, q + 1):
-        if d * d > q:
-            break
-        if q % d == 0:
-            p = d
-            break
-    s = 0
-    rest = q
+    p, s, rest = _least_factor(q), 0, q
     while rest % p == 0:
         rest //= p
         s += 1
@@ -76,15 +69,10 @@ def field_of_order(q: int) -> "Field":
 
 def _prime_factors(n: int) -> list[int]:
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
+    while n > 1:
+        out.append(_least_factor(n))
+        while n % out[-1] == 0:
+            n //= out[-1]
     return out
 
 

@@ -13,13 +13,10 @@ stored-row format stays inside gf. matvec and matmul, the transform paths
 and the encode reference, run on its product kernels: Field.columns packs
 a matrix once and Field.dot_columns multiplies it by a vector, as
 codec.encode does with a family's stacked matrices, and matmul packs its
-left factor and multiplies it by each column of the right one. Over every
-field whose elements pack into one byte (GF(2^s) for s <= 8, odd primes
-up to 127, GF(9), GF(25) and GF(49)) those kernels act on whole byte rows
-and columns, so rank and solve are O(n^2) C-level row steps rather than
-O(n^3) Python steps per element, and a product's cost per column falls
-as the columns grow. The tests check rank, solve and left_null_vector
-against per-element Gaussian elimination of their own.
+left factor and multiplies it by each column of the right one. How each
+field stores rows and packs columns is gf's own (gf._encoding). The tests
+check rank, solve and left_null_vector against per-element Gaussian
+elimination of their own.
 """
 
 from __future__ import annotations

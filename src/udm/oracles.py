@@ -31,6 +31,9 @@ from .linalg import Matrix, anti_identity, identity, matmul
 # x86-64 host, Python 3.11).
 MAX_ORACLE_STEPS = {"hasse": 2 * 10**7, "lucas": 6 * 10**5, "delta": 12 * 10**7}
 
+# The most raw candidates, q**(n*n*(L-2)), that refute_bound will search.
+MAX_CANDIDATES = 10_000_000
+
 
 class SearchReport(NamedTuple):
     """What refute_bound found. total_candidates is q**(n*n*(L-2)), or
@@ -115,13 +118,14 @@ def pascal_inverse_check(family: UdmFamily) -> bool:
     return acc == identity(field, n)
 
 
-def refute_bound(field: Field, n: int, L: int, budget: int = 10_000_000) -> SearchReport:
+def refute_bound(field: Field, n: int, L: int) -> SearchReport:
     """Exhaustively search for an (L, n, q) family with A_0 = I and A_1 = J.
 
     Candidate matrices for the remaining slots are pruned by two necessary
     conditions before verification: every first-row entry nonzero, and the
     ratios of the last two first-row entries pairwise distinct across slots.
-    Raises BudgetExceeded when the raw space q**(n*n*(L-2)) is above budget.
+    Raises BudgetExceeded when the raw space q**(n*n*(L-2)) is above
+    MAX_CANDIDATES.
     """
     if n < 1 or L < 1:
         raise BadArgument(f"n and L must be positive, got n={n}, L={L}")
@@ -147,9 +151,9 @@ def refute_bound(field: Field, n: int, L: int, budget: int = 10_000_000) -> Sear
     total = 1
     for _ in range(n * n * slots):
         total *= q
-        if total > budget:
+        if total > MAX_CANDIDATES:
             raise BudgetExceeded(
-                f"{q}^{n * n * slots} raw candidates exceed the budget of {budget}"
+                f"{q}^{n * n * slots} raw candidates exceed the budget of {MAX_CANDIDATES}"
             )
     base = (identity(field, n), anti_identity(field, n))[:L]
     # With no slot there is no candidate, and product(repeat=0) below

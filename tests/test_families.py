@@ -564,7 +564,7 @@ def test_refute_bound_with_one_block_forms_counts_of_up_to_4096_bits():
 
 def test_refute_bound_budget():
     with pytest.raises(BudgetExceeded):
-        refute_bound(F3, 3, 5, budget=100)
+        refute_bound(F3, 3, 5)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,15 @@ import pytest
 
 from udm import extension
 from udm.errors import BadExponent, DivisionByZero, NotPrime, NotPrimePower, ParseError
-from udm.gf import Field, factor_prime_power, field_of_order, field_string, parse_field_string
+from udm.gf import (
+    Field,
+    _prime_factors,
+    factor_prime_power,
+    field_of_order,
+    field_string,
+    is_prime,
+    parse_field_string,
+)
 from udm.hasse import binom, nat_map
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2)]
@@ -211,6 +219,53 @@ def test_factor_prime_power():
     for bad in (1, 6, 12, 100):
         with pytest.raises(NotPrimePower):
             factor_prime_power(bad)
+
+
+def least_factor_sieve(limit):
+    """least[n] is the least prime factor of n for 2 <= n < limit."""
+    least = list(range(limit))
+    for f in range(2, math.isqrt(limit - 1) + 1):
+        if least[f] == f:
+            for m in range(f * f, limit, f):
+                least[m] = min(least[m], f)
+    return least
+
+
+def test_prime_routines_match_a_sieve():
+    least = least_factor_sieve(1 << 12)
+    for n in range(-2, 2):
+        assert not is_prime(n) and _prime_factors(n) == []
+        with pytest.raises(NotPrimePower):
+            factor_prime_power(n)
+    for n in range(2, 1 << 12):
+        factors, rest = [], n
+        while rest > 1:
+            factors.append(least[rest])
+            while rest % factors[-1] == 0:
+                rest //= factors[-1]
+        assert is_prime(n) == (least[n] == n), n
+        assert _prime_factors(n) == factors, n
+        if len(factors) == 1:
+            p = factors[0]
+            assert factor_prime_power(n) == (p, round(math.log(n, p))), n
+        else:
+            with pytest.raises(NotPrimePower):
+                factor_prime_power(n)
+    # Around 2**16: the two largest primes below it, 2**16 and the prime 2**16 + 1.
+    assert is_prime(65519) and is_prime(65521) and is_prime(65537)
+    assert not is_prime(65536) and not is_prime(65535)
+    assert factor_prime_power(65521) == (65521, 1)
+    assert factor_prime_power(65536) == (2, 16)
+    assert _prime_factors(65535) == [3, 5, 17, 257]
+    assert _prime_factors(65520) == [2, 3, 5, 7, 13]
+    assert _prime_factors(65537) == [65537]
+
+
+def test_factor_prime_power_stops_at_the_least_factor():
+    # Trial division up to sqrt(2**62) would take hours; the least factor,
+    # 2, leaves a cofactor that is not a power of 2.
+    with pytest.raises(NotPrimePower):
+        factor_prime_power(2 * (2**61 - 1))
 
 
 # -- arithmetic axioms -------------------------------------------------------------
