@@ -46,6 +46,18 @@ if TYPE_CHECKING:
 
 FILE_TAG = "UDMv1"
 
+# verify's bound on its walk unless --budget sets another, in exact-sum
+# tuples: 24-85 s at the 2.4-8.5 us a tuple measured on 2 cores with
+# Python 3.11, where an unbounded walk could run for years.
+DEFAULT_BUDGET = 10**7
+
+# The longest text of a family within families.MAX_FAMILY_ENTRIES: at n = 1
+# each of up to 2**22 matrices takes "matrix <l>" (at most 15 characters
+# with its newline) and one entry line (at most 6), 21 characters an entry,
+# about 88 MB, and the header takes under 1024. Longer input is refused
+# after reading one character past the cap.
+MAX_INPUT_CHARS = 21 * families.MAX_FAMILY_ENTRIES + 1024
+
 
 # -- family file format -------------------------------------------------------
 
@@ -210,13 +222,18 @@ def format_matrix(m: Matrix) -> str:
 
 
 def _read_text(path: str) -> str:
+    """The text of path, '-' for stdin; ParseError past MAX_INPUT_CHARS."""
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = sys.stdin.read(MAX_INPUT_CHARS + 1)
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read(MAX_INPUT_CHARS + 1)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
+    if len(text) > MAX_INPUT_CHARS:
+        raise ParseError(f"{path}: longer than {MAX_INPUT_CHARS} characters")
+    return text
 
 
 def _write_text(path: str, text: str):
@@ -241,7 +258,7 @@ def _count_text(count: int) -> str:
     return f"at least 2^{count.bit_length() - 1}"
 
 
-def _verify(family: UdmFamily, superset: bool = False, budget: int | None = None) -> int:
+def _verify(family: UdmFamily, superset: bool = False, budget: int = DEFAULT_BUDGET) -> int:
     """families.verify, after stating its tuple count on stderr and
     followed there by its elapsed seconds; refused with BudgetExceeded
     before the walk when the family has more exact-sum tuples than budget,
@@ -251,7 +268,7 @@ def _verify(family: UdmFamily, superset: bool = False, budget: int | None = None
     exact = families.count_exact_tuples(L, n)
     total = families._superset_position(L, n, None) if superset else exact
     print(f"verify: {_count_text(total)} tuples", file=sys.stderr)
-    if budget is not None and exact > budget:
+    if exact > budget:
         raise BudgetExceeded(
             f"{_count_text(exact)} exact-sum tuples exceed the budget of {budget}"
         )
@@ -390,9 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--budget",
         type=int,
+        default=DEFAULT_BUDGET,
         metavar="N",
         help="exit 2 before the walk when the family has more than N tuples with "
-        "sum exactly n; --superset walks only those too, so it is held to the same count",
+        "sum exactly n (default 10^7, which transform --then-verify keeps); "
+        "--superset walks only those too, so it is held to the same count",
     )
     ver.set_defaults(func=cmd_verify)
 

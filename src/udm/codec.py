@@ -59,7 +59,8 @@ def encode(family: UdmFamily, u: Sequence[int]) -> list[tuple[int, ...]]:
     The L matrices, stacked, are one L*n x n system: its columns are packed
     once per family by the field's columns kernel, on the first encode, and
     kept on the family. Each encode is then one dot_columns pass over them,
-    split into the L blocks; gf._encoding gives the packed form per field.
+    split into the L blocks; gf._encoding gives the packed form per field,
+    and udm.byterows that of the fields whose elements fit a byte.
     """
     n, field = family.n, family.field
     if len(u) != n:

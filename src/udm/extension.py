@@ -268,7 +268,7 @@ def _exp_table(p: int, s: int, f: list[int], alpha: int) -> array:
     each, p**g <= 256, that hold an element.
     The bound fails exactly for the primes from 131 up, where s = 2, g = 1
     and two digits sum past 255; there the first block is the whole
-    table. Both choices depend on (p, s) alone, as _byte_rows' does.
+    table. Both choices depend on (p, s) alone, as the byte rows' does.
     """
     q = p**s
     m, h, first = q - 1, s // 2, q - 1

@@ -14,8 +14,6 @@ element encodings and on serialized matrices.
 from __future__ import annotations
 
 import re
-from functools import reduce as _fold
-from itertools import compress
 from operator import mul as _int_mul, xor
 
 from .errors import BadExponent, DivisionByZero, NotPrime, NotPrimePower, ParseError
@@ -158,12 +156,8 @@ class Field:
     # -- value semantics -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Field)
-            and self.p == other.p
-            and self.s == other.s
-            and self.modulus == other.modulus
-        )
+        # (p, s) fixes the canonical modulus, the only one a Field holds.
+        return isinstance(other, Field) and (self.p, self.s) == (other.p, other.s)
 
     def __hash__(self) -> int:
         return hash((self.p, self.s))
@@ -246,15 +240,10 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
       log[c_i] + log1p[v] + r; a zero c_i or c_{i-1} takes its own
       branch.
 
-    The encoding is chosen once, here. A field whose elements pack into
-    one byte with room for a digit-wise sum, GF(2^s) for s <= 8, the odd
-    primes up to 127, GF(9), GF(25) and GF(49), takes the first five kernels
-    from _byte_rows: a row is one byte per element, held as a big-endian
-    int, a sum of rows is one XOR, or one int add and one bytes.translate,
-    and a scaled row one bytes.translate, so each kernel makes a few
-    C-level calls per row instead of one Python step per element. A prime
-    field, which has no tables, passes the powers of its primitive element;
-    for GF(2) that is {1}.
+    The encoding is chosen once, here, from (p, s) alone. A field whose
+    elements pack into one byte, s * w <= 8 for w-bit digits, takes the five
+    row kernels, and for p = 2 to_newton's quotient, from udm.byterows,
+    imported only then; that module's docstring describes the byte rows.
 
     Every other field, and the scalar ops of every field, use the
     per-element kernels. There, a stored row is the tail after the
@@ -286,6 +275,7 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
     Field is in no reference cycle and is freed as soon as it is dropped.
     """
     m = p**s - 1
+    w = 1 if p == 2 else (2 * p - 2).bit_length()
     if s == 1:
 
         def add(a, b):
@@ -326,11 +316,6 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
             if c:
                 acc[: len(v)] = [(x + c * y) % p for x, y in zip(acc, v)]
 
-        over = inv
-
-        def level(ws, k, r, steps):
-            return [ws[g][k] if g == h else (ci - cj) * r[g][h] % p for g, h, ci, cj in steps]
-
     else:
 
         def mul(a, b):
@@ -350,15 +335,6 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
 
         def value(y):
             return exp[y] if y else 0
-
-        def over(x):
-            return -log[x]
-
-        def level(ws, k, r, steps):
-            return [
-                ws[g][k] if g == h else exp[log[x] + r[g][h]] if (x := sub(ci, cj)) else 0
-                for g, h, ci, cj in steps
-            ]
 
         if p == 2:
             add = sub = xor
@@ -433,61 +409,90 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
                     lc = log[c] - m
                     acc[: len(v)] = [add_power(x, log[y] + lc) if y else x for x, y in zip(acc, v)]
 
-    def insert_row(basis, row):
-        t, c = row, 0
-        while True:
-            for i, v in enumerate(t):
-                if v:
-                    break
-            else:
-                return -1
-            c += i
-            b = basis[c]
-            if b is None:
-                b = pivot(t, i)
-                basis[c] = b if any(b) else []
-                return c
-            t = reduce(t, i, b) if b else t[i + 1 :]
-            c += 1
+    if s * w <= 8:
+        from .byterows import byte_rows
 
-    def back_substitute(basis, n):
-        k = len(basis) - n
-        x = [0] * (n * k)
-        for r in range(-k, 0):
-            # Right-hand side k + r is entry r of a stored tail, and dot's
-            # zip stops at xt's end, before the first of them.
-            xt = [0] * n
-            for c in range(n - 1, -1, -1):
+        *kernels, quotient = byte_rows(p, s, w, alpha, exp)
+        insert_row, back_substitute, columns, dot_columns, from_newton = kernels
+    else:
+        quotient = None
+
+        def insert_row(basis, row):
+            t, c = row, 0
+            while True:
+                for i, v in enumerate(t):
+                    if v:
+                        break
+                else:
+                    return -1
+                c += i
                 b = basis[c]
-                if b:
-                    xt[c] = sub(value(b[r]), dot(xt[c + 1 :], b))
-            x[k + r :: k] = xt
-        return x
+                if b is None:
+                    b = pivot(t, i)
+                    basis[c] = b if any(b) else []
+                    return c
+                t = reduce(t, i, b) if b else t[i + 1 :]
+                c += 1
 
-    def columns(blocks, width):
-        rows = [x for b in blocks for x in b]
-        return [rows[j::width] for j in range(width)]
+        def back_substitute(basis, n):
+            k = len(basis) - n
+            x = [0] * (n * k)
+            for r in range(-k, 0):
+                # Right-hand side k + r is entry r of a stored tail, and dot's
+                # zip stops at xt's end, before the first of them.
+                xt = [0] * n
+                for c in range(n - 1, -1, -1):
+                    b = basis[c]
+                    if b:
+                        xt[c] = sub(value(b[r]), dot(xt[c + 1 :], b))
+                x[k + r :: k] = xt
+            return x
 
-    if s == 1:
+        def columns(blocks, width):
+            rows = [x for b in blocks for x in b]
+            return [rows[j::width] for j in range(width)]
 
-        def dot_columns(cols, v):
-            # Each entry is one unreduced sum of products, reduced once.
-            return [sum(map(_int_mul, v, row)) % p for row in zip(*cols)]
+        if s == 1:
+
+            def dot_columns(cols, v):
+                # Each entry is one unreduced sum of products, reduced once.
+                return [sum(map(_int_mul, v, row)) % p for row in zip(*cols)]
+
+        else:
+
+            def dot_columns(cols, v):
+                acc = [0] * len(cols[0])
+                for col, vj in zip(cols, v):
+                    mul_add(acc, vj, col)
+                return acc
+
+        def from_newton(c, nodes, lead):
+            acc = [lead]
+            for ci, b in zip(reversed(c), reversed(nodes)):
+                acc, prev = [ci] + acc, acc
+                mul_add(acc, neg(b), prev)
+            return acc
+
+    if quotient:
+        over, level = quotient
+    elif s == 1:
+        over = inv
+
+        def level(ws, k, r, steps):
+            return [ws[g][k] if g == h else (ci - cj) * r[g][h] % p for g, h, ci, cj in steps]
 
     else:
 
-        def dot_columns(cols, v):
-            acc = [0] * len(cols[0])
-            for col, vj in zip(cols, v):
-                mul_add(acc, vj, col)
-            return acc
+        def over(x):
+            return -log[x]
 
-    def from_newton(c, nodes, lead):
-        acc = [lead]
-        for ci, b in zip(reversed(c), reversed(nodes)):
-            acc, prev = [ci] + acc, acc
-            mul_add(acc, neg(b), prev)
-        return acc
+        if p == 2:  # odd p binds its level above, beside add_power
+
+            def level(ws, k, r, steps):
+                return [
+                    ws[g][k] if g == h else exp[log[x] + r[g][h]] if (x := sub(ci, cj)) else 0
+                    for g, h, ci, cj in steps
+                ]
 
     def to_newton(points):
         betas = [a for a, _ in points]
@@ -503,217 +508,10 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
             c[k:] = level(ws, k, r, zip(group[k:], group, c[k:], c[k - 1 :]))
         return c, [betas[g] for g in group]
 
-    w = 1 if p == 2 else (2 * p - 2).bit_length()
-    if s * w <= 8:
-        exp = exp or [pow(alpha, k, p) for k in range(m)]
-        *kernels, divide = _byte_rows(p, s, w, exp)
-        insert_row, back_substitute, columns, dot_columns, from_newton = kernels
-        if p == 2:
-            # The packed byte is the canonical element, so a quotient by
-            # a ^ b is one index into the byte-row table of 1 / (a ^ b).
-            over = divide.__getitem__
-
-            def level(ws, k, r, steps):
-                return [ws[g][k] if g == h else r[g][h][ci ^ cj] for g, h, ci, cj in steps]
     return (
         add, neg, sub, mul, inv, power, insert_row, back_substitute, columns, dot_columns,
         from_newton, to_newton,
     )
-
-
-def _byte_rows(p, s, w, exp):
-    """insert_row, back_substitute, columns, dot_columns and from_newton
-    of _encoding for a field whose elements pack into one byte with room
-    for a digit-wise sum, from its exp table, each acting on a whole row,
-    column or bit plane with a few C-level calls; and inv, its tables of
-    x -> x / b.
-
-    An element is packed as its base-p digits, w bits apart, s * w <= 8:
-    w = 1 for p = 2, and w = (2p - 2).bit_length() for odd p, so that the
-    sum of two digits stays in its slot, as _exp_table packs them. For
-    prime fields and in characteristic 2 the packed byte is the canonical
-    encoding itself; otherwise a canonical row packs, and a packed one
-    unpacks, with one translate. A row of n elements is n packed bytes,
-    one per element in column order, or the big-endian int of those bytes.
-    Adding two rows is one XOR in characteristic 2. In odd characteristic
-    it is one int add, in which no digit carries into the next, followed by
-    one translate through red, which reduces every digit mod p. The
-    leading element of a nonzero int row is its top byte.
-
-    A row times c is one translate through the 256-byte table of x -> c * x.
-    The table of alpha maps alpha**k to alpha**(k + 1), and the table of
-    alpha**(k + 1) is that of alpha**k translated through it, so the q - 1
-    tables cost q - 1 translates and no field multiplications. scale[c]
-    is the table of a canonical c; neg[b] and inv[b] are those of -b and
-    1 / b for a packed b, the same tables at other powers of alpha. A
-    stored row is the full-width bytes row scaled to a leading 1;
-    insert_row adds a row with its own XOR, or int add and translate, in
-    place of a call of add.
-    columns joins the packed blocks into one bytes object and cuts out
-    each column as a strided slice. In odd characteristic dot_columns adds
-    one translated column per nonzero v[j]. In characteristic 2, c * y is
-    GF(2)-linear in c, so the sum of v[j] * col_j is the sum over bits b of
-    x**b times the XOR of the columns whose v[j] has bit b set. There
-    columns holds each column as one int, with the stack's height and two
-    masks, ones (a 1 in every byte) and low (the low s - 1 bits of every
-    byte), and dot_columns runs Horner's rule over the bit planes from the
-    top: acc * x for every byte at once, (acc & low) << 1 ^ (acc >> s - 1
-    & ones) * modlow with modlow = x**s reduced, then one XOR per column
-    whose v[j] has the plane's bit. A product is s - 1 shift steps and
-    about n * s / 2 int XORs, where a translate and a from_bytes per
-    column cost more than the XOR; the columns pay one from_bytes each,
-    once, when packed. back_substitute chooses its form by the k it reads:
-    for k = 1, solve's, it adds one translated column of the stored rows
-    per nonzero entry of x; for k > 1, verify's k = n, it adds one
-    translated k-byte row of x per nonzero coefficient, where the column
-    form would cut and translate every column once per right-hand side.
-    from_newton holds its polynomial as one int, constant term in the low
-    byte, so a Horner step acc * (X - b) + c is one shift, one translate
-    through the table of -b and one add.
-
-    That covers GF(2^s) for s <= 8, every odd prime p <= 127, and GF(9),
-    GF(25) and GF(49), the fields with s * w <= 8. translate maps a byte to
-    a byte, so GF(27) (three 3-bit digits), GF(121) (two 5-bit digits),
-    the primes from 131 up (sums up to 260) and every larger field keep the
-    per-element rows.
-    """
-    m = len(exp)
-    pack = [0]
-    for j in range(s):
-        pack = [x + (d << w * j) for d in range(p) for x in pack]
-    pexp = [pack[v] for v in exp]
-    by_alpha = bytearray(256)
-    for a, b in zip(pexp[-1:] + pexp[:-1], pexp):
-        by_alpha[a] = b
-    by_packed = [bytes(256)] * 256
-    t = bytes(range(256))
-    for b in pexp:
-        by_packed[b] = t
-        t = t.translate(by_alpha)
-    scale = [by_packed[b] for b in pack]
-    half = m // 2 if p > 2 else 0  # alpha**half == -1
-    neg, inv = list(by_packed), list(by_packed)
-    for b, nb, ib in zip(pexp, pexp[half:] + pexp[:half], pexp[:1] + pexp[:0:-1]):
-        neg[b], inv[b] = by_packed[nb], by_packed[ib]
-    from_bytes = int.from_bytes
-
-    if s == 1 or p == 2:
-        packed, unpacked = bytes, list
-    else:
-        to_packed, unpack = bytes(pack).ljust(256, b"\0"), bytearray(256)
-        for v, b in enumerate(pack):
-            unpack[b] = v
-
-        def packed(row):
-            return bytes(row).translate(to_packed)
-
-        def unpacked(row):
-            return list(row.translate(unpack))
-
-    if p == 2:
-        add = xor
-    else:
-        red = [0]
-        for j in range(s):
-            red = [x + (d % p << w * j) for d in range(1 << w) for x in red]
-        red = bytes(red).ljust(256, b"\0")
-
-        def add(a, b):
-            v = a + b
-            return from_bytes(v.to_bytes(v.bit_length() + 7 >> 3, "big").translate(red), "big")
-
-    def insert_row(basis, row):
-        top = len(row) - 1
-        t = from_bytes(packed(row), "big")
-        while t:
-            # The leading element is the top byte, byte e from the low end;
-            # the stored row of its column has its top there too, so the
-            # sum fits e + 1 bytes.
-            e = t.bit_length() - 1 >> 3
-            lead, c = t >> 8 * e, top - e
-            b = basis[c]
-            if b is None:
-                basis[c] = t.to_bytes(top + 1, "big").translate(inv[lead])
-                return c
-            if p == 2:
-                t ^= from_bytes(b.translate(neg[lead]), "big")
-            else:
-                t += from_bytes(b.translate(neg[lead]), "big")
-                t = from_bytes(t.to_bytes(e + 1, "big").translate(red), "big")
-        return -1
-
-    def back_substitute(basis, n):
-        k = len(basis) - n
-        if k == 1:
-            # acc starts as column n and loses x[c] * column c once x[c] is
-            # known, so entry c of acc is x[c] when column c comes up.
-            rows = b"".join(basis[:n])
-            x = bytearray(n)
-            acc = from_bytes(rows[n :: n + 1], "big")
-            for c in range(n - 1, -1, -1):
-                xc = x[c] = acc >> 8 * (n - 1 - c) & 255
-                if xc:
-                    acc = add(acc, from_bytes(rows[c :: n + 1].translate(neg[xc]), "big"))
-            return unpacked(x)
-        # Row form: row c of x is the right-hand sides of b, less b[j] times
-        # each later row j.
-        x = [b""] * n
-        for c in range(n - 1, -1, -1):
-            b = basis[c]
-            acc = from_bytes(b[n:], "big")
-            for xj, bj in zip(x[c + 1 :], b[c + 1 : n]):
-                if bj:
-                    acc = add(acc, from_bytes(xj.translate(neg[bj]), "big"))
-            x[c] = acc.to_bytes(k, "big")
-        return unpacked(b"".join(x))
-
-    if p == 2:
-        # planes[i] maps a packed byte to its bit top - i.
-        top = s - 1
-        planes = [bytes(x >> b & 1 for x in range(256)) for b in range(top, -1, -1)]
-        modlow = scale[2][1 << top] if s > 1 else 0  # x**s, reduced
-
-        def columns(blocks, width):
-            rows = b"".join(map(packed, blocks))
-            size = len(rows) // width
-            ones = from_bytes(b"\1" * size, "big")
-            cols = [from_bytes(rows[j::width], "big") for j in range(width)]
-            return cols, size, ones, ones * ((1 << top) - 1)
-
-        def dot_columns(packed_cols, v):
-            cols, size, ones, low = packed_cols
-            vb, acc = bytes(v), 0
-            for plane in planes:
-                # acc * x, every byte at once, then the columns whose
-                # coefficient has this bit.
-                acc = (acc & low) << 1 ^ (acc >> top & ones) * modlow
-                acc ^= _fold(xor, compress(cols, vb.translate(plane)), 0)
-            return list(acc.to_bytes(size, "big"))
-
-    else:
-
-        def columns(blocks, width):
-            rows = b"".join(map(packed, blocks))
-            return [rows[j::width] for j in range(width)]
-
-        def dot_columns(cols, v):
-            acc = 0
-            for col, vj in zip(cols, v):
-                if vj:
-                    acc = add(acc, from_bytes(col.translate(scale[vj]), "big"))
-            return unpacked(acc.to_bytes(len(cols[0]), "big"))
-
-    def from_newton(c, nodes, lead):
-        pc, acc, d = packed(c), pack[lead], len(nodes)
-        for i in range(d - 1, -1, -1):
-            b = nodes[i]
-            t = acc << 8 | pc[i]
-            if b:
-                t = add(t, from_bytes(acc.to_bytes(d - i, "big").translate(neg[pack[b]]), "big"))
-            acc = t
-        return unpacked(acc.to_bytes(d + 1, "big")[::-1])
-
-    return insert_row, back_substitute, columns, dot_columns, from_newton, inv
 
 
 def field_string(field: Field) -> str:

@@ -17,7 +17,7 @@ from udm.cli import (
     render_family,
     render_observation,
 )
-from udm import families, oracles
+from udm import cli, families, oracles
 from udm.codec import ChannelOutput
 from udm.errors import BadArgument, ParseError
 from udm.families import construct, permute, right_multiply
@@ -336,6 +336,29 @@ def test_verify_budget_refuses_before_the_walk(known_path, tmp_path, capsys):
     assert err[1].startswith("error: 186043585 exact-sum tuples exceed the budget")
 
 
+def test_verify_is_bounded_by_default(known_path, tmp_path, capsys):
+    # A (256, 60, 12) file is small, 8640 entries, but its walk has 1.3e13
+    # tuples: without --budget it is refused before the walk, as it is
+    # after transform --then-verify, and an explicit --budget moves the bound.
+    path = tmp_path / "deep.udm"
+    assert main(["generate", "--q", "256", "--L", "60", "--n", "12", "--out", str(path)]) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["verify", "--in", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "verify: 12802736917880 tuples",
+        "error: 12802736917880 exact-sum tuples exceed the budget of 10000000",
+    ]
+    out = str(tmp_path / "out.udm")
+    argv = ["transform", "--in", str(path), "--op", "reverse-pairs", "--out", out, "--then-verify"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.endswith("exceed the budget of 10000000\n")
+    assert main(["verify", "--in", str(known_path), "--budget", str(10**8)]) == 0
+    assert capsys.readouterr().out == "PASS (20 tuples)\n"
+
+
 def test_verify_prints_a_huge_superset_count_as_a_power(tmp_path, capsys):
     # 2**20000 - 1 tuples have more digits than int to str converts.
     path = tmp_path / "long.udm"
@@ -375,6 +398,29 @@ def test_non_utf8_input_files_exit_2(known_path, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 3
     assert all(line.startswith("error: ") and "not UTF-8" in line for line in lines)
+
+
+def test_input_past_the_cap_exits_2(known_path, tmp_path, capsys, monkeypatch):
+    # The cap holds the longest family file within MAX_FAMILY_ENTRIES; here
+    # it is cut to the known file's length, so that file still passes and
+    # one more character of padding, /dev/zero or a long stdin is refused
+    # after reading one character past it.
+    assert cli.MAX_INPUT_CHARS >= 21 * families.MAX_FAMILY_ENTRIES
+    text = known_path.read_text()
+    monkeypatch.setattr(cli, "MAX_INPUT_CHARS", len(text))
+    assert main(["verify", "--in", str(known_path)]) == 0
+    padded = tmp_path / "padded.udm"
+    padded.write_text(text + " ")
+    assert main(["verify", "--in", str(padded)]) == 2
+    assert main(["verify", "--in", "/dev/zero"]) == 2
+    monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n" * 10**6))
+    assert main(["verify", "--in", "-"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    refusals = [line for line in lines if line.startswith("error: ")]
+    assert refusals == [
+        f"error: {name}: longer than {len(text)} characters"
+        for name in (padded, "/dev/zero", "-")
+    ]
 
 
 def generate_gf2_333(tmp_path):

@@ -513,8 +513,9 @@ BYTE_ROW_FIELDS = {(2, 1), (2, 2), (2, 8), (3, 1), (5, 1), (127, 1), (3, 2), (5,
 
 def test_the_field_order_alone_selects_the_byte_row_kernels():
     # GF(2^s) for s <= 8, odd primes up to 127, GF(9), GF(25) and GF(49),
-    # and nothing else: both sides of every boundary. The scalar ops keep
-    # the per-element encoding everywhere.
+    # and nothing else: both sides of every boundary. The byte-row kernels
+    # live in udm.byterows, the per-element ones in udm.gf. The scalar ops
+    # and to_newton keep the per-element encoding everywhere.
     edges = [(2, 9), (2, 16), (131, 1), (251, 1), (3, 3), (3, 5), (3, 10), (11, 2)]
     for p, s in sorted(BYTE_ROW_FIELDS) + edges:
         field = Field(p, s)
@@ -522,9 +523,14 @@ def test_the_field_order_alone_selects_the_byte_row_kernels():
             field.insert_row, field.back_substitute, field.columns, field.dot_columns,
             field.from_newton,
         )
-        owner = "_byte_rows." if (p, s) in BYTE_ROW_FIELDS else "_encoding."
+        if (p, s) in BYTE_ROW_FIELDS:
+            module, owner = "udm.byterows", "byte_rows."
+        else:
+            module, owner = "udm.gf", "_encoding."
+        assert all(f.__module__ == module for f in kernels), (p, s)
         assert all(f.__qualname__.startswith(owner) for f in kernels), (p, s)
-        assert field.mul.__qualname__.startswith("_encoding.")
+        for f in (field.mul, field.to_newton):
+            assert (f.__module__, f.__qualname__.split(".")[0]) == ("udm.gf", "_encoding")
 
 
 def test_field_of_order_checks_the_cap_before_factoring():

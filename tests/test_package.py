@@ -114,6 +114,17 @@ def test_only_an_extension_field_loads_the_extension_module(tmp_path):
     assert not loaded & set(HEAVY)
 
 
+@pytest.mark.parametrize("q, byte_rows", [(3, True), (256, True), (2**16, False), (131, False)])
+def test_only_a_byte_row_field_loads_the_byte_row_module(tmp_path, q, byte_rows):
+    loaded = loaded_by(
+        "from udm.cli import main\n"
+        f"assert main(['generate', '--q', '{q}', '--L', '3', '--n', '2', '--out', 'f.udm']) == 0",
+        tmp_path,
+    )
+    assert ("udm.byterows" in loaded) == byte_rows
+    assert "udm.gf" in loaded
+
+
 def test_codec_loads_codec_but_not_hasse(tmp_path):
     (tmp_path / "f.udm").write_text(render_family(construct(Field(3), 4, 3)))
     loaded = loaded_by(
