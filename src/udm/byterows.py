@@ -24,18 +24,14 @@ insert_row adds a row with its own XOR, or int add and translate, in
 place of a call of add.
 columns joins the packed blocks into one bytes object and cuts out
 each column as a strided slice. In odd characteristic dot_columns adds
-one translated column per nonzero v[j]. In characteristic 2, c * y is
-GF(2)-linear in c, so the sum of v[j] * col_j is the sum over bits b of
-x**b times the XOR of the columns whose v[j] has bit b set. There
-columns holds each column as one int, with the stack's height and two
-masks, ones (a 1 in every byte) and low (the low s - 1 bits of every
-byte), and dot_columns runs Horner's rule over the bit planes from the
-top: acc * x for every byte at once, (acc & low) << 1 ^ (acc >> s - 1
-& ones) * modlow with modlow = x**s reduced, then one XOR per column
-whose v[j] has the plane's bit. A product is s - 1 shift steps and
-about n * s / 2 int XORs, where a translate and a from_bytes per
-column cost more than the XOR; the columns pay one from_bytes each,
-once, when packed. back_substitute chooses its form by the k it reads:
+one translated column per nonzero v[j]; in characteristic 2,
+udm.bitplanes, imported only then, adds one int per column to those and
+multiplies by bit planes, as its docstring describes. eliminate reads
+entry i of the first column as one byte, and each other column with a
+nonzero entry there loses its multiple of the first, cut after i, with
+one translate and one XOR, or in odd characteristic one int add and one
+translate through red; a column with a zero there is only cut.
+back_substitute chooses its form by the k it reads:
 for k = 1, solve's, it adds one translated column of the stored rows
 per nonzero entry of x; for k > 1, verify's k = n, it adds one
 translated k-byte row of x per nonzero coefficient, where the column
@@ -51,16 +47,14 @@ the primes from 131 up (sums up to 260) and every larger field keep the
 per-element rows.
 """
 
-from functools import reduce as _fold
-from itertools import compress
 from operator import xor
 
 
 def byte_rows(p, s, w, alpha, exp):
-    """insert_row, back_substitute, columns, dot_columns and from_newton
-    of gf._encoding for GF(p**s), from its exp table or, for a prime field,
-    the powers of alpha ({1} for GF(2)); and to_newton's quotient (over,
-    level) for p = 2, else None."""
+    """insert_row, back_substitute, columns, dot_columns, eliminate and
+    from_newton of gf._encoding for GF(p**s), from its exp table or, for
+    a prime field, the powers of alpha ({1} for GF(2)); and to_newton's
+    quotient (over, level) for p = 2, else None."""
     exp = exp or [pow(alpha, k, p) for k in range(p - 1)]
     m = len(exp)
     pack = [0]
@@ -152,28 +146,39 @@ def byte_rows(p, s, w, alpha, exp):
             x[c] = acc.to_bytes(k, "big")
         return unpacked(b"".join(x))
 
+    def columns(blocks, width):
+        rows = b"".join(map(packed, blocks))
+        return [rows[j::width] for j in range(width)]
+
+    def eliminate(cols, i):
+        first = cols[0]
+        lead = first[i]
+        if not lead:
+            return None
+        # rest is the first column over its entry i, so column c gains
+        # -c[i] times it; the sum, digit-wise in odd characteristic, fits
+        # the cut's size bytes.
+        i += 1
+        rest = first[i:].translate(inv[lead])
+        size = len(rest)
+        if p == 2:
+            return [
+                (from_bytes(c[i:], "big") ^ from_bytes(rest.translate(neg[v]), "big"))
+                .to_bytes(size, "big") if (v := c[i - 1])
+                else c[i:]
+                for c in cols[1:]
+            ]
+        return [
+            (from_bytes(c[i:], "big") + from_bytes(rest.translate(neg[v]), "big"))
+            .to_bytes(size, "big").translate(red) if (v := c[i - 1])
+            else c[i:]
+            for c in cols[1:]
+        ]
+
     if p == 2:
-        # planes[i] maps a packed byte to its bit top - i.
-        top = s - 1
-        planes = [bytes(x >> b & 1 for x in range(256)) for b in range(top, -1, -1)]
-        modlow = scale[2][1 << top] if s > 1 else 0  # x**s, reduced
+        from .bitplanes import bit_planes
 
-        def columns(blocks, width):
-            rows = b"".join(map(packed, blocks))
-            size = len(rows) // width
-            ones = from_bytes(b"\1" * size, "big")
-            cols = [from_bytes(rows[j::width], "big") for j in range(width)]
-            return cols, size, ones, ones * ((1 << top) - 1)
-
-        def dot_columns(packed_cols, v):
-            cols, size, ones, low = packed_cols
-            vb, acc = bytes(v), 0
-            for plane in planes:
-                # acc * x, every byte at once, then the columns whose
-                # coefficient has this bit.
-                acc = (acc & low) << 1 ^ (acc >> top & ones) * modlow
-                acc ^= _fold(xor, compress(cols, vb.translate(plane)), 0)
-            return list(acc.to_bytes(size, "big"))
+        columns, dot_columns = bit_planes(s, scale, columns)
 
         # The packed byte is the canonical element, so a quotient by
         # a ^ b is one index into the byte-row table of 1 / (a ^ b).
@@ -183,10 +188,6 @@ def byte_rows(p, s, w, alpha, exp):
         quotient = inv.__getitem__, level
     else:
         quotient = None
-
-        def columns(blocks, width):
-            rows = b"".join(map(packed, blocks))
-            return [rows[j::width] for j in range(width)]
 
         def dot_columns(cols, v):
             acc = 0
@@ -205,4 +206,4 @@ def byte_rows(p, s, w, alpha, exp):
             acc = t
         return unpacked(acc.to_bytes(d + 1, "big")[::-1])
 
-    return insert_row, back_substitute, columns, dot_columns, from_newton, quotient
+    return insert_row, back_substitute, columns, dot_columns, eliminate, from_newton, quotient

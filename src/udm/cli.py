@@ -47,8 +47,9 @@ if TYPE_CHECKING:
 FILE_TAG = "UDMv1"
 
 # verify's bound on its walk unless --budget sets another, in exact-sum
-# tuples: 24-85 s at the 2.4-8.5 us a tuple measured on 2 cores with
-# Python 3.11, where an unbounded walk could run for years.
+# tuples: 3.4-17 s at the 0.34-1.7 us a tuple of (q, 40, 4) families from
+# GF(256) to GF(3^10), measured on 2 cores with Python 3.11 (more a tuple
+# at larger n), where an unbounded walk could run for years.
 DEFAULT_BUDGET = 10**7
 
 # The longest text of a family within families.MAX_FAMILY_ENTRIES: at n = 1

@@ -253,7 +253,13 @@ def verify(family: UdmFamily, superset: bool = False) -> VerifyReport:
     every tuple with sum >= n, in enumeration order, would give. The first
     failing tuple becomes the witness.
 
-    One walk, _walk, serves both modes, because the first failing superset
+    The exact tuples are walked in enumeration order as a depth-first walk
+    of their prefix tree (_walk): after one change of coordinates each
+    tuple costs one entry read of a saved Schur complement, plus one
+    column update per remaining column while the last channel still holds
+    rows, so no stack is eliminated from scratch.
+
+    One walk serves both modes, because the first failing superset
     tuple is the first failing exact one. Rows added to a stack never lower
     its rank, so a failing tuple with sum above n lies above failing tuples
     with sum n, each lexicographically earlier; and both orders are
@@ -315,39 +321,49 @@ def _walk(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
     The first tuple, (0, ..., 0, n), passes iff _reversal_rows finds the
     last matrix invertible; every other matrix is then right-multiplied
     once by T with M T = J, the row reversal, which changes no rank and
-    makes the last channel's first r rows the last r unit vectors. So the
-    last channel's rows are never inserted: a later tuple whose last
-    channel holds r rows passes iff its other n - r rows, in those
-    coordinates, reduce to pivots in exactly the columns 0..n-r-1.
+    makes the last channel's first r rows the last r unit vectors. So a
+    later tuple whose last channel holds r rows passes iff its other
+    f + 1 = n - r rows, in those coordinates, have full rank on columns
+    0..f.
 
-    Invariant: at each later tuple, with f = n - 1 - r, slots 0..f-1 of
-    the basis hold the tuple's other rows, in stacking order, except the
-    newest one. An earlier tuple, the one that ends with those rows and
-    n - f rows of the last channel, passed, so they fill exactly those
-    slots. The step to the tuple clears the slots of the channel it
-    resets and inserts the newest row, and the tuple passes iff that row
-    takes slot f: -1 is a dependent row and a larger column a pivot
-    among the last r.
+    The walk runs on Schur complements. The candidates are the rows of
+    channels 0..L-2, position x = l * n + i for row i of channel l. The
+    state at depth f holds them reduced modulo the tuple's first f rows,
+    in stacking order, which have full rank on columns 0..f-1 (an earlier
+    tuple, the one that ends with them and n - f rows of the last channel,
+    passed); only columns f..n-1 and the positions after the f-th row are
+    kept, packed by Field.columns. A step appends row x at depth f, and
+    the tuple passes iff x's entry in column f is nonzero. While the last
+    channel still holds rows, Field.eliminate reads that entry and gives
+    the state at depth f + 1; otherwise f = n - 1, and the test is one
+    read of the packed entry, which is zero exactly when the element is.
+
+    A reset returns to the state at the depth where channel r starts,
+    with r the rightmost nonzero channel. So the walk keeps, on a stack,
+    one state for each depth at which a nonzero channel of the current
+    tuple starts: at most min(n, L - 1) of them.
     """
     L, n = family.L, family.n
-    insert_row = family.field.insert_row
     last = L - 1
     ks = [0] * L
     ks[last] = n
     rows = _reversal_rows(family)
     if rows is None:
         return 1, tuple(ks)
-    basis, empty = [None] * n, [None] * n
+    eliminate = family.field.eliminate
+    # (start, state): the state at a depth, whose first entry is position start.
+    saved = [(0, family.field.columns(itertools.chain.from_iterable(rows), n))]
+    del rows
     nonzero = [last]  # the positions with ks > 0, ascending
     checked = 1
     while True:
         # The next tuple moves one unit from the rightmost nonzero position
-        # r to r - 1 and the rest of ks[r] to the last channel; the rows of
-        # channels before r keep slots 0..f-1.
+        # r to r - 1 and the rest of ks[r] to the last channel; its new row
+        # is row ks[j] - 1 of channel j = r - 1, at depth f = n - ks[r].
         r = nonzero.pop()
         if r == 0:
             return checked, None
-        j, f = r - 1, n - ks[r]
+        j = r - 1
         rest = ks[r] - 1
         ks[r] = 0
         if not ks[j]:
@@ -357,9 +373,15 @@ def _walk(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
         if rest:
             nonzero.append(last)
         checked += 1
-        if r < last:
-            basis[f:] = empty[f:]
-        if insert_row(basis, rows[j][ks[j] - 1]) != f:
+        # Depth f stays a channel start only when channel j starts there.
+        start, state = saved[-1] if ks[j] == 1 else saved.pop()
+        x = j * n + ks[j] - 1
+        if rest:
+            state = eliminate(state, x - start)
+            if state is None:
+                return checked, tuple(ks)
+            saved.append((x + 1, state))
+        elif not state[0][x - start]:
             return checked, tuple(ks)
 
 

@@ -86,10 +86,11 @@ class Field:
     an array('H'), 2 bytes an entry, so no field holds more than 370 KiB
     of them (GF(251^2)).
 
-    add, neg, sub, mul, inv and pow, and the six row and polynomial
-    kernels insert_row, back_substitute, columns, dot_columns, from_newton
-    and to_newton, are plain functions bound per field by _encoding for the
-    field's element encoding; pow(a, 0) == 1 for every a, including zero.
+    add, neg, sub, mul, inv and pow, and the seven row and polynomial
+    kernels insert_row, back_substitute, columns, dot_columns, eliminate,
+    from_newton and to_newton, are plain functions bound per field by
+    _encoding for the field's element encoding; pow(a, 0) == 1 for every
+    a, including zero.
     Every product of a matrix with a vector or a matrix is columns once
     and dot_columns per vector.
     """
@@ -113,6 +114,7 @@ class Field:
         "back_substitute",
         "columns",
         "dot_columns",
+        "eliminate",
         "from_newton",
         "to_newton",
     )
@@ -142,7 +144,7 @@ class Field:
         ops = _encoding(p, s, self._alpha, self._exp, self._log, self._log1p)
         self.add, self.neg, self.sub, self.mul, self.inv, self.pow = ops[:6]
         self.insert_row, self.back_substitute, self.columns, self.dot_columns = ops[6:10]
-        self.from_newton, self.to_newton = ops[10:]
+        self.eliminate, self.from_newton, self.to_newton = ops[10:]
 
     # -- field-specific queries ----------------------------------------------
 
@@ -180,10 +182,11 @@ def _zero_power(e: int) -> int:
 def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
     """The arithmetic of GF(p**s), bound once for its element encoding, as
     plain functions: (add, neg, sub, mul, inv, pow, insert_row,
-    back_substitute, columns, dot_columns, from_newton, to_newton). alpha
-    is the field's primitive element, and exp, log and log1p are its
-    array('H') tables (None for a prime field, log1p None for p = 2),
-    which the kernels index as they would lists, negative indices included.
+    back_substitute, columns, dot_columns, eliminate, from_newton,
+    to_newton). alpha is the field's primitive element, and exp, log and
+    log1p are its array('H') tables (None for a prime field, log1p None
+    for p = 2), which the kernels index as they would lists, negative
+    indices included.
 
     The scalar ops act on canonical elements; inv(0) and pow(0, e) for
     e < 0 raise DivisionByZero, and pow(a, 0) == 1 for every a.
@@ -215,6 +218,17 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
     many vectors packs it once, and a caller that combines rows passes them
     as the columns of their transpose.
 
+    eliminate(cols, i), for cols packed by columns (or returned by
+    eliminate) with at least one column, is one step of elimination on
+    the columns: None when entry i of the first column is zero, else the
+    other columns, each less its entry i over the first's times the first
+    (so entry i becomes zero), cut to the entries after i, in the form
+    eliminate reads. On the columns of a stack of rows, it reduces the
+    rows after row i modulo row i and drops the first column, which is
+    what verify's walk runs on (families._walk). In every encoding both
+    forms are a sequence of the columns, each a sequence whose entry is
+    zero exactly when the element is, so the walk reads a pivot itself.
+
     A polynomial is a list of canonical elements, constant term first.
     from_newton(c, nodes, lead), for c as long as nodes, returns the
     len(nodes) + 1 coefficients of lead * N_d + sum(c[i] * N_i) for d =
@@ -241,7 +255,7 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
       branch.
 
     The encoding is chosen once, here, from (p, s) alone. A field whose
-    elements pack into one byte, s * w <= 8 for w-bit digits, takes the five
+    elements pack into one byte, s * w <= 8 for w-bit digits, takes the six
     row kernels, and for p = 2 to_newton's quotient, from udm.byterows,
     imported only then; that module's docstring describes the byte rows.
 
@@ -269,7 +283,8 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
     matrix, is stored empty, and reducing by it only drops the pivot entry.
     Here columns cuts lists, rows[j::width]. A prime field's dot_columns
     takes each entry as one C-level sum of unreduced products, reduced
-    once; every other field's runs mul_add once per nonzero v[j].
+    once; every other field's runs mul_add once per nonzero v[j], as
+    eliminate does once per other column with a nonzero entry i.
 
     The functions hold the field's tables, never the field itself, so a
     Field is in no reference cycle and is freed as soon as it is dropped.
@@ -413,7 +428,7 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
         from .byterows import byte_rows
 
         *kernels, quotient = byte_rows(p, s, w, alpha, exp)
-        insert_row, back_substitute, columns, dot_columns, from_newton = kernels
+        insert_row, back_substitute, columns, dot_columns, eliminate, from_newton = kernels
     else:
         quotient = None
 
@@ -466,6 +481,20 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
                     mul_add(acc, vj, col)
                 return acc
 
+        def eliminate(cols, i):
+            first = cols[0]
+            lead = first[i]
+            if not lead:
+                return None
+            i += 1
+            rest, k = first[i:], neg(inv(lead))
+            out = []
+            for c in cols[1:]:
+                tail = c[i:]
+                mul_add(tail, mul(c[i - 1], k), rest)
+                out.append(tail)
+            return out
+
         def from_newton(c, nodes, lead):
             acc = [lead]
             for ci, b in zip(reversed(c), reversed(nodes)):
@@ -510,7 +539,7 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
 
     return (
         add, neg, sub, mul, inv, power, insert_row, back_substitute, columns, dot_columns,
-        from_newton, to_newton,
+        eliminate, from_newton, to_newton,
     )
 
 

@@ -15,7 +15,8 @@ a matrix once and Field.dot_columns multiplies it by a vector, as
 codec.encode does with a family's stacked matrices, and matmul packs its
 left factor and multiplies it by each column of the right one. How each
 field stores rows and packs columns is gf's own (gf._encoding, and
-udm.byterows for the fields whose elements fit a byte). The tests
+udm.byterows, with udm.bitplanes in characteristic 2, for the fields
+whose elements fit a byte). The tests
 check rank, solve and left_null_vector against per-element Gaussian
 elimination of their own.
 """

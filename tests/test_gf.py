@@ -514,21 +514,23 @@ BYTE_ROW_FIELDS = {(2, 1), (2, 2), (2, 8), (3, 1), (5, 1), (127, 1), (3, 2), (5,
 def test_the_field_order_alone_selects_the_byte_row_kernels():
     # GF(2^s) for s <= 8, odd primes up to 127, GF(9), GF(25) and GF(49),
     # and nothing else: both sides of every boundary. The byte-row kernels
-    # live in udm.byterows, the per-element ones in udm.gf. The scalar ops
-    # and to_newton keep the per-element encoding everywhere.
+    # live in udm.byterows, but for the bit-plane products of
+    # characteristic 2 in udm.bitplanes; the per-element ones in udm.gf.
+    # The scalar ops and to_newton keep the per-element encoding everywhere.
     edges = [(2, 9), (2, 16), (131, 1), (251, 1), (3, 3), (3, 5), (3, 10), (11, 2)]
     for p, s in sorted(BYTE_ROW_FIELDS) + edges:
         field = Field(p, s)
-        kernels = (
-            field.insert_row, field.back_substitute, field.columns, field.dot_columns,
-            field.from_newton,
-        )
-        if (p, s) in BYTE_ROW_FIELDS:
-            module, owner = "udm.byterows", "byte_rows."
+        rows = (field.insert_row, field.back_substitute, field.eliminate, field.from_newton)
+        products = (field.columns, field.dot_columns)
+        if (p, s) not in BYTE_ROW_FIELDS:
+            homes = [("udm.gf", "_encoding.", rows + products)]
+        elif p == 2:
+            homes = [("udm.byterows", "byte_rows.", rows), ("udm.bitplanes", "bit_planes.", products)]
         else:
-            module, owner = "udm.gf", "_encoding."
-        assert all(f.__module__ == module for f in kernels), (p, s)
-        assert all(f.__qualname__.startswith(owner) for f in kernels), (p, s)
+            homes = [("udm.byterows", "byte_rows.", rows + products)]
+        for module, owner, kernels in homes:
+            assert all(f.__module__ == module for f in kernels), (p, s)
+            assert all(f.__qualname__.startswith(owner) for f in kernels), (p, s)
         for f in (field.mul, field.to_newton):
             assert (f.__module__, f.__qualname__.split(".")[0]) == ("udm.gf", "_encoding")
 

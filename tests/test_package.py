@@ -125,6 +125,20 @@ def test_only_a_byte_row_field_loads_the_byte_row_module(tmp_path, q, byte_rows)
     assert "udm.gf" in loaded
 
 
+@pytest.mark.parametrize("q, planes", [(3, False), (25, False), (16, True), (256, True), (2**16, False)])
+def test_only_characteristic_2_byte_rows_load_the_bit_plane_module(tmp_path, q, planes):
+    # GF(3) and GF(25) take the byte rows without compiling the bit-plane
+    # products; GF(2^16) takes neither.
+    loaded = loaded_by(
+        "from udm.cli import main\n"
+        f"assert main(['generate', '--q', '{q}', '--L', '3', '--n', '2', '--out', 'f.udm']) == 0\n"
+        "assert main(['verify', '--in', 'f.udm']) == 0",
+        tmp_path,
+    )
+    assert ("udm.bitplanes" in loaded) == planes
+    assert ("udm.byterows" in loaded) == (q < 2**16)
+
+
 def test_codec_loads_codec_but_not_hasse(tmp_path):
     (tmp_path / "f.udm").write_text(render_family(construct(Field(3), 4, 3)))
     loaded = loaded_by(

@@ -9,6 +9,7 @@ the same report on every family, passing or failing, in both modes.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -261,17 +262,18 @@ def coordinate_change_families(field, rng):
             yield "zeroed first row", with_entries(base, {(l, 0, j): 0})
 
 
-# Both sides of the byte rows: GF(7) and GF(25) take them, GF(27), GF(131)
-# and GF(2^9) the per-element kernels.
-WALK_FIELDS = [(7, 1), (5, 2), (3, 3), (131, 1), (2, 9)]
+# Every form of Field.eliminate: GF(7) and GF(25) take the odd byte rows,
+# GF(16) and GF(256) those of characteristic 2, and GF(27), GF(131),
+# GF(2^9), GF(2^16) and GF(3^10) the per-element kernels.
+WALK_FIELDS = [(7, 1), (5, 2), (2, 4), (2, 8), (3, 3), (131, 1), (2, 9), (2, 16), (3, 10)]
 
 
 @pytest.mark.parametrize("p, s", WALK_FIELDS)
 def test_exact_walk_after_its_change_of_coordinates_matches_the_reference(p, s):
-    # The walk right-multiplies by T with M T = J and then inserts one row
-    # per tuple; the per-tuple reference stacks and ranks every tuple of
-    # the original matrices. Failing families stop at the first tuple, in
-    # the middle of the walk, or at its last tuple.
+    # The walk right-multiplies by T with M T = J and then reads one entry
+    # of a Schur complement per tuple; the per-tuple reference stacks and
+    # ranks every tuple of the original matrices. Failing families stop at
+    # the first tuple, in the middle of the walk, or at its last tuple.
     field = Field(p, s)
     rng = random.Random(p * 1000 + s)
     kinds = ("dense", "singular last", "singular middle", "zeroed first row")
@@ -471,6 +473,99 @@ def test_many_channels_walk_without_recursion():
     assert verify(construct(Field(2), 200, 1), superset=True) == VerifyReport(
         True, 2**200 - 1, None
     )
+
+
+def eliminated_by_element(field, cols, i):
+    """Field.eliminate's answer on canonical columns, one element at a
+    time: None for a zero pivot, else each later column less (c[i] / a[i])
+    times the first, a, over the entries after i."""
+    a = cols[0]
+    if not a[i]:
+        return None
+    out = []
+    for c in cols[1:]:
+        k = field.mul(c[i], field.inv(a[i]))
+        out.append([field.sub(y, field.mul(k, x)) for x, y in zip(a[i + 1 :], c[i + 1 :])])
+    return out
+
+
+def packed(field, cols):
+    """cols, canonical columns of one height, as Field.columns packs them."""
+    if not cols:
+        return []
+    return field.columns(list(zip(*cols)), len(cols))
+
+
+@pytest.mark.parametrize("p, s", ROW_ENCODINGS)
+def test_eliminate_is_per_element_elimination(p, s):
+    # Every encoding, on both sides of the byte-row range: 1-6 columns of
+    # height 1-12, whose entries are often zero (so many columns only get
+    # cut) and sometimes q - 1. A zero pivot gives None; otherwise each
+    # other column loses its multiple of the first and keeps only the
+    # entries after i, in the packed form that a second step reads too. A
+    # packed entry is zero exactly when the element is, which the walk's
+    # one-entry test reads.
+    field = Field(p, s)
+    q = field.q
+    rng = random.Random(p * 1000 + s)
+    seen = set()
+    for _ in range(150):
+        width, height = rng.randint(1, 6), rng.randint(1, 12)
+        cols = [
+            [rng.choice([0, 0, 1, q - 1, rng.randrange(q)]) for _ in range(height)]
+            for _ in range(width)
+        ]
+        i = rng.randrange(height)
+        if rng.random() < 0.2:
+            cols[0][i] = 0
+        state = packed(field, cols)
+        assert [[bool(x) for x in c] for c in state] == [[bool(x) for x in c] for c in cols]
+        got, want = field.eliminate(state, i), eliminated_by_element(field, cols, i)
+        if want is None:
+            assert got is None
+            seen.add("zero pivot")
+            continue
+        seen.add("cut to nothing" if i == height - 1 else "cut")
+        seen.update("zeroed entry" for c in cols[1:] if not c[i])
+        assert list(got) == list(packed(field, want)), (width, height, i)
+        if want and want[0]:
+            j = rng.randrange(len(want[0]))
+            again = eliminated_by_element(field, want, j)
+            assert field.eliminate(got, j) == (again if again is None else packed(field, again))
+    assert seen == {"zero pivot", "cut", "cut to nothing", "zeroed entry"}
+
+
+def test_walk_holds_few_states_on_a_tall_family():
+    # (256, 3, 128): the walk keeps a state only where a nonzero channel
+    # starts, at most min(n, L - 1) = 2 of them. One state per depth would
+    # hold about 2 MB of columns; the walk before Schur complements peaked
+    # at 1.19 MB here, mostly in _reversal_rows.
+    fam = construct(Field(2, 8), 3, 128)
+    tracemalloc.start()
+    try:
+        rep = verify(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep == VerifyReport(True, count_exact_tuples(3, 128), None)
+    assert peak < 1_500_000
+
+
+def test_many_channel_walk_with_two_rows():
+    # L = q + 1 = 257 channels of n = 2 rows: each channel starts at depth
+    # 0, 1 or 2, so the walk saves and drops a state at nearly every
+    # channel. A zero first row in channel 200 fails the first tuple that
+    # holds it, (0, ..., 0, 1, 0, ..., 0, 1).
+    fam = construct(Field(2, 8), 257, 2)
+    total = count_exact_tuples(257, 2)
+    assert verify(fam) == VerifyReport(True, total, None)
+    broken = with_entries(fam, {(200, 0, 0): 0, (200, 0, 1): 0})
+    first = next(
+        k for k, ks in enumerate(enumerate_exact_tuples(257, 2), 1) if ks[200]
+    )
+    rep = verify(broken)
+    assert (rep.tuples_checked, rep.witness.rank) == (first, 1)
+    assert rep.witness.ks == (0,) * 200 + (1,) + (0,) * 55 + (1,)
 
 
 @pytest.mark.parametrize("p, s", ROW_ENCODINGS)
