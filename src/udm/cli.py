@@ -131,7 +131,8 @@ def parse_family(text: str) -> UdmFamily:
                 if not 0 <= v < field.q:
                     raise ParseError(f"element {v} out of range for GF({field.q})")
                 entries.append(v)
-        mats.append(Matrix(field, n, n, entries))
+        # Every entry was range-checked above, token by token.
+        mats.append(Matrix._unchecked(field, n, n, tuple(entries)))
     while pos < len(lines):
         if lines[pos].strip():
             raise ParseError(f"trailing content: {lines[pos]!r}")

@@ -21,7 +21,7 @@ from .errors import (
     InsufficientSymbols,
     RankDeficient,
 )
-from .families import UdmFamily, _gaps, _Record, is_generator
+from .families import UdmFamily, _gaps, _packed_columns, _Record, is_generator
 from .gf import Field
 from .linalg import Matrix, matvec, solve, stack_prefixes
 
@@ -57,10 +57,11 @@ def encode(family: UdmFamily, u: Sequence[int]) -> list[tuple[int, ...]]:
     """Per-channel blocks A_l @ u.
 
     The L matrices, stacked, are one L*n x n system: its columns are packed
-    once per family by the field's columns kernel, on the first encode, and
-    kept on the family. Each encode is then one dot_columns pass over them,
-    split into the L blocks; gf._encoding gives the packed form per field,
-    and udm.byterows that of the fields whose elements fit a byte.
+    once per family by the field's columns kernel, on the first encode or
+    verify (families._packed_columns), and kept on the family. Each encode
+    is then one dot_columns pass over them, split into the L blocks;
+    gf._encoding gives the packed form per field, and udm.byterows that of
+    the fields whose elements fit a byte.
     """
     n, field = family.n, family.field
     if len(u) != n:
@@ -70,8 +71,7 @@ def encode(family: UdmFamily, u: Sequence[int]) -> list[tuple[int, ...]]:
             raise DimensionMismatch(f"symbol {v} is not an element of GF({field.q})")
     cols = family._columns
     if cols is None:
-        cols = field.columns(tuple(m.entries for m in family.matrices), n)
-        object.__setattr__(family, "_columns", cols)
+        cols = _packed_columns(family)
     y = field.dot_columns(cols, u)
     return [tuple(y[i : i + n]) for i in range(0, len(y), n)]
 

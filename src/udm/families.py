@@ -104,8 +104,9 @@ class UdmFamily(_Record):
         # _generator is is_generator's answer once known: set by construct
         # and on first use. _columns is field.columns of the matrices'
         # entries, packed in gf's private format (gf._encoding) by
-        # codec.encode on first use. Neither is copied by _replace, and only
-        # _generator is pickled, as the state.
+        # _packed_columns on the first encode or verify, whichever comes
+        # first. Neither is copied by _replace, and only _generator is
+        # pickled, as the state.
         for name, value in zip(self.__slots__, (field, L, n, matrices, alpha, None, None)):
             object.__setattr__(self, name, value)
 
@@ -257,7 +258,9 @@ def verify(family: UdmFamily, superset: bool = False) -> VerifyReport:
     of their prefix tree (_walk): after one change of coordinates each
     tuple costs one entry read of a saved Schur complement, plus one
     column update per remaining column while the last channel still holds
-    rows, so no stack is eliminated from scratch.
+    rows, so no stack is eliminated from scratch. The change of
+    coordinates is n products over the family's packed columns, the ones
+    codec.encode reads, which stay on the family (_packed_columns).
 
     One walk serves both modes, because the first failing superset
     tuple is the first failing exact one. Rows added to a stack never lower
@@ -299,32 +302,45 @@ def _superset_position(L: int, n: int, ks: tuple[int, ...] | None) -> int:
     return position
 
 
-def _reversal_rows(family: UdmFamily) -> list[list[tuple]] | None:
-    """The rows of A_l T for l < L-1, with M T = J for M the last matrix and
-    J the row reversal; None when M is singular. M is invertible iff the n
-    rows of [M | J] all take pivots among the first n columns, and their
-    back-substitution gives T. Row i of M T is the unit vector of column
-    n - 1 - i. The other matrices, stacked, take one product with T."""
-    field, L, n, m = family.field, family.L, family.n, family.matrices[-1]
+def _packed_columns(family: UdmFamily) -> list:
+    """The family's matrices, stacked, as field.columns packs them: n
+    columns of L * n entries, packed on first use and kept on the family
+    for encode and verify alike."""
+    cols = family._columns
+    if cols is None:
+        cols = family.field.columns(tuple(m.entries for m in family.matrices), family.n)
+        object.__setattr__(family, "_columns", cols)
+    return cols
+
+
+def _reversal_state(family: UdmFamily) -> list | None:
+    """A T packed by Field.columns, for A the stack of A_0..A_{L-2} and T
+    with M T = J, M the last matrix and J the row reversal; None when M is
+    singular. M is invertible iff the n rows of [M | J] all take pivots
+    among the first n columns, and their back-substitution gives T. Row i
+    of M T is the unit vector of column n - 1 - i. Column j of A T is one
+    dot_columns of the family's packed columns with column j of T, less
+    its last n entries, those of M T."""
+    field, n, m = family.field, family.n, family.matrices[-1]
     aug, rev = [None] * (2 * n), anti_identity(field, n)
     if any(field.insert_row(aug, m.row(i) + rev.row(i)) >= n for i in range(n)):
         return None
-    t = Matrix._unchecked(field, n, n, tuple(field.back_substitute(aug, n)))
-    at = matmul(stack_prefixes(family.matrices, (n,) * (L - 1) + (0,)), t)
-    return [[at.row(l * n + i) for i in range(n)] for l in range(L - 1)]
+    t, cols = field.back_substitute(aug, n), _packed_columns(family)
+    height = (family.L - 1) * n
+    products = [field.dot_columns(cols, t[j::n])[:height] for j in range(n)]
+    return field.columns(zip(*products), n)
 
 
 def _walk(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
     """(tuples checked, first failing tuple or None) over the exact sums,
     in enumeration order.
 
-    The first tuple, (0, ..., 0, n), passes iff _reversal_rows finds the
-    last matrix invertible; every other matrix is then right-multiplied
-    once by T with M T = J, the row reversal, which changes no rank and
-    makes the last channel's first r rows the last r unit vectors. So a
-    later tuple whose last channel holds r rows passes iff its other
-    f + 1 = n - r rows, in those coordinates, have full rank on columns
-    0..f.
+    The first tuple, (0, ..., 0, n), passes iff _reversal_state finds the
+    last matrix invertible. Right-multiplying every matrix by T with
+    M T = J, the row reversal, changes no rank and makes the last
+    channel's first r rows the last r unit vectors. So a later tuple
+    whose last channel holds r rows passes iff its other f + 1 = n - r
+    rows, in those coordinates, have full rank on columns 0..f.
 
     The walk runs on Schur complements. The candidates are the rows of
     channels 0..L-2, position x = l * n + i for row i of channel l. The
@@ -332,11 +348,12 @@ def _walk(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
     in stacking order, which have full rank on columns 0..f-1 (an earlier
     tuple, the one that ends with them and n - f rows of the last channel,
     passed); only columns f..n-1 and the positions after the f-th row are
-    kept, packed by Field.columns. A step appends row x at depth f, and
-    the tuple passes iff x's entry in column f is nonzero. While the last
-    channel still holds rows, Field.eliminate reads that entry and gives
-    the state at depth f + 1; otherwise f = n - 1, and the test is one
-    read of the packed entry, which is zero exactly when the element is.
+    kept, packed by Field.columns; the state at depth 0 is
+    _reversal_state's A T. A step appends row x at depth f, and the tuple
+    passes iff x's entry in column f is nonzero. While the last channel
+    still holds rows, Field.eliminate reads that entry and gives the state
+    at depth f + 1; otherwise f = n - 1, and the test is one read of the
+    packed entry, which is zero exactly when the element is.
 
     A reset returns to the state at the depth where channel r starts,
     with r the rightmost nonzero channel. So the walk keeps, on a stack,
@@ -347,13 +364,12 @@ def _walk(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
     last = L - 1
     ks = [0] * L
     ks[last] = n
-    rows = _reversal_rows(family)
-    if rows is None:
+    state = _reversal_state(family)
+    if state is None:
         return 1, tuple(ks)
     eliminate = family.field.eliminate
     # (start, state): the state at a depth, whose first entry is position start.
-    saved = [(0, family.field.columns(itertools.chain.from_iterable(rows), n))]
-    del rows
+    saved = [(0, state)]
     nonzero = [last]  # the positions with ks > 0, ascending
     checked = 1
     while True:

@@ -2,6 +2,7 @@
 immutable record classes."""
 
 import ast
+import importlib.util
 import json
 import os
 import pickle
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import udm
-from udm import families
+from udm import families, linalg
 from udm.cli import render_family
 from udm.codec import ChannelOutput, SimulationStats
 from udm.errors import BadArgument, DimensionMismatch
@@ -49,6 +50,19 @@ def test_every_public_name_is_its_home_modules_object():
         home = import_module(f"udm.{module}")
         for name in names.split():
             assert getattr(udm, name) is getattr(home, name), name
+
+
+def test_the_names_traced_benchmark_runs_wrap_are_linalgs():
+    # perfbench's traced runs replace these module attributes by getattr
+    # and setattr, so each must stay the linalg function it wraps.
+    path = SRC.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.CROSS_LAYER
+    for module, attr, _ in spans.CROSS_LAYER:
+        home = import_module(f"udm.{module}")
+        assert getattr(home, attr) is getattr(linalg, attr), (module, attr)
 
 
 def test_dir_covers_all():
