@@ -29,9 +29,9 @@ class Planes(list):
 
 
 def bit_planes(s, scale, strided):
-    """columns and dot_columns of gf._encoding for GF(2^s), s <= 8, from
-    the byte rows' 256-byte table of x -> 2 * x, scale[2], and their
-    columns, strided."""
+    """The byte rows' columns and dot_columns for GF(2^s), s <= 8, from
+    their 256-byte table of x -> 2 * x, scale[2], and their columns,
+    strided."""
     top = s - 1
     # planes[i] maps a packed byte to its bit top - i.
     planes = [bytes(x >> b & 1 for x in range(256)) for b in range(top, -1, -1)]

@@ -44,7 +44,7 @@ That covers GF(2^s) for s <= 8, every odd prime p <= 127, and GF(9),
 GF(25) and GF(49), the fields with s * w <= 8. translate maps a byte to
 a byte, so GF(27) (three 3-bit digits), GF(121) (two 5-bit digits),
 the primes from 131 up (sums up to 260) and every larger field keep the
-per-element rows.
+per-element rows of udm.elementrows.
 """
 
 from operator import xor
@@ -52,9 +52,10 @@ from operator import xor
 
 def byte_rows(p, s, w, alpha, exp):
     """insert_row, back_substitute, columns, dot_columns, eliminate and
-    from_newton of gf._encoding for GF(p**s), from its exp table or, for
-    a prime field, the powers of alpha ({1} for GF(2)); and to_newton's
-    quotient (over, level) for p = 2, else None."""
+    from_newton on byte rows, as gf._encoding specifies them, for
+    GF(p**s), from its exp table or, for a prime field, the powers of
+    alpha ({1} for GF(2)); and to_newton's quotient (over, level) for
+    p = 2, else None."""
     exp = exp or [pow(alpha, k, p) for k in range(p - 1)]
     m = len(exp)
     pack = [0]

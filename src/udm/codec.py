@@ -59,9 +59,9 @@ def encode(family: UdmFamily, u: Sequence[int]) -> list[tuple[int, ...]]:
     The L matrices, stacked, are one L*n x n system: its columns are packed
     once per family by the field's columns kernel, on the first encode or
     verify (families._packed_columns), and kept on the family. Each encode
-    is then one dot_columns pass over them, split into the L blocks;
-    gf._encoding gives the packed form per field, and udm.byterows that of
-    the fields whose elements fit a byte.
+    is then one dot_columns pass over them, split into the L blocks; the
+    field's row module, udm.byterows or udm.elementrows, owns the packed
+    form.
     """
     n, field = family.n, family.field
     if len(u) != n:
@@ -69,10 +69,7 @@ def encode(family: UdmFamily, u: Sequence[int]) -> list[tuple[int, ...]]:
     for v in u:
         if not 0 <= v < field.q:
             raise DimensionMismatch(f"symbol {v} is not an element of GF({field.q})")
-    cols = family._columns
-    if cols is None:
-        cols = _packed_columns(family)
-    y = field.dot_columns(cols, u)
+    y = field.dot_columns(_packed_columns(family), u)
     return [tuple(y[i : i + n]) for i in range(0, len(y), n)]
 
 
@@ -105,8 +102,8 @@ def decode(family: UdmFamily, obs: ChannelOutput) -> tuple[int, ...]:
       output among them: the matching matrix prefixes are stacked and
       solved with linalg.solve, one echelon row insertion per surviving
       symbol followed by back-substitution, O(n^3) field operations, on
-      the field's row kernels (gf._encoding). For a verified family the
-      solve cannot be rank deficient.
+      the field's row kernels (udm.byterows or udm.elementrows). For a
+      verified family the solve cannot be rank deficient.
     """
     n = family.n
     if len(obs.ks) != family.L:

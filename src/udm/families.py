@@ -103,10 +103,10 @@ class UdmFamily(_Record):
                 raise BadArgument("matrix over a different field than the family")
         # _generator is is_generator's answer once known: set by construct
         # and on first use. _columns is field.columns of the matrices'
-        # entries, packed in gf's private format (gf._encoding) by
-        # _packed_columns on the first encode or verify, whichever comes
-        # first. Neither is copied by _replace, and only _generator is
-        # pickled, as the state.
+        # entries, packed in the format of the field's row module
+        # (udm.byterows or udm.elementrows) by _packed_columns on the first
+        # encode or verify, whichever comes first. Neither is copied by
+        # _replace, and only _generator is pickled, as the state.
         for name, value in zip(self.__slots__, (field, L, n, matrices, alpha, None, None)):
             object.__setattr__(self, name, value)
 

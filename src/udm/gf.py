@@ -14,7 +14,7 @@ element encodings and on serialized matrices.
 from __future__ import annotations
 
 import re
-from operator import mul as _int_mul, xor
+from operator import xor
 
 from .errors import BadExponent, DivisionByZero, NotPrime, NotPrimePower, ParseError
 
@@ -90,7 +90,8 @@ class Field:
     kernels insert_row, back_substitute, columns, dot_columns, eliminate,
     from_newton and to_newton, are plain functions bound per field by
     _encoding for the field's element encoding; pow(a, 0) == 1 for every
-    a, including zero.
+    a, including zero. The other six kernels come from the field's row
+    module, udm.byterows when its elements fit a byte, else udm.elementrows.
     Every product of a matrix with a vector or a matrix is columns once
     and dot_columns per vector.
     """
@@ -189,7 +190,9 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
     indices included.
 
     The scalar ops act on canonical elements; inv(0) and pow(0, e) for
-    e < 0 raise DivisionByZero, and pow(a, 0) == 1 for every a.
+    e < 0 raise DivisionByZero, and pow(a, 0) == 1 for every a. A prime
+    field reduces mod p; the others multiply by exp and log and add by XOR
+    in characteristic 2, by add_power's Zech step in odd.
 
     insert_row(basis, row) reduces `row` (canonical elements) against
     `basis`, a list of slots indexed by pivot column, one per column of the
@@ -207,8 +210,7 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
     n x k solution x as a flat row-major list of canonical elements: row c
     of x is rhs[c] - sum(b[c][j] * x[j] for c < j < n), so column t solves
     right-hand side t, and for k = 1, as solve passes, the list is the one
-    solution. The per-element kernel solves each right-hand side in turn,
-    one dot product per row: x_t[c] = rhs_t(b) - dot(x_t[c+1:], b).
+    solution.
 
     columns(blocks, width) stacks blocks, a sequence of flat sequences of
     rows `width` long, in order, and packs the stack's `width` columns in
@@ -246,51 +248,26 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
     - GF(2^s), s <= 8: r[c_i ^ c_{i-1}], r the byte-row table of
       x -> x / (a ^ b);
     - the primes: (c_i - c_{i-1}) * r % p, r = 1 / (a - b);
-    - every other field: exp[log[c_i - c_{i-1}] + r] for a nonzero
-      difference, r = -log[a - b] in (-m, 0], so that the index wraps.
+    - every other field: exp[log[c_i - c_{i-1}] - r] for a nonzero
+      difference, r = log[a - b] in [0, m), so that the index wraps.
       The difference is an XOR in characteristic 2. In odd
       characteristic it is inlined: c_i - c_{i-1} = c_i * (1 + v) for v =
       -c_{i-1} / c_i, zero when v = -1, so the quotient's logarithm is
-      log[c_i] + log1p[v] + r; a zero c_i or c_{i-1} takes its own
+      log[c_i] + log1p[v] - r; a zero c_i or c_{i-1} takes its own
       branch.
 
-    The encoding is chosen once, here, from (p, s) alone. A field whose
-    elements pack into one byte, s * w <= 8 for w-bit digits, takes the six
-    row kernels, and for p = 2 to_newton's quotient, from udm.byterows,
-    imported only then; that module's docstring describes the byte rows.
-
-    Every other field, and the scalar ops of every field, use the
-    per-element kernels. There, a stored row is the tail after the
-    pivot column of the row scaled to a leading 1, and each encoding defines
-    its scalar ops and the pieces the shared kernels are built from:
-    pivot(t, i), that scaling of t[i:]; reduce(t, i, b), the step t - t[i]
-    * b on the tail; value(y), a stored entry's canonical element; dot(xs,
-    b), the sum of xs[j] * b[j] for canonical xs and stored b over the
-    shorter of the two; and mul_add(acc, c, v), which adds c * v[i] to
-    acc[i] for every i < len(v), in place. Each keeps its own per-element
-    loop:
-    - prime fields: the residues themselves, reduced with % p;
-    - characteristic 2: stored rows hold logarithms, sums are XORs;
-    - odd characteristic, s > 1: stored rows hold logarithms, sums go
-      through Zech logarithms, alpha**a + alpha**b = alpha**(a + log1p[v])
-      for v = exp[b - a], zero when v = -1, which is p - 1 and
-      alpha**((q - 1) / 2).
-    Stored logarithms are kept in [-m, 0) for m = q - 1, with 0 marking a
-    zero entry, so that adding a logarithm in [0, m) gives an index in
-    [-m, m), where Python's negative indexing wraps the exp table mod m;
-    c goes to such a logarithm once per mul_add call.
-    An all-zero tail, as from a unit row of an identity or reversal
-    matrix, is stored empty, and reducing by it only drops the pivot entry.
-    Here columns cuts lists, rows[j::width]. A prime field's dot_columns
-    takes each entry as one C-level sum of unreduced products, reduced
-    once; every other field's runs mul_add once per nonzero v[j], as
-    eliminate does once per other column with a nonzero entry i.
+    The row format is chosen once, here, from (p, s) alone: a field whose
+    elements pack into one byte, s * w <= 8 for w-bit digits, takes the
+    six row kernels, and for p = 2 to_newton's quotient, from udm.byterows,
+    and every other field from udm.elementrows, whose docstrings describe
+    their stored rows. A process compiles only the module its fields pick.
 
     The functions hold the field's tables, never the field itself, so a
     Field is in no reference cycle and is freed as soon as it is dropped.
     """
     m = p**s - 1
     w = 1 if p == 2 else (2 * p - 2).bit_length()
+    add_power = None  # bound below for odd p and s > 1
     if s == 1:
 
         def add(a, b):
@@ -313,23 +290,10 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
         def power(a, e):
             return pow(a, e % m, p) if a else _zero_power(e)
 
-        def pivot(t, i):
-            k = pow(t[i], p - 2, p)
-            return [k * x % p for x in t[i + 1 :]]
+        over = inv
 
-        def reduce(t, i, b):
-            f = t[i]
-            return [(x - f * y) % p for x, y in zip(t[i + 1 :], b)]
-
-        def value(y):
-            return y
-
-        def dot(xs, b):
-            return sum(map(_int_mul, xs, b)) % p
-
-        def mul_add(acc, c, v):
-            if c:
-                acc[: len(v)] = [(x + c * y) % p for x, y in zip(acc, v)]
+        def level(ws, k, r, steps):
+            return [ws[g][k] if g == h else (ci - cj) * r[g][h] % p for g, h, ci, cj in steps]
 
     else:
 
@@ -344,40 +308,19 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
         def power(a, e):
             return exp[log[a] * e % m] if a else _zero_power(e)
 
-        def pivot(t, i):
-            l0 = log[t[i]]
-            return [(log[x] - l0) % m - m if x else 0 for x in t[i + 1 :]]
-
-        def value(y):
-            return exp[y] if y else 0
-
         if p == 2:
             add = sub = xor
 
             def neg(a):
                 return a
 
-            def reduce(t, i, b):
-                lf = log[t[i]]
-                return [x ^ exp[lf + y] if y else x for x, y in zip(t[i + 1 :], b)]
-
-            def dot(xs, b):
-                acc = 0
-                for x, y in zip(xs, b):
-                    if x and y:
-                        acc ^= exp[log[x] + y]
-                return acc
-
-            def mul_add(acc, c, v):
-                if c:
-                    lc = log[c] - m
-                    acc[: len(v)] = [x ^ exp[log[y] + lc] if y else x for x, y in zip(acc, v)]
-
         else:
             half, minus_one = m // 2, p - 1  # -1 is alpha**half, encoded p - 1
 
             def add_power(x, lw):
-                """x + alpha**lw for canonical x and lw in [-m, m)."""
+                """x + alpha**lw for canonical x and lw in [-m, m), by Zech
+                logarithms: alpha**a + alpha**b = alpha**(a + log1p[v]) for
+                v = exp[b - a], zero when v = -1, which is p - 1."""
                 if not x:
                     return exp[lw]
                 lx = log[x]
@@ -395,133 +338,31 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
 
             def level(ws, k, r, steps):
                 # c_i - c_{i-1} = c_i * (1 + v) for v = -c_{i-1} / c_i, as in
-                # add_power, so the quotient's logarithm is lc + log1p[v] + r.
+                # add_power, so the quotient's logarithm is lc + log1p[v] - r.
                 return [
                     ws[g][k] if g == h
                     else (
                         0 if (v := exp[(log[cj] + half - (lc := log[ci])) % m]) == minus_one
-                        else exp[(lc + log1p[v] + r[g][h]) % m]
+                        else exp[(lc + log1p[v] - r[g][h]) % m]
                     ) if ci and cj
-                    else exp[log[ci] + r[g][h]] if ci
-                    else exp[(log[cj] + half + r[g][h]) % m] if cj
+                    else exp[log[ci] - r[g][h]] if ci
+                    else exp[(log[cj] + half - r[g][h]) % m] if cj
                     else 0
                     for g, h, ci, cj in steps
                 ]
 
-            def reduce(t, i, b):
-                nf = (log[t[i]] + half) % m  # the logarithm of -t[i]
-                return [add_power(x, nf + y) if y else x for x, y in zip(t[i + 1 :], b)]
-
-            def dot(xs, b):
-                acc = 0
-                for x, y in zip(xs, b):
-                    if x and y:
-                        acc = add_power(acc, log[x] + y)
-                return acc
-
-            def mul_add(acc, c, v):
-                if c:
-                    lc = log[c] - m
-                    acc[: len(v)] = [add_power(x, log[y] + lc) if y else x for x, y in zip(acc, v)]
+            over = log.__getitem__
 
     if s * w <= 8:
         from .byterows import byte_rows
 
         *kernels, quotient = byte_rows(p, s, w, alpha, exp)
-        insert_row, back_substitute, columns, dot_columns, eliminate, from_newton = kernels
     else:
-        quotient = None
+        from .elementrows import element_rows
 
-        def insert_row(basis, row):
-            t, c = row, 0
-            while True:
-                for i, v in enumerate(t):
-                    if v:
-                        break
-                else:
-                    return -1
-                c += i
-                b = basis[c]
-                if b is None:
-                    b = pivot(t, i)
-                    basis[c] = b if any(b) else []
-                    return c
-                t = reduce(t, i, b) if b else t[i + 1 :]
-                c += 1
-
-        def back_substitute(basis, n):
-            k = len(basis) - n
-            x = [0] * (n * k)
-            for r in range(-k, 0):
-                # Right-hand side k + r is entry r of a stored tail, and dot's
-                # zip stops at xt's end, before the first of them.
-                xt = [0] * n
-                for c in range(n - 1, -1, -1):
-                    b = basis[c]
-                    if b:
-                        xt[c] = sub(value(b[r]), dot(xt[c + 1 :], b))
-                x[k + r :: k] = xt
-            return x
-
-        def columns(blocks, width):
-            rows = [x for b in blocks for x in b]
-            return [rows[j::width] for j in range(width)]
-
-        if s == 1:
-
-            def dot_columns(cols, v):
-                # Each entry is one unreduced sum of products, reduced once.
-                return [sum(map(_int_mul, v, row)) % p for row in zip(*cols)]
-
-        else:
-
-            def dot_columns(cols, v):
-                acc = [0] * len(cols[0])
-                for col, vj in zip(cols, v):
-                    mul_add(acc, vj, col)
-                return acc
-
-        def eliminate(cols, i):
-            first = cols[0]
-            lead = first[i]
-            if not lead:
-                return None
-            i += 1
-            rest, k = first[i:], neg(inv(lead))
-            out = []
-            for c in cols[1:]:
-                tail = c[i:]
-                mul_add(tail, mul(c[i - 1], k), rest)
-                out.append(tail)
-            return out
-
-        def from_newton(c, nodes, lead):
-            acc = [lead]
-            for ci, b in zip(reversed(c), reversed(nodes)):
-                acc, prev = [ci] + acc, acc
-                mul_add(acc, neg(b), prev)
-            return acc
-
-    if quotient:
+        *kernels, quotient = element_rows(p, s, exp, log, add_power, neg, inv, mul)
+    if quotient:  # p = 2; the other fields bind over and level above
         over, level = quotient
-    elif s == 1:
-        over = inv
-
-        def level(ws, k, r, steps):
-            return [ws[g][k] if g == h else (ci - cj) * r[g][h] % p for g, h, ci, cj in steps]
-
-    else:
-
-        def over(x):
-            return -log[x]
-
-        if p == 2:  # odd p binds its level above, beside add_power
-
-            def level(ws, k, r, steps):
-                return [
-                    ws[g][k] if g == h else exp[log[x] + r[g][h]] if (x := sub(ci, cj)) else 0
-                    for g, h, ci, cj in steps
-                ]
 
     def to_newton(points):
         betas = [a for a, _ in points]
@@ -537,10 +378,7 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
             c[k:] = level(ws, k, r, zip(group[k:], group, c[k:], c[k - 1 :]))
         return c, [betas[g] for g in group]
 
-    return (
-        add, neg, sub, mul, inv, power, insert_row, back_substitute, columns, dot_columns,
-        eliminate, from_newton, to_newton,
-    )
+    return add, neg, sub, mul, inv, power, *kernels, to_newton
 
 
 def field_string(field: Field) -> str:

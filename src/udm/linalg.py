@@ -8,17 +8,17 @@ magnitude to prefer over an exact field, and the fixed rule keeps every
 witness and null vector reproducible.
 
 rank, solve and left_null_vector, the verify and decode paths, run on the
-field's elimination kernels, Field.insert_row and back_substitute, whose
-stored-row format stays inside gf. matvec and matmul, the transform paths
-and the encode reference, run on its product kernels: Field.columns packs
-a matrix once and Field.dot_columns multiplies it by a vector, as
-codec.encode does with a family's stacked matrices, and matmul packs its
-left factor and multiplies it by each column of the right one. How each
-field stores rows and packs columns is gf's own (gf._encoding, and
-udm.byterows, with udm.bitplanes in characteristic 2, for the fields
-whose elements fit a byte). The tests
-check rank, solve and left_null_vector against per-element Gaussian
-elimination of their own.
+field's elimination kernels, Field.insert_row and back_substitute.
+matvec and matmul, the transform paths and the encode reference, run on
+its product kernels: Field.columns packs a matrix once and
+Field.dot_columns multiplies it by a vector, as codec.encode does with a
+family's stacked matrices, and matmul packs its left factor and
+multiplies it by each column of the right one. How a field stores rows
+and packs columns is its row module's own: udm.byterows, with
+udm.bitplanes in characteristic 2, for the fields whose elements fit a
+byte, and udm.elementrows for the others. The tests check rank, solve
+and left_null_vector against per-element Gaussian elimination of their
+own.
 """
 
 from __future__ import annotations

@@ -207,11 +207,14 @@ def check_cost(check: str, L: int, n: int):
 def run_check(check: str, q: int, L: int | None, n: int) -> int:
     """Run one `udm oracle` check over GF(q), print its outcome and return
     the exit code: 0 when the routes agree, 1 when they do not. L defaults
-    to q + 2 for "bound" and is required by "hasse" and "lucas"."""
+    to q + 2 for "bound" and is required by "hasse" and "lucas", which
+    also needs L >= 3: it has no matrix to check below that."""
     field = gf.field_of_order(q)
     if check in ("hasse", "lucas"):
         if L is None:
             raise ParseError(f"oracle {check} requires --L")
+        if check == "lucas" and L < 3:
+            raise BadArgument(f"oracle lucas checks the matrices from the third on: --L {L} < 3")
         check_construct(field, L, n)
         check_cost(check, L, n)
         fam = construct(field, L, n)

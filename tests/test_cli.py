@@ -620,6 +620,15 @@ def test_oracle_lucas(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("L", ["1", "2"])
+def test_oracle_lucas_with_no_matrix_to_check_exits_2(capsys, L):
+    # The digit product covers the matrices from the third on.
+    assert main(["oracle", "lucas", "--q", "3", "--L", L, "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and f"--L {L} < 3" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_oracle_delta(capsys):
     assert main(["oracle", "delta", "--q", "3", "--n", "3"]) == 0
     assert "PASS" in capsys.readouterr().out

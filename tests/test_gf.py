@@ -515,7 +515,8 @@ def test_the_field_order_alone_selects_the_byte_row_kernels():
     # GF(2^s) for s <= 8, odd primes up to 127, GF(9), GF(25) and GF(49),
     # and nothing else: both sides of every boundary. The byte-row kernels
     # live in udm.byterows, but for the bit-plane products of
-    # characteristic 2 in udm.bitplanes; the per-element ones in udm.gf.
+    # characteristic 2 in udm.bitplanes; the per-element ones in
+    # udm.elementrows.
     # The scalar ops and to_newton keep the per-element encoding everywhere.
     edges = [(2, 9), (2, 16), (131, 1), (251, 1), (3, 3), (3, 5), (3, 10), (11, 2)]
     for p, s in sorted(BYTE_ROW_FIELDS) + edges:
@@ -523,7 +524,7 @@ def test_the_field_order_alone_selects_the_byte_row_kernels():
         rows = (field.insert_row, field.back_substitute, field.eliminate, field.from_newton)
         products = (field.columns, field.dot_columns)
         if (p, s) not in BYTE_ROW_FIELDS:
-            homes = [("udm.gf", "_encoding.", rows + products)]
+            homes = [("udm.elementrows", "element_rows.", rows + products)]
         elif p == 2:
             homes = [("udm.byterows", "byte_rows.", rows), ("udm.bitplanes", "bit_planes.", products)]
         else:

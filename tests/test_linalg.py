@@ -510,8 +510,12 @@ def test_solve_matches_gaussian_reference(field):
 
 
 # Both sides of the byte rows: GF(7) and GF(25) take them, GF(27), GF(131)
-# and GF(2^9) the per-element kernels.
-BACK_SUBSTITUTE_FIELDS = [Field(p, s) for p, s in [(7, 1), (5, 2), (3, 3), (131, 1), (2, 9)]]
+# and GF(2^9) the per-element kernels, as do the largest prime and the
+# largest odd extension.
+LARGEST = [Field(65521), Field(3, 10)]
+BACK_SUBSTITUTE_FIELDS = [
+    Field(p, s) for p, s in [(7, 1), (5, 2), (3, 3), (131, 1), (2, 9)]
+] + LARGEST
 
 
 @pytest.mark.parametrize("field", BACK_SUBSTITUTE_FIELDS, ids=repr)
@@ -553,12 +557,12 @@ def test_back_substitute_solves_k_right_hand_sides_at_once(field):
         assert matmul(a, Matrix(field, n, n, field.back_substitute(basis, n))) == rev
 
 
-@pytest.mark.parametrize("field", ORACLE_FIELDS + BYTE_ROW_EDGES, ids=repr)
+@pytest.mark.parametrize("field", ORACLE_FIELDS + BYTE_ROW_EDGES + LARGEST, ids=repr)
 def test_back_substitute_on_dense_bases_matches_the_reference(field):
     # Dense invertible a and dense right-hand sides, k in {1, 2, n}: k = 1
-    # takes the byte-row kernel's column form, k > 1 its row form, and
-    # every column of x is the Gaussian solution computed with per-element
-    # Field calls.
+    # takes the byte-row kernel's column form, k > 1 its row form, the
+    # per-element kernel its column form for every k, and every column of
+    # x is the Gaussian solution computed with per-element Field calls.
     rng = random.Random(field.q * 7 + field.s)
     for n in (1, 2, 5, 12, 24):
         a = random_matrix(rng, field, n, n)

@@ -128,14 +128,19 @@ def test_only_an_extension_field_loads_the_extension_module(tmp_path):
     assert not loaded & set(HEAVY)
 
 
-@pytest.mark.parametrize("q, byte_rows", [(3, True), (256, True), (2**16, False), (131, False)])
+@pytest.mark.parametrize(
+    "q, byte_rows",
+    [(3, True), (256, True), (2**16, False), (131, False), (25, True), (27, False)],
+)
 def test_only_a_byte_row_field_loads_the_byte_row_module(tmp_path, q, byte_rows):
+    # Each field loads one row module: the byte rows or the per-element rows.
     loaded = loaded_by(
         "from udm.cli import main\n"
         f"assert main(['generate', '--q', '{q}', '--L', '3', '--n', '2', '--out', 'f.udm']) == 0",
         tmp_path,
     )
     assert ("udm.byterows" in loaded) == byte_rows
+    assert ("udm.elementrows" in loaded) != byte_rows
     assert "udm.gf" in loaded
 
 
