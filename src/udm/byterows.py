@@ -31,11 +31,8 @@ entry i of the first column as one byte, and each other column with a
 nonzero entry there loses its multiple of the first, cut after i, with
 one translate and one XOR, or in odd characteristic one int add and one
 translate through red; a column with a zero there is only cut.
-back_substitute chooses its form by the k it reads:
-for k = 1, solve's, it adds one translated column of the stored rows
-per nonzero entry of x; for k > 1, verify's k = n, it adds one
-translated k-byte row of x per nonzero coefficient, where the column
-form would cut and translate every column once per right-hand side.
+back_substitute adds one translated column of the stored rows per
+nonzero entry of x.
 from_newton holds its polynomial as one int, constant term in the low
 byte, so a Horner step acc * (X - b) + c is one shift, one translate
 through the table of -b and one add.
@@ -122,30 +119,18 @@ def byte_rows(p, s, w, alpha, exp):
                 t = from_bytes(t.to_bytes(e + 1, "big").translate(red), "big")
         return -1
 
-    def back_substitute(basis, n):
-        k = len(basis) - n
-        if k == 1:
-            # acc starts as column n and loses x[c] * column c once x[c] is
-            # known, so entry c of acc is x[c] when column c comes up.
-            rows = b"".join(basis[:n])
-            x = bytearray(n)
-            acc = from_bytes(rows[n :: n + 1], "big")
-            for c in range(n - 1, -1, -1):
-                xc = x[c] = acc >> 8 * (n - 1 - c) & 255
-                if xc:
-                    acc = add(acc, from_bytes(rows[c :: n + 1].translate(neg[xc]), "big"))
-            return unpacked(x)
-        # Row form: row c of x is the right-hand sides of b, less b[j] times
-        # each later row j.
-        x = [b""] * n
+    def back_substitute(basis):
+        # acc starts as column n and loses x[c] * column c once x[c] is
+        # known, so entry c of acc is x[c] when column c comes up.
+        n = len(basis) - 1
+        rows = b"".join(basis[:n])
+        x = bytearray(n)
+        acc = from_bytes(rows[n :: n + 1], "big")
         for c in range(n - 1, -1, -1):
-            b = basis[c]
-            acc = from_bytes(b[n:], "big")
-            for xj, bj in zip(x[c + 1 :], b[c + 1 : n]):
-                if bj:
-                    acc = add(acc, from_bytes(xj.translate(neg[bj]), "big"))
-            x[c] = acc.to_bytes(k, "big")
-        return unpacked(b"".join(x))
+            xc = x[c] = acc >> 8 * (n - 1 - c) & 255
+            if xc:
+                acc = add(acc, from_bytes(rows[c :: n + 1].translate(neg[xc]), "big"))
+        return unpacked(x)
 
     def columns(blocks, width):
         rows = b"".join(map(packed, blocks))

@@ -21,7 +21,7 @@ from .errors import (
     InsufficientSymbols,
     RankDeficient,
 )
-from .families import UdmFamily, _gaps, _packed_columns, _Record, is_generator
+from .families import UdmFamily, _gaps, _Record, is_generator
 from .gf import Field
 from .linalg import Matrix, matvec, solve, stack_prefixes
 
@@ -57,9 +57,9 @@ def encode(family: UdmFamily, u: Sequence[int]) -> list[tuple[int, ...]]:
     """Per-channel blocks A_l @ u.
 
     The L matrices, stacked, are one L*n x n system: its columns are packed
-    once per family by the field's columns kernel, on the first encode or
-    verify (families._packed_columns), and kept on the family. Each encode
-    is then one dot_columns pass over them, split into the L blocks; the
+    once per family by the field's columns kernel, on the first encode,
+    and kept on the family (UdmFamily._columns). Each encode is then one
+    dot_columns pass over them, split into the L blocks; the
     field's row module, udm.byterows or udm.elementrows, owns the packed
     form.
     """
@@ -69,7 +69,11 @@ def encode(family: UdmFamily, u: Sequence[int]) -> list[tuple[int, ...]]:
     for v in u:
         if not 0 <= v < field.q:
             raise DimensionMismatch(f"symbol {v} is not an element of GF({field.q})")
-    y = field.dot_columns(_packed_columns(family), u)
+    cols = family._columns
+    if cols is None:
+        cols = field.columns(tuple(m.entries for m in family.matrices), n)
+        object.__setattr__(family, "_columns", cols)
+    y = field.dot_columns(cols, u)
     return [tuple(y[i : i + n]) for i in range(0, len(y), n)]
 
 

@@ -18,8 +18,8 @@ columns cuts lists, rows[j::width]. A prime field's dot_columns takes
 each entry as one C-level sum of unreduced products, reduced once; every
 other field's runs mul_add once per nonzero v[j], as eliminate does once
 per other column with a nonzero entry i. back_substitute works on
-columns for every k: once entry c of a right-hand side is x[c], the
-entries above it lose x[c] times column c of the stored rows, one reduce.
+columns: once entry c of the right-hand side is x[c], the entries above
+it lose x[c] times column c of the stored rows, one reduce.
 """
 
 from operator import mul as _int_mul
@@ -108,18 +108,16 @@ def element_rows(p, s, exp, log, add_power, neg, inv, mul):
             t = reduce(t, i, b) if b else t[i + 1 :]
             c += 1
 
-    def back_substitute(basis, n):
-        rows, k = basis[:n], len(basis) - n
+    def back_substitute(basis):
+        n = len(basis) - 1
+        rows = basis[:n]
         # The rows in full, zero up to and at the pivot: cols[c] is column c.
         cols = list(zip(*([0] * (r + 1) + (b or [0] * n)[: n - r - 1] for r, b in enumerate(rows))))
-        x = [0] * (n * k)
-        for t in range(-k, 0):
-            # Right-hand side k + t is entry t of every nonempty tail.
-            acc = [value(b[t]) if b else 0 for b in rows]
-            for c in range(n - 1, 0, -1):
-                if acc[c]:
-                    acc[:c] = reduce([acc[c], *acc[:c]], 0, cols[c])
-            x[k + t :: k] = acc
+        # The right-hand side is the last entry of every nonempty tail.
+        x = [value(b[-1]) if b else 0 for b in rows]
+        for c in range(n - 1, 0, -1):
+            if x[c]:
+                x[:c] = reduce([x[c], *x[:c]], 0, cols[c])
         return x
 
     def columns(blocks, width):

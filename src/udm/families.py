@@ -104,8 +104,8 @@ class UdmFamily(_Record):
         # _generator is is_generator's answer once known: set by construct
         # and on first use. _columns is field.columns of the matrices'
         # entries, packed in the format of the field's row module
-        # (udm.byterows or udm.elementrows) by _packed_columns on the first
-        # encode or verify, whichever comes first. Neither is copied by
+        # (udm.byterows or udm.elementrows) by the first codec.encode;
+        # verify packs its own stack. Neither is copied by
         # _replace, and only _generator is pickled, as the state.
         for name, value in zip(self.__slots__, (field, L, n, matrices, alpha, None, None)):
             object.__setattr__(self, name, value)
@@ -259,8 +259,8 @@ def verify(family: UdmFamily, superset: bool = False) -> VerifyReport:
     tuple costs one entry read of a saved Schur complement, plus one
     column update per remaining column while the last channel still holds
     rows, so no stack is eliminated from scratch. The change of
-    coordinates is n products over the family's packed columns, the ones
-    codec.encode reads, which stay on the family (_packed_columns).
+    coordinates is n Field.eliminate steps on the stack's columns, the
+    last matrix's rows first (_start_state).
 
     One walk serves both modes, because the first failing superset
     tuple is the first failing exact one. Rows added to a stack never lower
@@ -302,45 +302,47 @@ def _superset_position(L: int, n: int, ks: tuple[int, ...] | None) -> int:
     return position
 
 
-def _packed_columns(family: UdmFamily) -> list:
-    """The family's matrices, stacked, as field.columns packs them: n
-    columns of L * n entries, packed on first use and kept on the family
-    for encode and verify alike."""
-    cols = family._columns
-    if cols is None:
-        cols = family.field.columns(tuple(m.entries for m in family.matrices), family.n)
-        object.__setattr__(family, "_columns", cols)
-    return cols
+def _start_state(family: UdmFamily) -> list | None:
+    """A S packed as Field.eliminate reads it, for A the stack of
+    A_0..A_{L-2} and some S with M S = J U, M the last matrix, J the row
+    reversal and U upper triangular and invertible; None when M is
+    singular.
 
-
-def _reversal_state(family: UdmFamily) -> list | None:
-    """A T packed by Field.columns, for A the stack of A_0..A_{L-2} and T
-    with M T = J, M the last matrix and J the row reversal; None when M is
-    singular. M is invertible iff the n rows of [M | J] all take pivots
-    among the first n columns, and their back-substitution gives T. Row i
-    of M T is the unit vector of column n - 1 - i. Column j of A T is one
-    dot_columns of the family's packed columns with column j of T, less
-    its last n entries, those of M T."""
-    field, n, m = family.field, family.n, family.matrices[-1]
-    aug, rev = [None] * (2 * n), anti_identity(field, n)
-    if any(field.insert_row(aug, m.row(i) + rev.row(i)) >= n for i in range(n)):
-        return None
-    t, cols = field.back_substitute(aug, n), _packed_columns(family)
-    height = (family.L - 1) * n
-    products = [field.dot_columns(cols, t[j::n])[:height] for j in range(n)]
-    return field.columns(zip(*products), n)
+    The columns of [M; A] are eliminated on the rows of M in order: at
+    step i, entry 0 of each remaining column is row i of M, reduced,
+    because each eliminate cuts the row it pivots on. The first column
+    with a nonzero one is the pivot, and its last (L - 1) * n entries are
+    column n - 1 - i of A S; when none has one, rows 0..i of M are
+    dependent. So column n - 1 - i of M S is zero above row i and nonzero
+    at row i, which makes M S the row reversal of an invertible upper
+    triangular U."""
+    field, n, mats = family.field, family.n, family.matrices
+    cols = field.columns(tuple(m.entries for m in (mats[-1], *mats[:-1])), n)
+    state = []
+    for i in range(n):
+        c = next((c for c, col in enumerate(cols) if col[0]), None)
+        if c is None:
+            return None
+        col = cols[c]
+        state.append(col[n - i :])
+        cols = field.eliminate([col, *cols[:c], *cols[c + 1 :]], 0)
+    state.reverse()
+    return state
 
 
 def _walk(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
     """(tuples checked, first failing tuple or None) over the exact sums,
     in enumeration order.
 
-    The first tuple, (0, ..., 0, n), passes iff _reversal_state finds the
-    last matrix invertible. Right-multiplying every matrix by T with
-    M T = J, the row reversal, changes no rank and makes the last
-    channel's first r rows the last r unit vectors. So a later tuple
-    whose last channel holds r rows passes iff its other f + 1 = n - r
-    rows, in those coordinates, have full rank on columns 0..f.
+    The first tuple, (0, ..., 0, n), passes iff _start_state finds the
+    last matrix M invertible. Right-multiplying every matrix by S with
+    M S = J U, J the row reversal and U upper triangular and invertible,
+    changes no rank, and the last channel's first r rows then span the
+    last r unit vectors. So a later tuple whose last channel holds r rows
+    passes iff its other f + 1 = n - r rows, in those coordinates, have
+    full rank on columns 0..f. Any two such S differ by an upper
+    triangular factor, a column operation that keeps the rank on columns
+    0..f, so every tuple passes or fails alike whichever S is taken.
 
     The walk runs on Schur complements. The candidates are the rows of
     channels 0..L-2, position x = l * n + i for row i of channel l. The
@@ -348,8 +350,8 @@ def _walk(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
     in stacking order, which have full rank on columns 0..f-1 (an earlier
     tuple, the one that ends with them and n - f rows of the last channel,
     passed); only columns f..n-1 and the positions after the f-th row are
-    kept, packed by Field.columns; the state at depth 0 is
-    _reversal_state's A T. A step appends row x at depth f, and the tuple
+    kept, as Field.eliminate reads them; the state at depth 0 is
+    _start_state's A S. A step appends row x at depth f, and the tuple
     passes iff x's entry in column f is nonzero. While the last channel
     still holds rows, Field.eliminate reads that entry and gives the state
     at depth f + 1; otherwise f = n - 1, and the test is one read of the
@@ -364,7 +366,7 @@ def _walk(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
     last = L - 1
     ks = [0] * L
     ks[last] = n
-    state = _reversal_state(family)
+    state = _start_state(family)
     if state is None:
         return 1, tuple(ks)
     eliminate = family.field.eliminate

@@ -203,33 +203,34 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
     so a caller undoes insertions in any order by clearing the columns they
     returned.
 
-    back_substitute(basis, n) solves the unit upper triangular system
-    held in slots 0..n-1 of a basis of rows n + k wide, whose last k
-    columns are right-hand sides; every one of those slots must be filled.
-    A basis has one slot per column, so k = len(basis) - n. It returns the
-    n x k solution x as a flat row-major list of canonical elements: row c
-    of x is rhs[c] - sum(b[c][j] * x[j] for c < j < n), so column t solves
-    right-hand side t, and for k = 1, as solve passes, the list is the one
-    solution.
+    back_substitute(basis) solves the unit upper triangular system held
+    in slots 0..n-1 of a basis of rows n + 1 wide, whose last column is
+    the right-hand side; every one of those slots must be filled. A basis
+    has one slot per column, so n = len(basis) - 1. It returns the
+    solution x as a list of n canonical elements: x[c] is rhs[c] -
+    sum(b[c][j] * x[j] for c < j < n).
 
     columns(blocks, width) stacks blocks, a sequence of flat sequences of
-    rows `width` long, in order, and packs the stack's `width` columns in
-    a form that only dot_columns reads; dot_columns(cols, v), for v
+    rows `width` long, in order, and packs the stack's `width` columns,
+    as a list, in a form that dot_columns and eliminate read;
+    dot_columns(cols, v), for v
     `width` long and not empty, returns the stack times v, the sum of v[j]
     times column j, as a list. So a caller that multiplies one matrix by
     many vectors packs it once, and a caller that combines rows passes them
     as the columns of their transpose.
 
-    eliminate(cols, i), for cols packed by columns (or returned by
-    eliminate) with at least one column, is one step of elimination on
-    the columns: None when entry i of the first column is zero, else the
+    eliminate(cols, i), for cols a list of at least one column of one
+    height, each one that columns or eliminate returned, or a tail
+    col[j:] of one, in any order, is one step of elimination on the
+    columns: None when entry i of the first column is zero, else the
     other columns, each less its entry i over the first's times the first
-    (so entry i becomes zero), cut to the entries after i, in the form
-    eliminate reads. On the columns of a stack of rows, it reduces the
-    rows after row i modulo row i and drops the first column, which is
-    what verify's walk runs on (families._walk). In every encoding both
-    forms are a sequence of the columns, each a sequence whose entry is
-    zero exactly when the element is, so the walk reads a pivot itself.
+    (so entry i becomes zero), cut to the entries after i, as a list in
+    the form eliminate reads. On the columns of a stack of rows, it
+    reduces the rows after row i modulo row i and drops the first column,
+    which is what verify's start state and walk run on
+    (families._start_state and _walk). In every encoding a column is a
+    sequence whose entry is zero exactly when the element is, so a caller
+    reads a pivot itself.
 
     A polynomial is a list of canonical elements, constant term first.
     from_newton(c, nodes, lead), for c as long as nodes, returns the

@@ -7,8 +7,10 @@ reduced row taking the slot of its first nonzero column; there is no
 magnitude to prefer over an exact field, and the fixed rule keeps every
 witness and null vector reproducible.
 
-rank, solve and left_null_vector, the verify and decode paths, run on the
-field's elimination kernels, Field.insert_row and back_substitute.
+rank, solve and left_null_vector, the decode and transform paths and the
+rank of a verify witness, run on the field's elimination kernels,
+Field.insert_row and back_substitute; verify's walk runs on
+Field.eliminate instead.
 matvec and matmul, the transform paths and the encode reference, run on
 its product kernels: Field.columns packs a matrix once and
 Field.dot_columns multiplies it by a vector, as codec.encode does with a
@@ -182,7 +184,7 @@ def solve(a: Matrix, y: Sequence[int]) -> tuple[int, ...]:
         raise RankDeficient(f"coefficient matrix has rank {r} < {n}")
     if basis[n] is not None:
         raise Inconsistent("redundant rows contradict the solution")
-    return tuple(field.back_substitute(basis, n))
+    return tuple(field.back_substitute(basis))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -150,13 +150,13 @@ def test_the_packed_columns_are_invisible(field):
 
 
 @pytest.mark.parametrize("field", [Field(7), Field(2, 8), Field(5, 2), Field(3, 3)], ids=repr)
-def test_encode_and_verify_share_one_packing(field):
+def test_verify_leaves_the_packing_to_encode(field):
     # A passing family, one failing inside the walk (the last entry of the
     # identity zeroed) and one whose last matrix is singular (its last row
-    # repeats its first). Verify packs a fresh family's columns unless the
-    # last matrix is singular, and a later encode reads that same object;
-    # the reports are the same whichever of the two ran first; copies by
-    # _replace and pickle start unpacked.
+    # repeats its first). Verify packs its own stack and leaves _columns
+    # None in all three cases; encode packs them; the reports are the same
+    # whichever of the two ran first; copies by _replace and pickle start
+    # unpacked.
     n = 4
     good = construct(field, 4, n)
     first = list(good.matrices[0].entries)
@@ -166,19 +166,18 @@ def test_encode_and_verify_share_one_packing(field):
     in_walk = good._replace(matrices=(Matrix(field, n, n, first), *good.matrices[1:]))
     singular = good._replace(matrices=(*good.matrices[:-1], Matrix(field, n, n, last)))
     u = tuple(range(1, n + 1))
-    cases = ((good, True, True), (in_walk, False, True), (singular, False, False))
-    for fam, passed, packs in cases:
+    for fam, passed in ((good, True), (in_walk, False), (singular, False)):
         verified = fam._replace()
         reports = (verify(verified), verify(verified, superset=True))
         assert reports[0].passed == reports[1].passed == passed
-        cols = verified._columns
-        assert (cols is not None) == packs
+        assert verified._columns is None
         x = encode(verified, u)
         assert x == scalar_encode(fam, u)
-        assert cols is None or verified._columns is cols
+        assert verified._columns is not None
         encoded = fam._replace()
         assert encode(encoded, u) == x
         cols = encoded._columns
+        assert cols is not None
         assert (verify(encoded), verify(encoded, superset=True)) == reports
         assert encoded._columns is cols
         for copy in (verified._replace(), pickle.loads(pickle.dumps(verified))):

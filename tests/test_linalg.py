@@ -518,12 +518,22 @@ BACK_SUBSTITUTE_FIELDS = [
 ] + LARGEST
 
 
+def back_substituted(field, a, y):
+    """back_substitute's x for the n rows of [a | y], a invertible,
+    inserted into one basis of n + 1 slots, each into its own pivot slot."""
+    n = a.cols
+    basis = [None] * (n + 1)
+    for i in range(n):
+        assert 0 <= field.insert_row(basis, a.row(i) + (y[i],)) < n
+    return field.back_substitute(basis)
+
+
 @pytest.mark.parametrize("field", BACK_SUBSTITUTE_FIELDS, ids=repr)
 def test_back_substitute_solves_k_right_hand_sides_at_once(field):
-    # The n rows of [a | y_0 ... y_{k-1}] for an invertible a, inserted into
-    # one basis of n + k slots: column t of back_substitute(basis, n) is
-    # solve(a, y_t), which equals the Gaussian reference. Zero right-hand
-    # sides and unit rows, whose stored tails may be empty, are among them.
+    # k right-hand sides of one invertible a, each in its own basis of
+    # n + 1 slots: back_substitute gives solve(a, y), which equals the
+    # Gaussian reference. Zero right-hand sides and unit rows, whose stored
+    # tails may be empty, are among them.
     rng = random.Random(field.q * 17 + field.s)
     for trial in range(60):
         n, k = rng.randint(1, 6), rng.randint(1, 5)
@@ -534,47 +544,34 @@ def test_back_substitute_solves_k_right_hand_sides_at_once(field):
             if rank(a) < n:
                 continue
         density = rng.choice((0.0, 0.4, 1.0))
-        ys = [
-            tuple(rng.randrange(field.q) if rng.random() < density else 0 for _ in range(n))
-            for _ in range(k)
-        ]
-        basis = [None] * (n + k)
-        for i in range(n):
-            assert 0 <= field.insert_row(basis, a.row(i) + tuple(y[i] for y in ys)) < n
-        x = field.back_substitute(basis, n)
-        assert len(x) == n * k
-        for t, y in enumerate(ys):
-            assert tuple(x[t::k]) == solve(a, y) == solve_gaussian(a, y)
-    # k = n with the reversal as the right-hand sides: x is a^-1 J.
+        for _ in range(k):
+            y = tuple(rng.randrange(field.q) if rng.random() < density else 0 for _ in range(n))
+            x = back_substituted(field, a, y)
+            assert len(x) == n
+            assert tuple(x) == solve(a, y) == solve_gaussian(a, y)
+    # The columns of the reversal as the right-hand sides: x is a^-1 J.
     for n in range(1, 7):
         a = random_matrix(rng, field, n, n)
         while rank(a) < n:
             a = random_matrix(rng, field, n, n)
         rev = anti_identity(field, n)
-        basis = [None] * (2 * n)
-        for i in range(n):
-            field.insert_row(basis, a.row(i) + rev.row(i))
-        assert matmul(a, Matrix(field, n, n, field.back_substitute(basis, n))) == rev
+        xs = [back_substituted(field, a, rev.entries[j::n]) for j in range(n)]
+        assert matmul(a, Matrix(field, n, n, [x for row in zip(*xs) for x in row])) == rev
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS + BYTE_ROW_EDGES + LARGEST, ids=repr)
 def test_back_substitute_on_dense_bases_matches_the_reference(field):
-    # Dense invertible a and dense right-hand sides, k in {1, 2, n}: k = 1
-    # takes the byte-row kernel's column form, k > 1 its row form, the
-    # per-element kernel its column form for every k, and every column of
-    # x is the Gaussian solution computed with per-element Field calls.
+    # Dense invertible a and dense right-hand sides, n up to 24: x is the
+    # Gaussian solution computed with per-element Field calls, in the
+    # byte-row kernel and the per-element one alike.
     rng = random.Random(field.q * 7 + field.s)
     for n in (1, 2, 5, 12, 24):
         a = random_matrix(rng, field, n, n)
         while rank(a) < n:
             a = random_matrix(rng, field, n, n)
-        for k in sorted({1, 2, n}):
-            ys = [[rng.randrange(field.q) for _ in range(n)] for _ in range(k)]
-            basis = [None] * (n + k)
-            for i in range(n):
-                field.insert_row(basis, a.row(i) + tuple(y[i] for y in ys))
-            x = field.back_substitute(basis, n)
-            assert [tuple(x[t::k]) for t in range(k)] == [solve_gaussian(a, y) for y in ys]
+        for _ in range(3):
+            y = [rng.randrange(field.q) for _ in range(n)]
+            assert tuple(back_substituted(field, a, y)) == solve_gaussian(a, y)
 
 
 def test_solve_reports_rank_deficiency_before_contradiction():

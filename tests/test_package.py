@@ -322,3 +322,38 @@ def test_no_runtime_check_is_an_assert():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in src/udm: {found}"
+
+
+# -- the test settings -----------------------------------------------------------------------
+
+TWO_TESTS = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 10
+
+
+def test_runs_after():
+    pass
+"""
+
+
+def test_a_failing_hypothesis_example_leaves_the_run_going(tmp_path):
+    # Under the repository's own settings, which turn warnings into
+    # errors, a failing example counts as one failure and the test after it
+    # still runs; the session does not end in INTERNALERROR.
+    (tmp_path / "test_two.py").write_text(TWO_TESTS, encoding="utf-8")
+    config = SRC.parent / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_two.py"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        timeout=120,
+    )
+    out = proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in out, out
+    assert "1 failed, 1 passed" in out, out
