@@ -32,7 +32,9 @@ nonzero entry there loses its multiple of the first, cut after i, with
 one translate and one XOR, or in odd characteristic one int add and one
 translate through red; a column with a zero there is only cut.
 back_substitute adds one translated column of the stored rows per
-nonzero entry of x.
+nonzero entry of x. ratio(a, b), for packed column entries a and b, a
+nonzero, is inv[a][b], the packed b / a: packing is a bijection, so
+equal quotients read equal, and GF(9), GF(25) and GF(49) need no unpack.
 from_newton holds its polynomial as one int, constant term in the low
 byte, so a Horner step acc * (X - b) + c is one shift, one translate
 through the table of -b and one add.
@@ -48,8 +50,8 @@ from operator import xor
 
 
 def byte_rows(p, s, w, alpha, exp):
-    """insert_row, back_substitute, columns, dot_columns, eliminate and
-    from_newton on byte rows, as gf._encoding specifies them, for
+    """insert_row, back_substitute, columns, dot_columns, eliminate, ratio
+    and from_newton on byte rows, as gf._encoding specifies them, for
     GF(p**s), from its exp table or, for a prime field, the powers of
     alpha ({1} for GF(2)); and to_newton's quotient (over, level) for
     p = 2, else None."""
@@ -161,6 +163,9 @@ def byte_rows(p, s, w, alpha, exp):
             for c in cols[1:]
         ]
 
+    def ratio(a, b):
+        return inv[a][b]
+
     if p == 2:
         from .bitplanes import bit_planes
 
@@ -192,4 +197,5 @@ def byte_rows(p, s, w, alpha, exp):
             acc = t
         return unpacked(acc.to_bytes(d + 1, "big")[::-1])
 
-    return insert_row, back_substitute, columns, dot_columns, eliminate, from_newton, quotient
+    kernels = insert_row, back_substitute, columns, dot_columns, eliminate, ratio, from_newton
+    return *kernels, quotient

@@ -47,9 +47,11 @@ if TYPE_CHECKING:
 FILE_TAG = "UDMv1"
 
 # verify's bound on its walk unless --budget sets another, in exact-sum
-# tuples: 3.4-17 s at the 0.34-1.7 us a tuple of (q, 40, 4) families from
-# GF(256) to GF(3^10), measured on 2 cores with Python 3.11 (more a tuple
-# at larger n), where an unbounded walk could run for years.
+# tuples: 0.5-2.8 s at the 0.05-0.28 us a tuple of (q, 40, 4) families
+# from GF(256) to GF(3^10), most of them decided in batches, measured on 2
+# cores with Python 3.11; a tuple costs far more at larger n (7 us at
+# (256, 3, 64), 37 us at (65536, 3, 64)), where an unbounded walk could
+# run for years.
 DEFAULT_BUDGET = 10**7
 
 # The longest text of a family within families.MAX_FAMILY_ENTRIES: at n = 1

@@ -19,15 +19,18 @@ each entry as one C-level sum of unreduced products, reduced once; every
 other field's runs mul_add once per nonzero v[j], as eliminate does once
 per other column with a nonzero entry i. back_substitute works on
 columns: once entry c of the right-hand side is x[c], the entries above
-it lose x[c] times column c of the stored rows, one reduce.
+it lose x[c] times column c of the stored rows, one reduce. Columns hold
+canonical elements, so ratio(a, b), b / a for a nonzero, is
+b * pow(a, -1, p) % p in a prime field and exp[log[b] - log[a]] in every
+other.
 """
 
 from operator import mul as _int_mul
 
 
 def element_rows(p, s, exp, log, add_power, neg, inv, mul):
-    """insert_row, back_substitute, columns, dot_columns, eliminate and
-    from_newton on per-element rows, as gf._encoding specifies them, for
+    """insert_row, back_substitute, columns, dot_columns, eliminate, ratio
+    and from_newton on per-element rows, as gf._encoding specifies them, for
     GF(p**s), from its exp and log tables (None for a prime field), its
     add_power (None but for odd p and s > 1) and its scalar neg, inv and
     mul; and to_newton's quotient (over, level) for p = 2, else None."""
@@ -53,6 +56,9 @@ def element_rows(p, s, exp, log, add_power, neg, inv, mul):
             # Each entry is one unreduced sum of products, reduced once.
             return [sum(map(_int_mul, v, row)) % p for row in zip(*cols)]
 
+        def ratio(a, b):
+            return b * pow(a, -1, p) % p
+
     else:
 
         def pivot(t, i):
@@ -61,6 +67,9 @@ def element_rows(p, s, exp, log, add_power, neg, inv, mul):
 
         def value(y):
             return exp[y] if y else 0
+
+        def ratio(a, b):
+            return exp[log[b] - log[a]] if b else 0
 
         if p == 2:
 
@@ -145,7 +154,7 @@ def element_rows(p, s, exp, log, add_power, neg, inv, mul):
             mul_add(acc, neg(b), prev)
         return acc
 
-    kernels = insert_row, back_substitute, columns, dot_columns, eliminate, from_newton
+    kernels = insert_row, back_substitute, columns, dot_columns, eliminate, ratio, from_newton
     if p != 2:
         return *kernels, None
 

@@ -260,7 +260,11 @@ def verify(family: UdmFamily, superset: bool = False) -> VerifyReport:
     column update per remaining column while the last channel still holds
     rows, so no stack is eliminated from scratch. The change of
     coordinates is n Field.eliminate steps on the stack's columns, the
-    last matrix's rows first (_start_state).
+    last matrix's rows first (_start_state). Most tuples are decided in
+    batches from those saved states: a run of leaves by one strided slice
+    of a column, and the subtree under a state with two columns left by
+    one pass over the rows' ratios (Field.ratio). tuples_checked and the
+    witness are the same as one tuple at a time.
 
     One walk serves both modes, because the first failing superset
     tuple is the first failing exact one. Rows added to a stack never lower
@@ -357,6 +361,28 @@ def _walk(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
     at depth f + 1; otherwise f = n - 1, and the test is one read of the
     packed entry, which is zero exactly when the element is.
 
+    Two kinds of tuple are decided in batches, with the count and the
+    first failing tuple the same as one at a time:
+    - A leaf run. A step that leaves the last channel empty and puts row
+      0 of channel j at depth n - 1 is followed by the tuples that move
+      that row down through the empty channels j - 1, ..., j0 + 1, j0 the
+      next nonzero channel below j (-1 for none). Each reads column 0 of
+      the same state at row 0 of its channel, so one strided slice
+      decides the run; its last zero, the largest channel, is the first
+      failing tuple.
+    - A depth-2 subtree. The state at depth n - 2, after x in channel j,
+      has two columns; below it lie the m(m + 3) / 2 tuples, m = L - 1 -
+      j, that add two rows of channels j..L-1, all but x's own, which
+      adds the last channel's two. There the last channel's row 0 reads
+      (0, u), u nonzero, so a row y passes with it iff y's first entry is
+      nonzero, and rows y and z pass iff their 2 x 2 determinant is
+      nonzero: _two_rows_pass, over the first candidate y of each channel
+      (x + 1 in channel j). When it holds, the walk jumps to the subtree's
+      last tuple, both rows in channel j, and keeps no state; otherwise it
+      walks the subtree. For n = 2 the start state is one such state, for
+      the whole walk. On construct's families the check is the MDS
+      property of the first rows, the doubly extended Reed-Solomon code.
+
     A reset returns to the state at the depth where channel r starts,
     with r the rightmost nonzero channel. So the walk keeps, on a stack,
     one state for each depth at which a nonzero channel of the current
@@ -369,7 +395,9 @@ def _walk(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
     state = _start_state(family)
     if state is None:
         return 1, tuple(ks)
-    eliminate = family.field.eliminate
+    eliminate, ratio = family.field.eliminate, family.field.ratio
+    if n == 2 and _two_rows_pass(*state, range(0, last * n, n), ratio):
+        return L * (L + 1) // 2, None
     # (start, state): the state at a depth, whose first entry is position start.
     saved = [(0, state)]
     nonzero = [last]  # the positions with ks > 0, ascending
@@ -398,9 +426,48 @@ def _walk(family: UdmFamily) -> tuple[int, tuple[int, ...] | None]:
             state = eliminate(state, x - start)
             if state is None:
                 return checked, tuple(ks)
-            saved.append((x + 1, state))
+            # Entries from x + 1 on: y is x + 1, then row 0 of channels j + 1..L-2.
+            if rest == 2 and _two_rows_pass(
+                *state, [0, *range((j + 1) * n - x - 1, last * n - x - 1, n)], ratio
+            ):
+                m = last - j
+                checked += m * (m + 3) // 2
+                ks[j] += 2
+                ks[last] = 0
+                nonzero.pop()
+            else:
+                saved.append((x + 1, state))
+        elif ks[j] == 1:
+            # Row 0 of channels j, j - 1, ..., j0 + 1, in that order.
+            j0 = nonzero[-2] if len(nonzero) > 1 else -1
+            run = state[0][(j0 + 1) * n - start : x - start + 1 : n]
+            if 0 in run:
+                c = j - run[::-1].index(0)
+                checked += j - c
+                ks[j], ks[c] = 0, 1
+                return checked, tuple(ks)
+            checked += j - j0 - 1
+            ks[j], ks[j0 + 1] = 0, 1
+            nonzero[-1] = j0 + 1
         elif not state[0][x - start]:
             return checked, tuple(ks)
+
+
+def _two_rows_pass(a, b, ys, ratio) -> bool:
+    """Whether, on the packed columns a and b, each row y in ys has full
+    rank with (0, 1), with row y + 1 and with every other y: the same as
+    a[y] nonzero, a[y] b[y + 1] != b[y] a[y + 1], and no two ratios
+    b[y] / a[y] equal, read with Field.ratio."""
+    seen = set()
+    for y in ys:
+        ay, az = a[y], a[y + 1]
+        if not ay:
+            return False
+        t = ratio(ay, b[y])
+        if t in seen or (ratio(az, b[y + 1]) == t if az else not b[y + 1]):
+            return False
+        seen.add(t)
+    return True
 
 
 def _is_lower_triangular(c: Matrix) -> bool:

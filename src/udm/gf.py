@@ -86,12 +86,13 @@ class Field:
     an array('H'), 2 bytes an entry, so no field holds more than 370 KiB
     of them (GF(251^2)).
 
-    add, neg, sub, mul, inv and pow, and the seven row and polynomial
+    add, neg, sub, mul, inv and pow, and the eight row and polynomial
     kernels insert_row, back_substitute, columns, dot_columns, eliminate,
-    from_newton and to_newton, are plain functions bound per field by
-    _encoding for the field's element encoding; pow(a, 0) == 1 for every
-    a, including zero. The other six kernels come from the field's row
-    module, udm.byterows when its elements fit a byte, else udm.elementrows.
+    ratio, from_newton and to_newton, are plain functions bound per field
+    by _encoding for the field's element encoding; pow(a, 0) == 1 for
+    every a, including zero. Every kernel but to_newton comes from the
+    field's row module, udm.byterows when its elements fit a byte, else
+    udm.elementrows.
     Every product of a matrix with a vector or a matrix is columns once
     and dot_columns per vector.
     """
@@ -116,6 +117,7 @@ class Field:
         "columns",
         "dot_columns",
         "eliminate",
+        "ratio",
         "from_newton",
         "to_newton",
     )
@@ -145,7 +147,7 @@ class Field:
         ops = _encoding(p, s, self._alpha, self._exp, self._log, self._log1p)
         self.add, self.neg, self.sub, self.mul, self.inv, self.pow = ops[:6]
         self.insert_row, self.back_substitute, self.columns, self.dot_columns = ops[6:10]
-        self.eliminate, self.from_newton, self.to_newton = ops[10:]
+        self.eliminate, self.ratio, self.from_newton, self.to_newton = ops[10:]
 
     # -- field-specific queries ----------------------------------------------
 
@@ -183,7 +185,7 @@ def _zero_power(e: int) -> int:
 def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
     """The arithmetic of GF(p**s), bound once for its element encoding, as
     plain functions: (add, neg, sub, mul, inv, pow, insert_row,
-    back_substitute, columns, dot_columns, eliminate, from_newton,
+    back_substitute, columns, dot_columns, eliminate, ratio, from_newton,
     to_newton). alpha is the field's primitive element, and exp, log and
     log1p are its array('H') tables (None for a prime field, log1p None
     for p = 2), which the kernels index as they would lists, negative
@@ -232,6 +234,13 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
     sequence whose entry is zero exactly when the element is, so a caller
     reads a pivot itself.
 
+    ratio(a, b), for a and b entries of such columns and a nonzero, is
+    b / a, read in the same encoding as the entries: a hashable value that
+    is equal for two pairs exactly when their quotients are, and zero
+    exactly when b is. So the verify walk compares two rows on two
+    columns, and finds a repeated quotient with one set, without
+    unpacking an entry (families._two_rows_pass).
+
     A polynomial is a list of canonical elements, constant term first.
     from_newton(c, nodes, lead), for c as long as nodes, returns the
     len(nodes) + 1 coefficients of lead * N_d + sum(c[i] * N_i) for d =
@@ -259,7 +268,7 @@ def _encoding(p: int, s: int, alpha: int, exp, log, log1p):
 
     The row format is chosen once, here, from (p, s) alone: a field whose
     elements pack into one byte, s * w <= 8 for w-bit digits, takes the
-    six row kernels, and for p = 2 to_newton's quotient, from udm.byterows,
+    seven row kernels, and for p = 2 to_newton's quotient, from udm.byterows,
     and every other field from udm.elementrows, whose docstrings describe
     their stored rows. A process compiles only the module its fields pick.
 

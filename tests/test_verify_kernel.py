@@ -704,3 +704,145 @@ def test_zech_table_matches_field_addition(p, s):
         assert (w == 0) == (v == p - 1)
         assert log1p[v] == (0 if w == 0 else index[w])
     assert exp[(q - 1) // 2] == p - 1
+
+
+def batch_families(field, rng, tries=30):
+    """(kind, family, hit) triples aimed at the walk's batches, from
+    construct's family with one row replaced, so that a chosen tuple ks is
+    rank-deficient as the named condition reads it; hit is whether ks is
+    the reference's first failing tuple. The prefix is n - 2 rows of a
+    channel j (n - 1 for a leaf run), and the replaced row is a random
+    combination of the prefix and:
+    - ratio collision: the first candidate row y of an earlier channel,
+      row n - 2 of channel j or row 0 of a later one;
+    - dependent pair: y, the row before it in its channel;
+    - vanishing: row 0 of the last matrix, on which the prefix's Schur
+      complement is zero in column n - 2;
+    - leaf run: nothing, in row 0 of a later channel. For n = 1 two
+      channels are zero, and the larger one fails first. For n >= 2 a
+      run never reaches two zeros: with rows u and v in the span of the
+      prefix P, the earlier tuple that swaps P's last row for u and v
+      fails.
+    Up to `tries` draws are made for each kind, L and n, stopping at a hit."""
+    q, add, mul = field.q, field.add, field.mul
+    for L, n in itertools.product(range(2, 6), range(1, 6)):
+        if L > q + 1:
+            continue
+        fam = construct(field, L, n)
+        mats = fam.matrices
+        kinds = ["dependent pair", "vanishing"] * (n >= 2)
+        kinds += ["ratio collision"] * (n >= 2 and L >= 3) + ["leaf run"] * (L >= 3)
+        for kind in kinds:
+            for _ in range(tries):
+                ks = [0] * L
+                if kind == "leaf run":
+                    j = rng.randrange(L - 2)
+                    ks[j] = n - 1
+                    prefix = [mats[j].row(i) for i in range(n - 1)]
+                    # Two zero rows for n = 1; for n >= 2 one, as above.
+                    cs = rng.sample(range(j + 1 if n > 1 else 0, L - 1), 1 if n > 1 else 2)
+                    ks[max(cs)] = 1
+                    targets, extra = [(c, 0) for c in cs], None
+                else:
+                    # A ratio collision needs a channel c2 after c.
+                    j = rng.randrange(L - 1 - (kind == "ratio collision"))
+                    ks[j] = n - 2
+                    prefix = [mats[j].row(i) for i in range(n - 2)]
+                    c2 = rng.randrange(j + 1, L - 1) if kind == "ratio collision" else L - 1
+                    # (channel, row) of the first candidate in channel c.
+                    c = rng.randrange(j, c2)
+                    y = (c, n - 2 if c == j else 0)
+                    if kind == "dependent pair":
+                        targets, extra = [(c, y[1] + 1)], y
+                        ks[c] += 2
+                    elif kind == "vanishing":
+                        targets, extra = [y], (L - 1, 0)
+                        ks[c] += 1
+                        ks[L - 1] = 1
+                    else:
+                        targets, extra = [(c2, 0)], y
+                        ks[c] += 1
+                        ks[c2] = 1
+                changes = {}
+                for l, i in targets:
+                    row = [0] * n
+                    rows = prefix + ([mats[extra[0]].row(extra[1])] if extra else [])
+                    for r in rows:
+                        k = rng.randrange(1, q)
+                        row = [add(v, mul(k, w)) for v, w in zip(row, r)]
+                    changes.update({(l, i, t): v for t, v in enumerate(row)})
+                broken = with_entries(fam, changes)
+                want = verify_from_scratch(broken)
+                hit = want.witness is not None and want.witness.ks == tuple(ks)
+                yield kind, broken, hit
+                if hit:
+                    break
+    for L, n in itertools.product((1, 2), (1, 2, 3)):
+        fam = construct(field, L, n)
+        yield "edge", fam, True
+        for trial in range(4):
+            yield "edge", perturbed(fam, rng, dependent_row=L * n > 1 and trial % 2), False
+
+
+# The walk's fields, one per form of eliminate, and GF(49), the third
+# field of packed digits.
+BATCH_FIELDS = WALK_FIELDS + [(7, 2)]
+
+
+@pytest.mark.parametrize("p, s", BATCH_FIELDS)
+def test_batched_walk_matches_the_reference(p, s):
+    # Leaf runs and depth-2 subtrees are decided in batches: a family that
+    # breaks one batch condition fails at the same first tuple, with the
+    # same count, as the per-tuple reference, in both modes. Each kind's
+    # chosen tuple is the reference's witness at least once.
+    field = Field(p, s)
+    rng = random.Random(p * 7 + s)
+    hits = set()
+    for kind, fam, hit in batch_families(field, rng):
+        for superset in modes(fam):
+            assert_same_report(fam, superset)
+        if hit:
+            hits.add((kind, fam.n if fam.n < 3 else 3))
+    wanted = {("leaf run", n) for n in (1, 2, 3)}
+    wanted |= {(k, n) for k in ("ratio collision", "dependent pair", "vanishing") for n in (2, 3)}
+    assert hits >= wanted | {("edge", n) for n in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("p, s", ROW_ENCODINGS)
+def test_ratio_is_the_packed_quotient(p, s):
+    # Every encoding, on both sides of the byte-row range: for a and b
+    # read from a packed column, a nonzero, ratio(a, b) is the packed entry
+    # of mul(b, inv(a)), so two pairs have equal ratios exactly when their
+    # quotients are equal, and a zero b gives zero. Every pair of a field
+    # with q <= 256, else 3000 seeded pairs with zeros, ones and q - 1.
+    field = Field(p, s)
+    q = field.q
+    if q <= 256:
+        pairs = [(a, b) for a in range(1, q) for b in range(q)]
+    else:
+        rng = random.Random(q)
+        pick = [1, q - 1, rng.randrange(1, q)]
+        pairs = [(rng.choice(pick), rng.choice([0, *pick])) for _ in range(3000)]
+    flat = [x for a, b in pairs for x in (a, b, field.mul(b, field.inv(a)))]
+    (col,) = field.columns([flat], 1)
+    got = [field.ratio(col[k], col[k + 1]) for k in range(0, len(col), 3)]
+    assert got == list(col[2::3])
+    assert all((g == 0) == (b == 0) for g, (_, b) in zip(got, pairs))
+
+
+def test_batches_leave_few_eliminate_calls():
+    # (256, 40, 4): 123 410 tuples, of which the walk one at a time made
+    # 11 483 Field.eliminate calls, one per tuple whose last channel holds
+    # rows. Depth-2 subtrees, decided in batches, leave 823.
+    field = Field(2, 8)
+    calls = []
+    eliminate = field.eliminate
+
+    def counted(cols, i):
+        calls.append(i)
+        return eliminate(cols, i)
+
+    field.eliminate = counted
+    rep = verify(construct(field, 40, 4))
+    assert rep == VerifyReport(True, count_exact_tuples(40, 4), None)
+    assert len(calls) <= 1000
